@@ -8,10 +8,11 @@ GO ?= go
 
 # The microbenches gated by bench-smoke; keep in sync with the names in
 # internal/hmm/bench_test.go, internal/shed/bench_test.go,
-# internal/tenant/tenant_test.go, internal/ingest/frame_test.go and
-# internal/sqlchan/sqlchan_test.go.
+# internal/tenant/tenant_test.go, internal/ingest/frame_test.go (frame
+# decode, NDJSON decode and NDJSON encode) and
+# internal/sqlchan/sqlchan_test.go, and with bench-smoke's -filter below.
 SCORER_BENCHES = BenchmarkScorerLogProb|BenchmarkStreamPush|BenchmarkStreamPushBatch
-SMOKE_BENCHES = $(SCORER_BENCHES)|BenchmarkShedDecide|BenchmarkTenantRoute|BenchmarkIngestDecode|BenchmarkSQLChanObserve
+SMOKE_BENCHES = $(SCORER_BENCHES)|BenchmarkShedDecide|BenchmarkTenantRoute|BenchmarkIngestDecode|BenchmarkIngestDecodeNDJSON|BenchmarkIngestEncodeNDJSON|BenchmarkSQLChanObserve
 
 all: verify
 
@@ -34,12 +35,14 @@ race:
 	$(GO) test -race ./internal/runtime/... ./internal/lifecycle/... ./internal/tenant/... ./internal/ingest/... .
 
 # A short coverage-guided smoke over the hostile-input surfaces — the profile
-# codec, the ingest frame decoder, and the SQL-channel scorer (arbitrary query
-# text and cardinalities): enough to catch regressions on every verify without
+# codec, the ingest frame decoder, the NDJSON decoder against its
+# encoding/json reference, and the SQL-channel scorer (arbitrary query text
+# and cardinalities): enough to catch regressions on every verify without
 # the cost of a long campaign.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/ingest
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNDJSON$$' -fuzztime 5s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzSQLChanObserve$$' -fuzztime 5s ./internal/sqlchan
 
 verify: build test vet race fuzz
@@ -57,8 +60,9 @@ bench:
 	cat BENCH_runtime.txt
 	$(GO) run ./cmd/benchjson -o BENCH_runtime.json < BENCH_runtime.txt
 
-# bench-smoke is the CI regression gate: rerun only the hmm scorer and shed
-# admission microbenches and fail when any of them is >20% slower (min-of-3
+# bench-smoke is the CI regression gate: rerun only the SMOKE_BENCHES
+# microbenches (hmm scorer, shed admission, tenant routing, both ingest
+# codecs, SQL channel) and fail when any of them is >20% slower (min-of-3
 # ns/op) than the committed BENCH_runtime.json baseline. Cheap enough to run
 # on every push; `make bench` refreshes the baseline after an intentional
 # change. The second step prices decision tracing end to end on the 64-stream
@@ -66,7 +70,7 @@ bench:
 # acceptance budget (or the bench itself regresses >20% ns/op vs baseline).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(SMOKE_BENCHES)' -count 3 ./internal/hmm ./internal/shed ./internal/tenant ./internal/ingest ./internal/sqlchan | \
-		$(GO) run ./cmd/benchjson -baseline BENCH_runtime.json -tolerance 0.20 -filter 'ScorerLogProb|StreamPush|ShedDecide|TenantRoute|IngestDecode|SQLChanObserve'
+		$(GO) run ./cmd/benchjson -baseline BENCH_runtime.json -tolerance 0.20 -filter 'ScorerLogProb|StreamPush|ShedDecide|TenantRoute|IngestDecode|IngestDecodeNDJSON|IngestEncodeNDJSON|SQLChanObserve'
 	$(GO) test -run '^$$' -bench 'BenchmarkTracingOverhead' -benchtime 1x -count 3 . | \
 		$(GO) run ./cmd/benchjson -baseline BENCH_runtime.json -tolerance 0.20 -filter 'TracingOverhead' -metric-max 'TracingOverhead:overhead_pct=5'
 

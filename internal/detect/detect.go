@@ -127,8 +127,9 @@ type Alert struct {
 // Engine performs streaming detection for one monitored execution. Window
 // scoring is incremental: the engine owns a hmm.StreamScorer that maintains
 // the forward variables of every in-flight window over the profile's shared
-// read-only scoring view, so observing a call never recomputes the whole
-// window from scratch and never allocates.
+// read-only scoring view, so observing a call advances each in-flight window
+// by one forward step and never allocates. Once the window is full that is
+// W−1 steps per call, the model traffic of rescoring the window from scratch.
 type Engine struct {
 	p         *profile.Profile
 	threshold float64

@@ -313,13 +313,14 @@ func boundFromRho(rho float64) float64 {
 // StreamScorer scores every sliding window (step 1, fixed length) of one call
 // stream incrementally. It maintains the scaled forward variables of all
 // windows currently open — a ring of W forward vectors, one per in-flight
-// window — so each pushed symbol advances every open window in a single fused
-// pass over the flat transition slab: the model is traversed once per call
-// (O(N²) memory traffic, or O(N·K) pruned) instead of once per window
-// position as a batch LogProb recompute would, and the hot path performs zero
-// allocations. In exact mode the arithmetic replays the canonical forward
-// order exactly (kernel.go), so completed-window scores are bit-identical to
-// Model.LogProb.
+// window — and each pushed symbol runs one forward step per open window, each
+// step a full pass over the flat transition slab (O(N²) memory traffic, or
+// O(N·K) pruned). Once the ring is full that is W−1 steps per call: the same
+// model traffic as recomputing each completed window with a batch LogProb,
+// plus the steps spent on windows that a Reset at the end of a run discards
+// before they complete. The hot path performs zero allocations. In exact mode
+// the arithmetic replays the canonical forward order exactly (kernel.go), so
+// completed-window scores are bit-identical to Model.LogProb.
 //
 // A StreamScorer belongs to one session/stream and is not safe for concurrent
 // use; the Scorer behind it is shared freely.

@@ -198,16 +198,16 @@ func WriteFrame(w io.Writer, e Event) error {
 // FrameDecoder reads consecutive binary frames from a stream, amortising
 // its buffers: the payload scratch, the decoded Calls slice, and an intern
 // table for the small recurring string vocabulary (tenant ids, session ids,
-// call labels) are reused across frames, so steady-state decoding of a busy
-// connection allocates only on first sight of a new string. Not safe for
-// concurrent use; each connection owns one.
+// call labels, capped at maxIntern entries) are reused across frames, so
+// steady-state decoding of a busy connection allocates only on first sight
+// of a new string. Not safe for concurrent use; each connection owns one.
 type FrameDecoder struct {
 	r        *bufio.Reader
 	maxFrame int
 
 	payload []byte
 	calls   []collector.Call
-	intern  map[string]string
+	intern  interner
 	hdr     [frameHeaderLen]byte
 }
 
@@ -221,7 +221,7 @@ func NewFrameDecoder(r io.Reader, maxFrame int) *FrameDecoder {
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	return &FrameDecoder{r: br, maxFrame: maxFrame, intern: make(map[string]string)}
+	return &FrameDecoder{r: br, maxFrame: maxFrame, intern: make(interner)}
 }
 
 // Next decodes the next frame. A clean end of stream between frames returns
@@ -355,7 +355,7 @@ func (d *FrameDecoder) decodePayload(version uint16, kind Kind, p []byte) (Event
 
 // takeString consumes one uint16-length-prefixed string, interning it so
 // the recurring vocabulary of a connection (tenant, session, call labels)
-// is allocated once. The map lookup via string(b) does not allocate.
+// is allocated once.
 func (d *FrameDecoder) takeString(p []byte) (string, []byte, error) {
 	if len(p) < 2 {
 		return "", p, errors.New("truncated length prefix")
@@ -365,13 +365,7 @@ func (d *FrameDecoder) takeString(p []byte) (string, []byte, error) {
 	if len(p) < n {
 		return "", p, fmt.Errorf("declared %d bytes, %d remain", n, len(p))
 	}
-	b := p[:n]
-	s, ok := d.intern[string(b)]
-	if !ok {
-		s = string(b)
-		d.intern[s] = s
-	}
-	return s, p[n:], nil
+	return d.intern.bytes(p[:n]), p[n:], nil
 }
 
 // takeBytes consumes one uint16-length-prefixed byte run without interning;

@@ -378,3 +378,82 @@ func BenchmarkIngestDecode(b *testing.B) {
 		b.Fatal("decoded nothing")
 	}
 }
+
+// ndjsonBenchEvents is a chatty collector's traffic: one call per observe
+// line, as a collector streams calls while the program runs, then a flush.
+// No SQL text or trace IDs, so steady-state decoding allocates nothing.
+func ndjsonBenchEvents() []Event {
+	events := make([]Event, 0, 65)
+	for i := 0; i < 64; i++ {
+		events = append(events, Event{Kind: KindObserve, Tenant: "apph", Session: "s1", Calls: []collector.Call{
+			{Label: "mysql_query_Q3", Name: "mysql_query", Caller: "report", Block: i % 8},
+		}})
+	}
+	return append(events, Event{Kind: KindFlush, Tenant: "apph", Session: "s1"})
+}
+
+// loopReader replays one buffer forever, so a decoder over it never reaches
+// EOF and a benchmark can reuse one decoder across iterations.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
+}
+
+// BenchmarkIngestDecodeNDJSON measures steady-state NDJSON decode of the
+// same 64 calls as BenchmarkIngestDecode, sent one call per line: after the
+// first pass has populated the intern table and scratch buffers, decoding
+// must not allocate per line.
+func BenchmarkIngestDecodeNDJSON(b *testing.B) {
+	events := ndjsonBenchEvents()
+	var wire []byte
+	var err error
+	for _, e := range events {
+		if wire, err = EncodeNDJSON(wire, e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dec := NewNDJSONDecoder(&loopReader{b: wire}, 0)
+	var decoded int
+	b.ReportAllocs()
+	b.SetBytes(int64(len(wire)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for range events {
+			e, err := dec.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			decoded += len(e.Calls)
+		}
+	}
+	b.StopTimer()
+	if decoded == 0 {
+		b.Fatal("decoded nothing")
+	}
+}
+
+// BenchmarkIngestEncodeNDJSON measures the collector side of the same
+// traffic: appending the 65 lines into a reused buffer.
+func BenchmarkIngestEncodeNDJSON(b *testing.B) {
+	events := ndjsonBenchEvents()
+	var wire []byte
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wire = wire[:0]
+		for _, e := range events {
+			if wire, err = EncodeNDJSON(wire, e); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	b.SetBytes(int64(len(wire)))
+}
