@@ -11,7 +11,7 @@ GO ?= go
 # internal/tenant/tenant_test.go, internal/ingest/frame_test.go (frame
 # decode, NDJSON decode and NDJSON encode) and
 # internal/sqlchan/sqlchan_test.go, and with bench-smoke's -filter below.
-SCORER_BENCHES = BenchmarkScorerLogProb|BenchmarkStreamPush|BenchmarkStreamPushBatch
+SCORER_BENCHES = BenchmarkScorerLogProb|BenchmarkStreamPush
 SMOKE_BENCHES = $(SCORER_BENCHES)|BenchmarkShedDecide|BenchmarkTenantRoute|BenchmarkIngestDecode|BenchmarkIngestDecodeNDJSON|BenchmarkIngestEncodeNDJSON|BenchmarkSQLChanObserve
 
 all: verify
@@ -25,8 +25,11 @@ build:
 test:
 	$(GO) test -timeout 30m ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: files need formatting:"; echo "$$unformatted"; exit 1; fi
 
 # The runtime package is the concurrency-critical surface; -race across the
 # whole module also covers the facade's Runtime tests. tenant and ingest

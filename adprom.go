@@ -130,11 +130,12 @@ type (
 	// shed counts, risk mass admitted vs shed, and the estimated
 	// miss probability. See Runtime.ShedSnapshot.
 	ShedSnapshot = shed.Snapshot
-	// BatchShedError reports a partially or fully rejected ObserveBatch
-	// under DropNewest or ShedByRisk: Shed of Batch calls were rejected,
-	// the rest were admitted in order. It wraps ErrDropped (and ErrShed
-	// when risk-aware admission did the shedding); match with errors.As
-	// for exact counts or errors.Is(err, ErrDropped) for the class.
+	// BatchShedError reports a partially or fully rejected multi-call
+	// ObserveBatch under DropNewest or ShedByRisk (a single call gets the
+	// plain sentinel): Shed of Batch calls were rejected, the rest were
+	// admitted in order. It wraps ErrDropped (and ErrShed when risk-aware
+	// admission did the shedding); match with errors.As for exact counts
+	// or errors.Is(err, ErrDropped) for the class.
 	BatchShedError = runtime.BatchShedError
 )
 
@@ -462,14 +463,6 @@ func NewMonitor(p *Profile, opts ...MonitorOption) *Monitor {
 		m.Engine().SetSQLChannel(sqlchan.NewScorer(c.sqlProfile), c.fusion)
 	}
 	return m
-}
-
-// NewMonitorWithSink builds a monitor with a positional alert sink.
-//
-// Deprecated: this is a thin shim kept for source compatibility and slated
-// for removal; use NewMonitor(p, WithSink(sink)).
-func NewMonitorWithSink(p *Profile, sink AlertSink) *Monitor {
-	return NewMonitor(p, WithSink(sink))
 }
 
 // NewRuntime builds a concurrent multi-stream detection runtime over a

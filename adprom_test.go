@@ -96,8 +96,8 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-// TestFacadeOptions covers the functional-option surface: monitor options,
-// the deprecated positional-sink alias, and the concurrent Runtime.
+// TestFacadeOptions covers the functional-option surface: monitor options
+// and the concurrent Runtime.
 func TestFacadeOptions(t *testing.T) {
 	app := HospitalApp()
 	traces, err := app.CollectTraces(ModeADPROM)
@@ -124,11 +124,6 @@ func TestFacadeOptions(t *testing.T) {
 	dep := NewMonitor(prof, WithSink(AlertFunc(func(a Alert) { got = append(got, a) })), WithThreshold(0))
 	if alerts := dep.ObserveTrace(traces[0]); len(alerts) == 0 || len(got) != len(alerts) {
 		t.Fatalf("WithSink: %d alerts, %d via sink", len(alerts), len(got))
-	}
-	// The deprecated shim must keep compiling and behaving as
-	// NewMonitor(p, WithSink(sink)) until removal.
-	if shim := NewMonitorWithSink(prof, nil); shim == nil || shim.Engine() == nil {
-		t.Fatal("NewMonitorWithSink shim broken")
 	}
 
 	var mu sync.Mutex

@@ -23,7 +23,9 @@
 //	    benchjson -baseline BENCH_runtime.json -filter 'ScorerLogProb|StreamPush'
 //
 // Benchmarks only on one side are reported but never fail the gate, so
-// adding or retiring a benchmark does not break CI.
+// adding or retiring a benchmark does not break CI. Names are compared
+// without the -<GOMAXPROCS> suffix go test appends, so a baseline recorded
+// on one CPU count gates runs on another.
 //
 // -metric-max asserts absolute ceilings on custom metrics, independent of any
 // baseline: each comma-separated clause is nameRegexp:metric=max, and the
@@ -45,6 +47,13 @@ import (
 	"strconv"
 	"strings"
 )
+
+// procsSuffix matches the -<GOMAXPROCS> suffix go test appends to every
+// benchmark name when GOMAXPROCS > 1.
+var procsSuffix = regexp.MustCompile(`-[0-9]+$`)
+
+// benchName strips the -<GOMAXPROCS> suffix from a benchmark name.
+func benchName(name string) string { return procsSuffix.ReplaceAllString(name, "") }
 
 // Result is one benchmark line.
 type Result struct {
@@ -122,8 +131,9 @@ func main() {
 	}
 }
 
-// minNs folds a report into the fastest ns/op seen per benchmark name.
-// Both sides of a comparison are expected to run with -count > 1; min-of-N
+// minNs folds a report into the fastest ns/op seen per benchmark name,
+// suffix stripped (baselines written before parseBench stripped it still
+// carry one). Both sides of a comparison are expected to run with -count > 1; min-of-N
 // is the standard way to strip scheduler noise from a shared CI box, since
 // a benchmark can run unluckily slow but never unluckily fast.
 func minNs(rep *Report) map[string]float64 {
@@ -132,8 +142,9 @@ func minNs(rep *Report) map[string]float64 {
 		if b.NsPerOp <= 0 {
 			continue
 		}
-		if best, seen := m[b.Name]; !seen || b.NsPerOp < best {
-			m[b.Name] = b.NsPerOp
+		name := benchName(b.Name)
+		if best, seen := m[name]; !seen || b.NsPerOp < best {
+			m[name] = b.NsPerOp
 		}
 	}
 	return m
@@ -284,7 +295,8 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 }
 
 // parseBench decodes one result line: a name, an iteration count, then
-// value/unit pairs.
+// value/unit pairs. The name loses its Benchmark prefix and -<GOMAXPROCS>
+// suffix, so reports from hosts with different CPU counts share names.
 //
 //	BenchmarkRuntimeThroughput-4  3  41243292 ns/op  1201 B/op  5 allocs/op  291883 calls/s
 func parseBench(line string) (Result, error) {
@@ -296,7 +308,7 @@ func parseBench(line string) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("iterations: %w", err)
 	}
-	r := Result{Name: strings.TrimPrefix(fields[0], "Benchmark"), Iterations: iters}
+	r := Result{Name: benchName(strings.TrimPrefix(fields[0], "Benchmark")), Iterations: iters}
 	pairs := fields[2:]
 	if len(pairs)%2 != 0 {
 		return Result{}, fmt.Errorf("odd value/unit tail")

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -28,7 +31,7 @@ func TestParseBenchOutput(t *testing.T) {
 		t.Fatalf("got %d benchmarks, want 2", len(rep.Benchmarks))
 	}
 	b := rep.Benchmarks[0]
-	if b.Name != "RuntimeThroughput-4" || b.Pkg != "adprom" || b.Iterations != 3 {
+	if b.Name != "RuntimeThroughput" || b.Pkg != "adprom" || b.Iterations != 3 {
 		t.Fatalf("identity: %+v", b)
 	}
 	if b.NsPerOp != 41243292 || b.BytesPerOp != 1201 || b.AllocsPerOp != 5 {
@@ -49,7 +52,7 @@ func TestParseBenchOutput(t *testing.T) {
 		}
 	}
 	ov := rep.Benchmarks[1]
-	if ov.Name != "InstrumentationOverhead-4" {
+	if ov.Name != "InstrumentationOverhead" {
 		t.Fatalf("second benchmark: %+v", ov)
 	}
 	if got := ov.Metrics["overhead_pct"]; got != 0.08373 {
@@ -106,5 +109,46 @@ func TestParseBenchRejectsMalformed(t *testing.T) {
 		if _, err := parseBench(line); err == nil {
 			t.Errorf("parseBench(%q) accepted", line)
 		}
+	}
+}
+
+// TestCompareAcrossCPUCounts: a baseline recorded at GOMAXPROCS=2 gates a
+// run at GOMAXPROCS=4 and a run at GOMAXPROCS=1 (no suffix), and a
+// regression still fails the gate across the suffix difference.
+func TestCompareAcrossCPUCounts(t *testing.T) {
+	base := Report{Benchmarks: []Result{
+		{Name: "TenantRoute-2", NsPerOp: 100},
+		{Name: "StreamPush/exact/50states-2", NsPerOp: 4000},
+	}}
+	data, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		run    string
+		wantOK bool
+	}{
+		{"-4 suffix", "BenchmarkTenantRoute-4 1000 105 ns/op\nBenchmarkStreamPush/exact/50states-4 100 4100 ns/op\n", true},
+		{"no suffix", "BenchmarkTenantRoute 1000 105 ns/op\nBenchmarkStreamPush/exact/50states 100 4100 ns/op\n", true},
+		{"regression", "BenchmarkTenantRoute-4 1000 150 ns/op\n", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cur, err := parse(bufio.NewScanner(strings.NewReader(tc.run)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ok, err := compare(cur, path, 0.20, "TenantRoute|StreamPush")
+			if err != nil {
+				t.Fatalf("compare: %v", err)
+			}
+			if ok != tc.wantOK {
+				t.Fatalf("compare ok = %v, want %v", ok, tc.wantOK)
+			}
+		})
 	}
 }

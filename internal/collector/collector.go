@@ -117,18 +117,24 @@ func New(mode Mode, log io.Writer) *Collector {
 	return c
 }
 
+// CallOf converts an interpreter call event into the collected Call record —
+// the one conversion shared by the collector and inline monitors.
+func CallOf(e *interp.Event) Call {
+	return Call{
+		Label:   e.Label,
+		Name:    e.Name,
+		Caller:  e.Caller,
+		Block:   e.Block,
+		Origins: e.Origins,
+		SQL:     e.SQL,
+		Rows:    e.Rows,
+	}
+}
+
 // Hook returns the interpreter hook that feeds this collector.
 func (c *Collector) Hook() interp.Hook {
 	return func(e *interp.Event) {
-		call := Call{
-			Label:   e.Label,
-			Name:    e.Name,
-			Caller:  e.Caller,
-			Block:   e.Block,
-			Origins: e.Origins,
-			SQL:     e.SQL,
-			Rows:    e.Rows,
-		}
+		call := CallOf(e)
 		if c.mode == ModeLtrace {
 			resolved := c.sym.resolve(e.Caller, e.Block)
 			fmt.Fprintf(c.log, "%s %s(%s) = <?> [%s]\n",

@@ -135,28 +135,14 @@ func (m *Monitor) Engine() *detect.Engine { return m.engine }
 // with execution, like the paper's dynamically instrumented deployment.
 func (m *Monitor) Attach(ip *interp.Interp) {
 	ip.AddHook(func(e *interp.Event) {
-		alerts := m.engine.Observe(collector.Call{
-			Label:   e.Label,
-			Name:    e.Name,
-			Caller:  e.Caller,
-			Block:   e.Block,
-			Origins: e.Origins,
-			SQL:     e.SQL,
-			Rows:    e.Rows,
-		})
-		if m.sink != nil {
-			for _, a := range alerts {
-				m.sink.HandleAlert(a)
-			}
-		}
+		m.ObserveBatch([]collector.Call{collector.CallOf(e)})
 	})
 }
 
 // ObserveBatch feeds a run of consecutive calls from the monitored stream
-// through the engine's batched scoring path and returns (and sinks) the
-// alerts raised. The alerts are exactly those len(calls) individual Observe
-// calls would raise, in the same order; batching only amortises per-call
-// overhead.
+// through the engine and returns (and sinks) the alerts raised. The alerts
+// are exactly those len(calls) individual Observe calls would raise, in the
+// same order; batching only amortises per-call overhead.
 func (m *Monitor) ObserveBatch(calls []collector.Call) []detect.Alert {
 	alerts := m.engine.ObserveBatch(calls)
 	if m.sink != nil {

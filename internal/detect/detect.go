@@ -136,16 +136,10 @@ type Engine struct {
 	winLen    int
 	mode      hmm.ScorerMode
 	stream    *hmm.StreamScorer
-	window    []collector.Call
+	window    []windowCall
 	winStart  int // ring start within window when full
 	seq       int
 	alerts    []Alert
-
-	// ObserveBatch scratch, reused across batches (never retained by alerts).
-	syms       []int
-	scores     []float64
-	bounds     []float64
-	winScratch []collector.Call
 
 	// Append-only arenas flagged windows carve their Window labels and leak
 	// Origins from, so a batch with many alerts costs a few arena-growth
@@ -188,7 +182,15 @@ type Engine struct {
 	lastSQLScore, lastSQLThreshold float64
 	// The most recent query-bearing call, so a Flush-judged partial SQL
 	// window can still name a triggering call.
-	lastQuery collector.Call
+	lastQuery windowCall
+}
+
+// windowCall is the part of an observed call that judging reads: the label
+// and caller an alert names, and the origins a DL alert links to. The window
+// ring holds only these, not whole calls.
+type windowCall struct {
+	Label, Caller string
+	Origins       []interp.Origin
 }
 
 // TraceEvent describes one completed-window judgement to the tracing layer:
@@ -342,7 +344,7 @@ func (e *Engine) SetSQLChannel(s *sqlchan.Scorer, cfg FusionConfig) {
 	e.hmmSeen, e.sqlSeen = false, false
 	e.lastHMM, e.lastSQL = 0, 0
 	e.lastSQLScore, e.lastSQLThreshold = 0, 0
-	e.lastQuery = collector.Call{}
+	e.lastQuery = windowCall{}
 }
 
 // SQLChannel returns the attached SQL-channel scorer, nil when detached.
@@ -386,7 +388,7 @@ func (e *Engine) Reset() {
 	e.lastHMM, e.lastSQL = 0, 0
 	e.hmmSeen, e.sqlSeen = false, false
 	e.lastSQLScore, e.lastSQLThreshold = 0, 0
-	e.lastQuery = collector.Call{}
+	e.lastQuery = windowCall{}
 }
 
 // SetSensitiveLabels installs extra call labels counted as sensitive touches
@@ -440,164 +442,81 @@ func (e *Engine) Threshold() float64 { return e.threshold }
 // Profile returns the profile the engine detects against.
 func (e *Engine) Profile() *profile.Profile { return e.p }
 
-// Observe processes one call and returns any alerts it raised.
+// Observe processes one call and returns any alerts it raised: a batch of
+// one.
 func (e *Engine) Observe(c collector.Call) []Alert {
-	var out []Alert
-	seq := e.seq
-	e.seq++
-	e.noteSensitive(&c)
-
-	// Out-of-context: a known label from an unexpected caller (unless the
-	// administrator whitelisted the pair).
-	if e.p.KnownLabel(c.Label) && !e.p.KnownCaller(c.Label, c.Caller) &&
-		!e.oocAllowed[[2]string{c.Label, c.Caller}] {
-		out = append(out, Alert{
-			Flag:   FlagOutOfContext,
-			Seq:    seq,
-			Label:  c.Label,
-			Caller: c.Caller,
-		})
-	}
-
-	// Fold the call into the incremental scorer and the (ring-buffered)
-	// window of pending calls; judge the window the moment it completes.
-	if e.winLen > 0 {
-		if e.stream == nil {
-			e.stream = e.p.NewStreamScorerMode(e.winLen, e.mode)
-		}
-		if len(e.window) < e.winLen {
-			e.window = append(e.window, c)
-		} else {
-			e.window[e.winStart] = c
-			e.winStart = (e.winStart + 1) % e.winLen
-		}
-		if logp, done := e.stream.Push(e.p.SymbolOf(c.Label)); done {
-			w := float64(e.winLen)
-			if a, flagged := e.judgeWindow(seq, logp/w, e.stream.LastBound()/w); flagged {
-				out = append(out, a)
-			}
-		}
-	}
-
-	// Second channel: fold query-bearing calls into the SQL scorer and judge
-	// its window when it completes, after the HMM judgement for this call —
-	// the same per-call order ObserveBatch replays.
-	if e.sqlScorer != nil && c.SQL != "" {
-		e.lastQuery = c
-		if v, done := e.sqlScorer.Observe(c.SQL, c.Rows); done {
-			if a, flagged := e.judgeSQLWindow(seq, &c, v); flagged {
-				out = append(out, a)
-			}
-		}
-	}
-
-	e.alerts = append(e.alerts, out...)
-	return out
+	return e.ObserveBatch([]collector.Call{c})
 }
 
-// ObserveBatch processes a run of calls from one stream in a single pass and
-// returns the alerts they raised. It is equivalent to calling Observe on
-// each call in order — same alerts, same scores bit for bit, same judge-hook
-// invocations — but folds the whole run into the incremental scorer with one
-// batched push and defers the window ring update to the end of the batch, so
-// the per-call dispatch and bookkeeping cost is amortised across the batch.
-// The calls slice is not retained; the Call values (and their Origins) are.
+// ObserveBatch processes a run of calls from one stream in call order and
+// returns the alerts they raised. Each call is folded in turn: the
+// out-of-context check, the window ring, the incremental scorer (judging the
+// window the moment it completes), then the SQL channel. Chunking is
+// therefore invisible — any split of a stream raises the same alerts, scores
+// and judge-hook invocations — and a batch saves its caller only the
+// per-call dispatch. The calls slice is not retained; the window ring and
+// alerts keep each call's label, caller and Origins.
 func (e *Engine) ObserveBatch(calls []collector.Call) []Alert {
-	if len(calls) == 0 {
-		return nil
-	}
-	baseSeq := e.seq
-	e.seq += len(calls)
 	// Alerts are appended straight into the history and the batch's run of it
 	// returned, so raising many alerts costs amortised history growth instead
 	// of a second slice.
 	histStart := len(e.alerts)
-
-	// Score the whole run first: completions are the trailing entries, and
-	// judging happens in call order below, interleaved with the OOC checks
-	// exactly as the per-call path would.
-	completedFrom := len(calls)
-	if e.winLen > 0 {
-		if e.stream == nil {
-			e.stream = e.p.NewStreamScorerMode(e.winLen, e.mode)
-		}
-		e.growScratch(len(calls))
-		for i := range calls {
-			e.syms[i] = e.p.SymbolOf(calls[i].Label)
-		}
-		completedFrom = len(calls) - e.stream.PushBatch(e.syms, e.scores, e.bounds)
+	if e.winLen > 0 && e.stream == nil {
+		e.stream = e.p.NewStreamScorerMode(e.winLen, e.mode)
 	}
-
-	prevLen := len(e.window)
 	w := float64(e.winLen)
 	for i := range calls {
 		c := &calls[i]
+		seq := e.seq
+		e.seq++
 		e.noteSensitive(c)
+
+		// Out-of-context: a known label from an unexpected caller (unless the
+		// administrator whitelisted the pair).
 		if e.p.KnownLabel(c.Label) && !e.p.KnownCaller(c.Label, c.Caller) &&
 			!e.oocAllowed[[2]string{c.Label, c.Caller}] {
 			e.alerts = append(e.alerts, Alert{
 				Flag:   FlagOutOfContext,
-				Seq:    baseSeq + i,
+				Seq:    seq,
 				Label:  c.Label,
 				Caller: c.Caller,
 			})
 		}
-		if i >= completedFrom {
-			if a, flagged := e.judgeBatchWindow(baseSeq+i, e.scores[i]/w, e.bounds[i]/w, calls, i, prevLen); flagged {
-				e.alerts = append(e.alerts, a)
+
+		// Fold the call into the (ring-buffered) window of pending calls and
+		// the incremental scorer; judge the window the moment it completes.
+		wc := windowCall{Label: c.Label, Caller: c.Caller, Origins: c.Origins}
+		if e.winLen > 0 {
+			if len(e.window) < e.winLen {
+				e.window = append(e.window, wc)
+			} else {
+				e.window[e.winStart] = wc
+				if e.winStart++; e.winStart == e.winLen {
+					e.winStart = 0
+				}
+			}
+			if logp, done := e.stream.Push(e.p.SymbolOf(c.Label)); done {
+				if a, flagged := e.judgeWindow(seq, logp/w, e.stream.LastBound()/w); flagged {
+					e.alerts = append(e.alerts, a)
+				}
 			}
 		}
+
+		// Second channel: fold query-bearing calls into the SQL scorer and
+		// judge its window when it completes, after this call's HMM judgement.
 		if e.sqlScorer != nil && c.SQL != "" {
-			e.lastQuery = *c
+			e.lastQuery = wc
 			if v, done := e.sqlScorer.Observe(c.SQL, c.Rows); done {
-				if a, flagged := e.judgeSQLWindow(baseSeq+i, c, v); flagged {
+				if a, flagged := e.judgeSQLWindow(seq, &wc, v); flagged {
 					e.alerts = append(e.alerts, a)
 				}
 			}
 		}
 	}
-
-	// Rebuild the ring to hold the last winLen calls, oldest first.
-	if e.winLen > 0 {
-		total := prevLen + len(calls)
-		newLen := e.winLen
-		if total < newLen {
-			newLen = total
-		}
-		fromBatch := len(calls)
-		if fromBatch > newLen {
-			fromBatch = newLen
-		}
-		fromRing := newLen - fromBatch
-		if fromRing > 0 {
-			e.winScratch = e.winScratch[:0]
-			for t := prevLen - fromRing; t < prevLen; t++ {
-				e.winScratch = append(e.winScratch, e.window[(e.winStart+t)%prevLen])
-			}
-		}
-		e.window = e.window[:0]
-		e.window = append(e.window, e.winScratch[:fromRing]...)
-		e.window = append(e.window, calls[len(calls)-fromBatch:]...)
-		e.winStart = 0
-	}
-
 	if len(e.alerts) == histStart {
 		return nil
 	}
 	return e.alerts[histStart:len(e.alerts):len(e.alerts)]
-}
-
-// growScratch sizes the batch scratch slices for n calls without reallocating
-// on repeat batches.
-func (e *Engine) growScratch(n int) {
-	if cap(e.syms) < n {
-		e.syms = make([]int, n)
-		e.scores = make([]float64, n)
-		e.bounds = make([]float64, n)
-	}
-	e.syms = e.syms[:n]
-	e.scores = e.scores[:n]
-	e.bounds = e.bounds[:n]
 }
 
 // Flush evaluates a final short window (a trace shorter than n) and returns
@@ -632,24 +551,12 @@ func partialScore(st *hmm.StreamScorer) (float64, int) {
 // Alerts returns the alerts raised so far.
 func (e *Engine) Alerts() []Alert { return e.alerts }
 
-// Hook adapts the engine to an interpreter hook for inline monitoring.
-func (e *Engine) Hook() interp.Hook {
-	return func(ev *interp.Event) {
-		e.Observe(collector.Call{
-			Label:   ev.Label,
-			Name:    ev.Name,
-			Caller:  ev.Caller,
-			Block:   ev.Block,
-			Origins: ev.Origins,
-			SQL:     ev.SQL,
-			Rows:    ev.Rows,
-		})
-	}
-}
-
-// judgeWindow classifies the current window given its per-symbol score and
-// error bound (from the incremental scorer). The window of pending calls is
-// a ring: index winStart is the oldest call once the ring is full.
+// judgeWindow classifies the current window — full, or the partial window
+// Flush judges — given its per-symbol score and error bound from the
+// incremental scorer. The window of pending calls is a ring: index winStart
+// is the oldest call once the ring is full. A flagged window carves its label
+// copies and leak origins from the engine's arenas instead of allocating
+// slices of its own.
 func (e *Engine) judgeWindow(seq int, score, bound float64) (Alert, bool) {
 	fusedFired, fused := e.noteHMM(score)
 	if score >= e.threshold && !fusedFired {
@@ -659,9 +566,18 @@ func (e *Engine) judgeWindow(seq int, score, bound float64) (Alert, bool) {
 		return Alert{}, false
 	}
 	n := len(e.window)
-	labels := make([]string, n)
+	// An exhausted arena is abandoned, not copied — the alerts already carved
+	// from it keep it alive — and replaced by one twice its size; the first
+	// holds a single window.
+	if cap(e.labelArena)-len(e.labelArena) < n {
+		e.labelArena = make([]string, 0, max(2*cap(e.labelArena), e.winLen))
+	}
+	start := len(e.labelArena)
+	need := 0
 	for i := 0; i < n; i++ {
-		labels[i] = e.window[(e.winStart+i)%n].Label
+		c := &e.window[(e.winStart+i)%n]
+		e.labelArena = append(e.labelArena, c.Label)
+		need += len(c.Origins)
 	}
 	last := &e.window[(e.winStart+n-1)%n]
 	a := Alert{
@@ -672,87 +588,19 @@ func (e *Engine) judgeWindow(seq int, score, bound float64) (Alert, bool) {
 		Score:           score,
 		Threshold:       e.threshold,
 		ScoreErrorBound: bound,
-		Window:          labels,
+		Window:          e.labelArena[start : start+n : start+n],
 	}
-	for i := 0; i < n; i++ {
-		e.attachLeak(&a, &e.window[(e.winStart+i)%n])
-	}
-	e.stampChannels(&a, score, fused, fusedFired)
-	e.traceJudgement(ChannelHMM, seq, score, e.threshold, bound, fused, fusedFired, true)
-	e.runJudgeHook(seq, score, true)
-	return a, true
-}
-
-// judgeBatchWindow is judgeWindow for a window completed inside an
-// ObserveBatch run: the window's calls are the last fromBatch = min(i+1, w)
-// entries of calls[:i+1] preceded by the trailing w−fromBatch calls of the
-// frozen pre-batch ring (length prevLen). Flagged windows carve their label
-// copies and leak origins from the engine's arenas instead of allocating
-// slices each.
-func (e *Engine) judgeBatchWindow(seq int, score, bound float64, calls []collector.Call, i, prevLen int) (Alert, bool) {
-	fusedFired, fused := e.noteHMM(score)
-	if score >= e.threshold && !fusedFired {
-		e.adapt(score)
-		e.traceJudgement(ChannelHMM, seq, score, e.threshold, bound, fused, false, false)
-		e.runJudgeHook(seq, score, false)
-		return Alert{}, false
-	}
-	w := e.winLen
-	fromBatch := i + 1
-	if fromBatch > w {
-		fromBatch = w
-	}
-	fromRing := w - fromBatch
-	if cap(e.labelArena)-len(e.labelArena) < w {
-		c := 2 * cap(e.labelArena)
-		if c < 64*w {
-			c = 64 * w
-		}
-		e.labelArena = make([]string, 0, c)
-	}
-	start := len(e.labelArena)
-	for t := prevLen - fromRing; t < prevLen; t++ {
-		e.labelArena = append(e.labelArena, e.window[(e.winStart+t)%prevLen].Label)
-	}
-	for t := i + 1 - fromBatch; t <= i; t++ {
-		e.labelArena = append(e.labelArena, calls[t].Label)
-	}
-	a := Alert{
-		Flag:            FlagAnomalous,
-		Seq:             seq,
-		Label:           calls[i].Label,
-		Caller:          calls[i].Caller,
-		Score:           score,
-		Threshold:       e.threshold,
-		ScoreErrorBound: bound,
-		Window:          e.labelArena[start : start+w : start+w],
-	}
-
-	// Upper-bound the window's origin demand so the arena never regrows (and
-	// so copies) mid-window; an exhausted arena is abandoned, not copied.
-	need := 0
-	for t := prevLen - fromRing; t < prevLen; t++ {
-		need += len(e.window[(e.winStart+t)%prevLen].Origins)
-	}
-	for t := i + 1 - fromBatch; t <= i; t++ {
-		need += len(calls[t].Origins)
-	}
+	// need upper-bounds the window's deduplicated origins, so reserving it
+	// up front means the carve never regrows (and so copies) mid-window.
 	if need > 0 {
 		if cap(e.originArena)-len(e.originArena) < need {
-			c := 2 * cap(e.originArena)
-			if c < 4*need {
-				c = 4 * need
-			}
-			e.originArena = make([]interp.Origin, 0, c)
+			e.originArena = make([]interp.Origin, 0, max(2*cap(e.originArena), need))
 		}
 		ostart := len(e.originArena)
 		a.Origins = e.originArena[ostart:ostart:cap(e.originArena)]
 	}
-	for t := prevLen - fromRing; t < prevLen; t++ {
-		e.attachLeak(&a, &e.window[(e.winStart+t)%prevLen])
-	}
-	for t := i + 1 - fromBatch; t <= i; t++ {
-		e.attachLeak(&a, &calls[t])
+	for i := 0; i < n; i++ {
+		e.attachLeak(&a, &e.window[(e.winStart+i)%n])
 	}
 	if len(a.Origins) == 0 {
 		a.Origins = nil
@@ -770,7 +618,7 @@ func (e *Engine) judgeBatchWindow(seq int, score, bound float64, calls []collect
 // data, attaching the origins of the leaked values once each, in call order.
 // Windows are short and origins few, so dedup is a linear scan of what is
 // already attached rather than a map.
-func (e *Engine) attachLeak(a *Alert, c *collector.Call) {
+func (e *Engine) attachLeak(a *Alert, c *windowCall) {
 	if len(c.Origins) == 0 && !e.p.LeakLabels[c.Label] {
 		return
 	}

@@ -1,9 +1,6 @@
 package detect
 
-import (
-	"adprom/internal/collector"
-	"adprom/internal/sqlchan"
-)
+import "adprom/internal/sqlchan"
 
 // The fused judge combines the call-window HMM channel and the SQL-behaviour
 // channel (internal/sqlchan) into one verdict. Both channels are calibrated
@@ -169,7 +166,7 @@ func (e *Engine) stampChannels(a *Alert, score, fused float64, fusedFired bool) 
 // whose observation completed the window. Flagged windows carry the window's
 // query signatures as Alert.Window and upgrade to DL when the window touched
 // a sensitive column or the triggering call outputs targeted data.
-func (e *Engine) judgeSQLWindow(seq int, c *collector.Call, v sqlchan.Verdict) (Alert, bool) {
+func (e *Engine) judgeSQLWindow(seq int, c *windowCall, v sqlchan.Verdict) (Alert, bool) {
 	e.lastSQL = v.Threshold - v.Score
 	e.sqlSeen = true
 	e.lastSQLScore, e.lastSQLThreshold = v.Score, v.Threshold

@@ -113,7 +113,7 @@ func TestWorkerGateAndLatency(t *testing.T) {
 	<-done
 
 	start := time.Now()
-	WorkerLatency(5 * time.Millisecond)(0, "s")
+	WorkerLatency(5*time.Millisecond)(0, "s")
 	if time.Since(start) < 5*time.Millisecond {
 		t.Fatal("latency hook returned early")
 	}

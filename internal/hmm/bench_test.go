@@ -71,24 +71,6 @@ func BenchmarkStreamPush(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamPushBatch measures the batched variant (64 symbols per
-// call); ns/op is still per symbol.
-func BenchmarkStreamPushBatch(b *testing.B) {
-	model, _ := benchModel(50, 40)
-	st := model.NewScorer().NewStream(15)
-	r := rand.New(rand.NewSource(5))
-	obs := make([]int, 64)
-	for i := range obs {
-		obs[i] = r.Intn(40)
-	}
-	scores := make([]float64, len(obs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(obs) {
-		st.PushBatch(obs, scores, nil)
-	}
-}
-
 // BenchmarkBaumWelchIteration measures one training pass over 100 windows.
 func BenchmarkBaumWelchIteration(b *testing.B) {
 	model, _ := benchModel(100, 40)

@@ -378,9 +378,9 @@ func (st *StreamScorer) Reset() {
 }
 
 // LastBound returns the error bound of the window completed by the most
-// recent Push (or, after PushBatch, its last completing symbol): 0 in exact
-// mode, otherwise a sound bound on how far the pruned log score can sit from
-// the exact one. +Inf marks a window whose pruned mass underflowed to zero.
+// recent Push: 0 in exact mode, otherwise a sound bound on how far the pruned
+// log score can sit from the exact one. +Inf marks a window whose pruned mass
+// underflowed to zero.
 func (st *StreamScorer) LastBound() float64 { return st.lastBound }
 
 // Push folds one observation symbol into the stream. When the push completes
@@ -394,41 +394,6 @@ func (st *StreamScorer) Push(obs int) (logp float64, done bool) {
 		panic(fmt.Sprintf("hmm: stream symbol %d out of range [0,%d)", obs, st.s.m))
 	}
 	return st.push(obs)
-}
-
-// PushBatch folds a run of symbols into the stream in one call. For every
-// index i whose push completed a window, scores[i] (and bounds[i], when
-// non-nil) receive that window's log probability and error bound. Completed
-// indices are the trailing max(0, returned) entries: once the stream is warm
-// every push completes the window opened w−1 symbols earlier, so callers
-// consume scores[len(obs)-completed:]. scores and bounds must be at least
-// len(obs) long (bounds may be nil).
-func (st *StreamScorer) PushBatch(obs []int, scores, bounds []float64) (completed int) {
-	if len(obs) == 0 {
-		return 0
-	}
-	if len(scores) < len(obs) {
-		panic(fmt.Sprintf("hmm: PushBatch scores length %d < %d", len(scores), len(obs)))
-	}
-	if bounds != nil && len(bounds) < len(obs) {
-		panic(fmt.Sprintf("hmm: PushBatch bounds length %d < %d", len(bounds), len(obs)))
-	}
-	for _, o := range obs {
-		if o < 0 || o >= st.s.m {
-			panic(fmt.Sprintf("hmm: stream symbol %d out of range [0,%d)", o, st.s.m))
-		}
-	}
-	for i, o := range obs {
-		logp, done := st.push(o)
-		if done {
-			scores[i] = logp
-			if bounds != nil {
-				bounds[i] = st.lastBound
-			}
-			completed++
-		}
-	}
-	return completed
 }
 
 // push advances all open windows by one symbol, opens the window starting at

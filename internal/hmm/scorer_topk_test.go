@@ -209,83 +209,3 @@ func TestExactModeBoundIsZero(t *testing.T) {
 		}
 	}
 }
-
-// TestPushBatchMatchesPush: folding a stream in arbitrary chunks yields
-// bitwise the same completed-window scores, bounds, and completion counts as
-// per-symbol pushes, in both modes.
-func TestPushBatchMatchesPush(t *testing.T) {
-	r := rand.New(rand.NewSource(37))
-	for _, mode := range []ScorerMode{ScorerExact, ScorerTopK(4)} {
-		for trial := 0; trial < 10; trial++ {
-			n := 3 + r.Intn(40)
-			m := NewRandom(n, 3+r.Intn(8), r.Int63())
-			s := m.NewScorerMode(mode)
-			w := 2 + r.Intn(8)
-			ref := s.NewStream(w)
-			bat := s.NewStream(w)
-
-			obs := make([]int, w+40)
-			for i := range obs {
-				obs[i] = r.Intn(m.M)
-			}
-
-			type win struct{ score, bound float64 }
-			var want []win
-			for _, o := range obs {
-				if logp, done := ref.Push(o); done {
-					want = append(want, win{logp, ref.LastBound()})
-				}
-			}
-
-			var got []win
-			scores := make([]float64, len(obs))
-			bounds := make([]float64, len(obs))
-			for lo := 0; lo < len(obs); {
-				hi := lo + 1 + r.Intn(9)
-				if hi > len(obs) {
-					hi = len(obs)
-				}
-				chunk := obs[lo:hi]
-				done := bat.PushBatch(chunk, scores[:len(chunk)], bounds[:len(chunk)])
-				if done < 0 || done > len(chunk) {
-					t.Fatalf("PushBatch returned %d for chunk of %d", done, len(chunk))
-				}
-				for i := len(chunk) - done; i < len(chunk); i++ {
-					got = append(got, win{scores[i], bounds[i]})
-				}
-				lo = hi
-			}
-
-			if len(got) != len(want) {
-				t.Fatalf("mode %v: %d batched windows, want %d", mode, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("mode %v window %d: batch %+v, per-call %+v", mode, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestPushBatchArgChecks: undersized outputs and bad symbols panic rather
-// than silently truncating.
-func TestPushBatchArgChecks(t *testing.T) {
-	m := NewRandom(4, 3, 9)
-	st := m.NewScorer().NewStream(3)
-	if n := st.PushBatch(nil, nil, nil); n != 0 {
-		t.Errorf("empty PushBatch = %d", n)
-	}
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("short scores", func() { st.PushBatch([]int{0, 1}, make([]float64, 1), nil) })
-	mustPanic("short bounds", func() { st.PushBatch([]int{0, 1}, make([]float64, 2), make([]float64, 1)) })
-	mustPanic("bad symbol", func() { st.PushBatch([]int{0, 3}, make([]float64, 2), nil) })
-}

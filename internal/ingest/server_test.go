@@ -153,8 +153,10 @@ type plainSink struct{ m *memSink }
 func (p plainSink) Observe(tenant, session string, calls []collector.Call) error {
 	return p.m.Observe(tenant, session, calls)
 }
-func (p plainSink) Flush(tenant, session string) error        { return p.m.Flush(tenant, session) }
-func (p plainSink) CloseSession(tenant, session string) error { return p.m.CloseSession(tenant, session) }
+func (p plainSink) Flush(tenant, session string) error { return p.m.Flush(tenant, session) }
+func (p plainSink) CloseSession(tenant, session string) error {
+	return p.m.CloseSession(tenant, session)
+}
 
 // TestServerTraceContext pins the wire-level trace context handed to a
 // TraceSink: the client's trace ID, the connection's remote address, the

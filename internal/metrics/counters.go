@@ -48,14 +48,7 @@ type Counters struct {
 	enginesRetired atomic.Uint64
 }
 
-// AddCall records one observed call and its processing latency in
-// nanoseconds.
-func (c *Counters) AddCall(latencyNanos int64) {
-	c.calls.Add(1)
-	c.observe.Observe(latencyNanos)
-}
-
-// AddCalls records n calls processed by one batched op that took totalNanos.
+// AddCalls records n calls processed by one observe op that took totalNanos.
 // Each call is attributed the mean per-call share of the batch, preserving
 // the snapshot invariant Observe.Count == Calls (Observe.Sum may round down
 // by up to n-1 nanoseconds per batch).

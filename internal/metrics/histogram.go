@@ -69,8 +69,8 @@ func (h *Histogram) Observe(nanos int64) {
 }
 
 // ObserveN folds n observations of the same duration into the histogram with
-// one set of atomic updates — the batched-ingest path attributes each call of
-// a batch its mean per-call share this way instead of issuing n Observes.
+// one set of atomic updates — the observe path attributes each call of an op
+// its mean per-call share this way instead of issuing n Observes.
 func (h *Histogram) ObserveN(nanos int64, n uint64) {
 	if n == 0 {
 		return

@@ -158,7 +158,7 @@ func TestAvgAndMaxLatency(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var ctr Counters
 			for _, l := range c.latencies {
-				ctr.AddCall(l)
+				ctr.AddCalls(1, l)
 			}
 			s := ctr.Snapshot()
 			if got := s.AvgLatencyNanos(); got != c.wantAvg {

@@ -124,8 +124,9 @@ type shedSentinel struct{}
 func (shedSentinel) Error() string        { return "runtime: call shed: risk-aware admission" }
 func (shedSentinel) Is(target error) bool { return target == ErrDropped }
 
-// BatchShedError reports a batch that was partially or fully rejected: Shed
-// of Batch calls were not enqueued (the admitted prefix, if any, is already
+// BatchShedError reports a multi-call batch that was partially or fully
+// rejected (a single call is rejected with the plain sentinel): Shed of Batch
+// calls were not enqueued (the admitted prefix, if any, is already
 // queued in order). It unwraps to ErrDropped under DropNewest and to ErrShed
 // under ShedByRisk, so existing errors.Is(err, ErrDropped) checks keep
 // working while callers that need exact accounting read the counts with
@@ -511,10 +512,9 @@ type alertMsg struct {
 type opKind int
 
 const (
-	opObserve      opKind = iota
-	opObserveBatch        // score a run of calls from one stream in one pass
-	opFlush               // judge partial window, reply with history, reset window
-	opClose               // opFlush + recycle the engine
+	opObserve opKind = iota // score the op's calls in order
+	opFlush                 // judge partial window, reply with history, reset window
+	opClose                 // opFlush + recycle the engine
 )
 
 type reply struct {
@@ -523,9 +523,12 @@ type reply struct {
 }
 
 type op struct {
-	s       *Session
+	s *Session
+	// An observe op carries a single call inline (call, calls nil), so
+	// per-call ingest allocates nothing, or an owned copy of a multi-call
+	// batch (calls).
 	call    collector.Call
-	calls   []collector.Call // opObserveBatch only; owned by the op
+	calls   []collector.Call
 	kind    opKind
 	done    chan reply // buffered(1); at most one send (guarded by replied)
 	replied bool
@@ -555,13 +558,13 @@ func (o *op) finishTrace() {
 // callCount returns how many monitored calls the op carries (0 for control
 // ops) — the unit Dropped counts in.
 func (o *op) callCount() uint64 {
-	switch o.kind {
-	case opObserve:
-		return 1
-	case opObserveBatch:
+	switch {
+	case o.kind != opObserve:
+		return 0
+	case o.calls != nil:
 		return uint64(len(o.calls))
 	default:
-		return 0
+		return 1
 	}
 }
 
@@ -810,10 +813,10 @@ func (s *Session) quarantine(cause error) bool {
 	return true
 }
 
-// Observe enqueues one call for detection. Under the Block policy it waits
-// for queue space (backpressure); under DropNewest a full queue sheds the
-// call and returns ErrDropped. A closed session or runtime returns
-// ErrClosed; a quarantined session returns ErrSessionFailed.
+// Observe enqueues one call for detection: a batch of one. Under the Block
+// policy it waits for queue space (backpressure); under DropNewest a full
+// queue sheds the call and returns ErrDropped. A closed session or runtime
+// returns ErrClosed; a quarantined session returns ErrSessionFailed.
 func (s *Session) Observe(c collector.Call) error {
 	return s.ObserveContext(context.Background(), c)
 }
@@ -821,47 +824,40 @@ func (s *Session) Observe(c collector.Call) error {
 // ObserveContext is Observe bounded by ctx: Block-policy backpressure waits
 // no longer than the context allows and surfaces ctx.Err().
 func (s *Session) ObserveContext(ctx context.Context, c collector.Call) error {
-	if err := s.ingestErr(); err != nil {
-		return err
-	}
-	ta := s.rt.traces.Begin(trace.Context{}, s.id, "observe")
-	return s.rt.enqueue(ctx, s.worker, op{s: s, call: c, kind: opObserve, ta: ta}, false)
+	return s.ObserveBatchTraced(ctx, nil, []collector.Call{c})
 }
 
-// ObserveBatch enqueues a run of calls as one op. The batch is scored in one
-// pass on the session's worker (detect.Engine.ObserveBatch), raising exactly
-// the alerts per-call Observes would, so it is the preferred ingest form for
-// replay and any producer that naturally batches — it amortises the queue
-// round-trip and the engine dispatch across the batch. The calls slice is
-// copied; the caller may reuse it immediately. Under DropNewest (and
-// non-guaranteed ShedByRisk admissions) a saturated queue admits the batch
-// prefix that fits the worker's call budget and sheds the tail: the error is
-// a *BatchShedError wrapping ErrDropped (or ErrShed) whose Shed/Batch fields
-// report the exact counts.
+// ObserveBatch enqueues a run of calls as one op, scored in call order on
+// the session's worker (detect.Engine.ObserveBatch) and raising exactly the
+// alerts per-call Observes would. It is the preferred ingest form for replay
+// and any producer that naturally batches: it pays the queue hand-off and
+// the per-op bookkeeping once per batch. The calls slice is copied; the
+// caller may reuse it immediately. Under DropNewest (and non-guaranteed
+// ShedByRisk admissions) a saturated queue admits the batch prefix that fits
+// the worker's call budget and sheds the tail: for a multi-call batch the
+// error is a *BatchShedError wrapping ErrDropped (or ErrShed) whose
+// Shed/Batch fields report the exact counts.
 func (s *Session) ObserveBatch(calls []collector.Call) error {
 	return s.ObserveBatchContext(context.Background(), calls)
 }
 
 // ObserveBatchContext is ObserveBatch bounded by ctx.
 func (s *Session) ObserveBatchContext(ctx context.Context, calls []collector.Call) error {
-	ta := s.rt.traces.Begin(trace.Context{}, s.id, "observe")
-	return s.observeBatchTraced(ctx, ta, calls)
+	return s.ObserveBatchTraced(ctx, nil, calls)
 }
 
 // ObserveBatchTraced is ObserveBatchContext under an externally opened
-// decision trace (see Runtime.BeginTrace): the network ingest and tenant
-// routing layers open the trace before routing so its root span covers
-// decode and routing, then hand it to the session here. The session takes
-// ownership of ta on every path — a batch rejected before reaching a worker
-// finishes the trace immediately, an admitted one is finished by the worker
-// after scoring (and after any async sink deliveries it holds references
-// for). ta may be nil (tracing disabled); the call then behaves exactly like
-// ObserveBatchContext.
+// decision trace (see Runtime.BeginTrace), and the one observe path every
+// other Observe form wraps. The network ingest and tenant routing layers
+// open the trace before routing so its root span covers decode and routing,
+// then hand it to the session here. The session takes ownership of ta on
+// every path — a batch rejected before reaching a worker finishes the trace
+// immediately, an admitted one is finished by the worker after scoring (and
+// after any async sink deliveries it holds references for). With ta nil the
+// session opens the op's own trace (when tracing is on) once it accepts the
+// calls. The calls become one op: a single call inline, a longer run as an
+// owned copy.
 func (s *Session) ObserveBatchTraced(ctx context.Context, ta *trace.Active, calls []collector.Call) error {
-	return s.observeBatchTraced(ctx, ta, calls)
-}
-
-func (s *Session) observeBatchTraced(ctx context.Context, ta *trace.Active, calls []collector.Call) error {
 	if len(calls) == 0 {
 		ta.Finish()
 		return nil
@@ -870,9 +866,17 @@ func (s *Session) observeBatchTraced(ctx context.Context, ta *trace.Active, call
 		ta.Finish()
 		return err
 	}
-	owned := make([]collector.Call, len(calls))
-	copy(owned, calls)
-	return s.rt.enqueue(ctx, s.worker, op{s: s, calls: owned, kind: opObserveBatch, ta: ta}, false)
+	if ta == nil {
+		ta = s.rt.traces.Begin(trace.Context{}, s.id, "observe")
+	}
+	o := op{s: s, kind: opObserve, ta: ta}
+	if len(calls) == 1 {
+		o.call = calls[0]
+	} else {
+		o.calls = make([]collector.Call, len(calls))
+		copy(o.calls, calls)
+	}
+	return s.rt.enqueue(ctx, s.worker, o, false)
 }
 
 func (s *Session) ingestErr() error {
@@ -1129,10 +1133,10 @@ func (rt *Runtime) reserve(w, n int) int {
 	return admit
 }
 
-// dropErr shapes the rejection error: per-call ops keep the plain sentinel
-// contract; batch ops carry exact counts via BatchShedError.
+// dropErr shapes the rejection error: single-call ops keep the plain
+// sentinel contract; multi-call ops carry exact counts via BatchShedError.
 func dropErr(o *op, shedCount, batch int, cause error) error {
-	if o.kind != opObserveBatch {
+	if o.calls == nil {
 		return cause
 	}
 	return &BatchShedError{Shed: shedCount, Batch: batch, cause: cause}
@@ -1413,24 +1417,18 @@ func (rt *Runtime) process(o *op) {
 	}
 	switch o.kind {
 	case opObserve:
-		alerts := s.engine.Observe(o.call)
-		rt.ctr.AddCall(time.Since(start).Nanoseconds())
+		calls := o.calls
+		if calls == nil {
+			calls = []collector.Call{o.call}
+		}
+		alerts := s.engine.ObserveBatch(calls)
+		rt.ctr.AddCalls(len(calls), time.Since(start).Nanoseconds())
 		rt.noteSensitive(s)
-		rt.finishScore(s, o, scoreSpan, 1, alerts)
+		rt.finishScore(s, o, scoreSpan, len(calls), alerts)
 		rt.recordAlerts(s, alerts, o.ta.ID())
 		rt.deliver(s, alerts, o.ta)
 		if err := s.engine.Err(); err != nil {
 			// Error-propagating judge hook: quarantine without a panic.
-			rt.failSession(o, err)
-		}
-	case opObserveBatch:
-		alerts := s.engine.ObserveBatch(o.calls)
-		rt.ctr.AddCalls(len(o.calls), time.Since(start).Nanoseconds())
-		rt.noteSensitive(s)
-		rt.finishScore(s, o, scoreSpan, len(o.calls), alerts)
-		rt.recordAlerts(s, alerts, o.ta.ID())
-		rt.deliver(s, alerts, o.ta)
-		if err := s.engine.Err(); err != nil {
 			rt.failSession(o, err)
 		}
 	case opFlush, opClose:

@@ -315,12 +315,15 @@ func (c *Controller) Decide(sr *SessionRisk, worker int, occ float64) Decision {
 		eng.Store(true)
 	}
 	d := Decision{Risk: sr.Risk(), Occupancy: occ, Engaged: eng.Load()}
-	if !d.Engaged {
-		d.Admit, d.P = true, 1
-		return d
-	}
+	// The guarantee holds whether or not the latch is engaged: a disengaged
+	// admission still has to fit the call budget, which other producers can
+	// fill before this op reaches the queue.
 	if d.Risk >= c.cfg.GuaranteeRisk {
 		d.Admit, d.Guaranteed, d.P = true, true, 1
+		return d
+	}
+	if !d.Engaged {
+		d.Admit, d.P = true, 1
 		return d
 	}
 	// Severity ramps from 0 at LowWater to 1 at full occupancy, and scales

@@ -69,6 +69,11 @@ func TestAlertGuarantee(t *testing.T) {
 			t.Fatalf("decision %d: admit=%v guaranteed=%v for alert-bearing session", i, d.Admit, d.Guaranteed)
 		}
 	}
+	// Disengaged too: the op must not depend on the call budget, which other
+	// producers can fill between this decision and the enqueue.
+	if d := c.Decide(sr, 0, 0.1); d.Engaged || !d.Guaranteed {
+		t.Fatalf("disengaged decision: engaged=%v guaranteed=%v for alert-bearing session", d.Engaged, d.Guaranteed)
+	}
 	// The alert ages out after AlertMemory quiet windows.
 	for i := 0; i < 4; i++ {
 		sr.NoteJudgement(-1.0, false)

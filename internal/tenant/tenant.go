@@ -310,14 +310,11 @@ func (r *Router) shardSession(sh *Shard, session string) (*runtime.Session, erro
 }
 
 // Observe routes one batch of calls to (tenant, session) — the ingest
-// front door's sink. A single call avoids the batch path's copy.
+// front door's sink.
 func (r *Router) Observe(tenant, session string, calls []collector.Call) error {
 	s, err := r.Session(tenant, session)
 	if err != nil {
 		return err
-	}
-	if len(calls) == 1 {
-		return s.Observe(calls[0])
 	}
 	return s.ObserveBatch(calls)
 }
@@ -342,10 +339,6 @@ func (r *Router) ObserveTraced(tc trace.Context, tenant, session string, calls [
 	}
 	tc.Tenant = tenant
 	ta := sh.rt.BeginTrace(tc, session, "ingest")
-	if ta == nil && len(calls) == 1 {
-		// Untraced single calls keep the copy-free fast path.
-		return s.Observe(calls[0])
-	}
 	if ta != nil {
 		ta.Event(trace.RootSpan, "route", routeStart,
 			trace.String("tenant", tenant),
