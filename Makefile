@@ -19,7 +19,7 @@ all: verify
 build:
 	$(GO) build ./...
 
-# internal/experiments alone runs ~9 minutes of full-scale replays; the
+# internal/experiments alone runs ~4 minutes of full-scale replays; the
 # explicit timeout keeps the per-package default from tripping when the
 # package set runs in parallel on a loaded machine.
 test:

@@ -151,15 +151,17 @@ func (m *Model) Retrain(ctx context.Context, seqs [][]int, opts TrainOptions) (*
 	return next, res, nil
 }
 
-// avgLogProb returns the mean log-likelihood over sequences.
+// avgLogProb returns the mean log-likelihood over sequences, scored through
+// a snapshot Scorer: bit-identical to Model.LogProb, on the vector kernels.
 func (m *Model) avgLogProb(seqs [][]int) float64 {
+	sc := m.NewScorer()
 	var total float64
 	n := 0
 	for _, s := range seqs {
 		if len(s) == 0 {
 			continue
 		}
-		ll, err := m.LogProb(s)
+		ll, err := sc.LogProb(s)
 		if err != nil {
 			continue
 		}
@@ -175,6 +177,14 @@ func (m *Model) avgLogProb(seqs [][]int) float64 {
 // reestimate performs one scaled Baum–Welch E+M step over all sequences and
 // returns the average log-likelihood under the pre-update parameters. A
 // non-nil prior contributes priorW pseudo-counts per row (MAP estimation).
+//
+// The E-step reads the parameters through a Scorer snapshot, so every
+// O(N²) pass walks memory contiguously: the forward dots run on the vector
+// kernels over the row-major transition slab, the backward dots sweep the
+// transposed slab one destination state at a time, and each step's emission
+// column is one contiguous row. Every sum keeps the order of the textbook
+// recurrences (reestimateRef in the tests), so the estimate is bit-identical
+// to them.
 func (m *Model) reestimate(seqs [][]int, prior *Model, priorW float64) float64 {
 	n, mm := m.N, m.M
 	piAcc := make([]float64, n)
@@ -197,67 +207,89 @@ func (m *Model) reestimate(seqs [][]int, prior *Model, priorW float64) float64 {
 	}
 	var totalLL float64
 
+	sc := m.NewScorer()
+	np := sc.np
+	// Forward and backward lattices, one np-strided row per step (the vector
+	// kernels store into all np padded lanes), reused across sequences.
+	var alphaBuf, betaBuf, scale []float64
+	gamma := make([]float64, n)
 	for _, obs := range seqs {
 		T := len(obs)
-		alpha := alloc(T, n)
-		beta := alloc(T, n)
-		scale := make([]float64, T)
+		if len(scale) < T {
+			alphaBuf = make([]float64, T*np)
+			betaBuf = make([]float64, T*np)
+			scale = make([]float64, T)
+		}
+		alpha := func(t int) []float64 { return alphaBuf[t*np : t*np+np : t*np+np] }
+		beta := func(t int) []float64 { return betaBuf[t*np : t*np+np : t*np+np] }
 
 		// Scaled forward.
 		var s float64
+		a0, bc := alpha(0), sc.bcol(obs[0])
 		for i := 0; i < n; i++ {
-			alpha[0][i] = m.Pi[i] * m.B[i][obs[0]]
-			s += alpha[0][i]
+			a0[i] = m.Pi[i] * bc[i]
+			s += a0[i]
 		}
 		if s == 0 {
 			s = math.SmallestNonzeroFloat64
 		}
 		scale[0] = s
 		for i := 0; i < n; i++ {
-			alpha[0][i] /= s
+			a0[i] /= s
 		}
 		for t := 1; t < T; t++ {
+			cur := alpha(t)
+			// cur[j] = (Σ_i alpha[t-1][i]·A[i][j])·B[j][obs[t]]; the kernel's
+			// laned scale sum is not this recurrence's, so it is discarded.
+			// (The vector kernels need at least one state.)
+			if n > 0 {
+				sc.step(alpha(t-1), sc.bcol(obs[t]), cur)
+			}
 			s = 0
 			for j := 0; j < n; j++ {
-				var v float64
-				for i := 0; i < n; i++ {
-					v += alpha[t-1][i] * m.A[i][j]
-				}
-				alpha[t][j] = v * m.B[j][obs[t]]
-				s += alpha[t][j]
+				s += cur[j]
 			}
 			if s == 0 {
 				s = math.SmallestNonzeroFloat64
 			}
 			scale[t] = s
 			for j := 0; j < n; j++ {
-				alpha[t][j] /= s
+				cur[j] /= s
 			}
 		}
 		for t := 0; t < T; t++ {
 			totalLL += math.Log(scale[t])
 		}
 
-		// Scaled backward with the forward scale factors.
+		// Scaled backward with the forward scale factors. Row j of the
+		// transposed slab is column j of A, so sweeping destination states j
+		// in ascending order accumulates every beta[t][i] in the textbook
+		// order while the inner loop runs contiguously over i.
+		last := beta(T - 1)
 		for i := 0; i < n; i++ {
-			beta[T-1][i] = 1 / scale[T-1]
+			last[i] = 1 / scale[T-1]
 		}
 		for t := T - 2; t >= 0; t-- {
-			for i := 0; i < n; i++ {
-				var v float64
-				for j := 0; j < n; j++ {
-					v += m.A[i][j] * m.B[j][obs[t+1]] * beta[t+1][j]
+			cur, next, bc := beta(t)[:n], beta(t+1), sc.bcol(obs[t+1])
+			clear(cur)
+			for j := 0; j < n; j++ {
+				bj, nj := bc[j], next[j]
+				col := sc.at[j*n : j*n+n : j*n+n]
+				for i, aij := range col {
+					cur[i] += aij * bj * nj
 				}
-				beta[t][i] = v / scale[t]
+			}
+			for i := range cur {
+				cur[i] /= scale[t]
 			}
 		}
 
 		// Accumulate γ and ξ.
-		gamma := make([]float64, n)
 		for t := 0; t < T; t++ {
+			at, bt := alpha(t), beta(t)
 			var norm float64
 			for i := 0; i < n; i++ {
-				gamma[i] = alpha[t][i] * beta[t][i]
+				gamma[i] = at[i] * bt[i]
 				norm += gamma[i]
 			}
 			if norm == 0 {
@@ -275,22 +307,25 @@ func (m *Model) reestimate(seqs [][]int, prior *Model, priorW float64) float64 {
 				}
 			}
 			if t < T-1 {
+				next, bc := beta(t+1), sc.bcol(obs[t+1])
 				var xiNorm float64
 				for i := 0; i < n; i++ {
-					for j := 0; j < n; j++ {
-						xiNorm += alpha[t][i] * m.A[i][j] * m.B[j][obs[t+1]] * beta[t+1][j]
+					ai, row := at[i], m.A[i][:n]
+					for j, aij := range row {
+						xiNorm += ai * aij * bc[j] * next[j]
 					}
 				}
 				if xiNorm == 0 {
 					continue
 				}
 				for i := 0; i < n; i++ {
-					ai := alpha[t][i]
+					ai := at[i]
 					if ai == 0 {
 						continue
 					}
-					for j := 0; j < n; j++ {
-						aNum[i][j] += ai * m.A[i][j] * m.B[j][obs[t+1]] * beta[t+1][j] / xiNorm
+					row, acc := m.A[i][:n], aNum[i][:n]
+					for j, aij := range row {
+						acc[j] += ai * aij * bc[j] * next[j] / xiNorm
 					}
 				}
 			}

@@ -226,6 +226,17 @@ func TestChaosHotSwapBitIdentical(t *testing.T) {
 				}
 				offset += len(tr)
 				prevLen = len(history)
+				if pass == 0 {
+					// Let a swap land on this session's generation before it
+					// goes on, so the churn reaches every session however the
+					// scheduler orders the swapper against the sessions: a
+					// starved swapper would otherwise let a session run all
+					// its passes on one generation.
+					if err := awaitSwapPast(rt, gen); err != nil {
+						errs[i] = err
+						return
+					}
+				}
 			}
 			if _, err := s.Close(); err != nil {
 				errs[i] = err
@@ -260,6 +271,18 @@ func TestChaosHotSwapBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGoroutines(t, before)
+}
+
+// awaitSwapPast waits until rt publishes a generation newer than gen.
+func awaitSwapPast(rt *Runtime, gen uint64) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for rt.Generation() == gen {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("no swap past generation %d within 10s", gen)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return nil
 }
 
 // TestPoolRejectsStaleEngines closes a session on generation 1, swaps, and
