@@ -45,9 +45,10 @@ func benchProfileAppH(b *testing.B) (*Profile, []Trace) {
 }
 
 // batchScorePass replays one stream through the seed's per-call scoring
-// strategy — recompute the batch LogProb over the whole sliding window on
-// every observed call, as detect.Engine did before incremental scoring — and
-// returns the number of calls scored.
+// strategy — encode the whole sliding window and recompute the reference
+// Model.LogProb over it on every observed call, as detect.Engine did before
+// incremental scoring and the flat kernels — and returns the number of calls
+// scored.
 func batchScorePass(p *Profile, stream Trace) int {
 	window := make([]string, 0, p.WindowLen)
 	for _, c := range stream {
@@ -57,7 +58,7 @@ func batchScorePass(p *Profile, stream Trace) int {
 			window = window[:p.WindowLen]
 		}
 		if len(window) == p.WindowLen {
-			p.Score(window)
+			p.Model.LogProb(p.Encode(window))
 		}
 	}
 	return len(stream)
@@ -68,8 +69,9 @@ func batchScorePass(p *Profile, stream Trace) int {
 // continuous call stream each) multiplexed through one Runtime over a shared
 // profile, ingested through the batched observe path (Session.ObserveBatch
 // in chunks of 64) over the flat-kernel incremental scorer. The
-// x_vs_batch_monitor metric is the speedup over looping the pre-runtime
-// sequential Monitor (batch LogProb recomputed per call).
+// x_vs_batch_monitor metric is the speedup over looping the seed's
+// sequential Monitor (the reference Model.LogProb recomputed over the whole
+// window per call; see batchScorePass).
 func BenchmarkRuntimeThroughput(b *testing.B) {
 	p, traces := benchProfileAppH(b)
 	const streams = 64

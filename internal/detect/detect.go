@@ -129,7 +129,8 @@ type Alert struct {
 // the forward variables of every in-flight window over the profile's shared
 // read-only scoring view, so observing a call advances each in-flight window
 // by one forward step and never allocates. Once the window is full that is
-// W−1 steps per call, the model traffic of rescoring the window from scratch.
+// W−1 steps per call; in exact mode they run fused, about four windows per
+// pass over the transition slab (see hmm.StreamScorer).
 type Engine struct {
 	p         *profile.Profile
 	threshold float64

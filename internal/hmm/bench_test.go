@@ -49,10 +49,12 @@ func BenchmarkScorerLogProb(b *testing.B) {
 
 // BenchmarkStreamPush measures the incremental sliding-window scorer — the
 // per-call cost of the detection hot path with all windows in flight — in
-// exact mode and with top-K pruning. ns/op is per pushed symbol.
+// exact mode and with top-K pruning. ns/op is per pushed symbol. 46, 53 and
+// 62 states are the bundled apph, appb and apps profiles (padded widths 48
+// and 64, the paths the shipped profiles take).
 func BenchmarkStreamPush(b *testing.B) {
 	for _, mode := range []ScorerMode{ScorerExact, ScorerTopK(8)} {
-		for _, n := range []int{50, 200, 450} {
+		for _, n := range []int{46, 50, 53, 62, 200, 450} {
 			model, _ := benchModel(n, 40)
 			s := model.NewScorerMode(mode)
 			st := s.NewStream(15)

@@ -11,7 +11,9 @@ package hmm
 //     predecessor states i in strictly ascending order with a single
 //     accumulator, as an unfused multiply-then-add chain. Vector kernels keep
 //     this order by vectorising across j (one lane per destination state),
-//     never across i.
+//     never across i. The fused group step (stepGroup) shares each slab
+//     load among up to groupMax windows but never an accumulator, so every
+//     window keeps its own chain.
 //   - The scale factor is an 8-lane blocked sum: element v[j] lands in lane
 //     j mod 8, lanes are folded by the fixed tree reduceLanes. This is
 //     exactly what one 512-bit accumulator register produces, and the scalar
@@ -98,6 +100,47 @@ func (s *Scorer) step(alpha, bcol, next []float64) float64 {
 	default:
 		forwardDotsGo(alpha[:s.n], s.at, next, s.n)
 		return emitScale(next[:s.n], bcol)
+	}
+}
+
+// groupMax is the most windows one fused step advances together: four
+// windows of two 8-lane accumulators each, their broadcasts and the shared
+// slab block fit the 32 AVX-512 vector registers.
+const groupMax = 4
+
+// stepGroup advances the g ≤ groupMax normalised forward vectors alphas[0:g]
+// by one observation. Per window the arithmetic is step followed by the
+// normalisation alpha = next·(1/scale), so every window keeps the canonical
+// order; scales[w] receives window w's scale sum, and a window whose sum is
+// zero is left unnormalised for the caller to retire. next is scratch of
+// groupMax·np entries. On AVX-512 a group of two or more shares one pass
+// over the slab (fusedStepAVX512); a lone window, and every window on the
+// other levels, runs step and normalise.
+func (s *Scorer) stepGroup(alphas *[groupMax][]float64, g int, bcol, next []float64, scales *[groupMax]float64) {
+	if kernelLevel == kernelAVX512 && g > 1 {
+		var p [groupMax]*float64
+		for w := 0; w < g; w++ {
+			p[w] = &alphas[w][0]
+		}
+		fusedStepAVX512(&p, &s.a[0], &bcol[0], &next[0], scales, g, s.n, s.np)
+		return
+	}
+	for w := 0; w < g; w++ {
+		nw := next[w*s.np : (w+1)*s.np]
+		scale := s.step(alphas[w], bcol, nw)
+		scales[w] = scale
+		if scale != 0 {
+			normalise(alphas[w], nw, scale)
+		}
+	}
+}
+
+// normalise stores next·(1/scale) into alpha: one rounding for the
+// reciprocal and one per element, as every scoring path normalises.
+func normalise(alpha, next []float64, scale float64) {
+	inv := 1 / scale
+	for j := range alpha {
+		alpha[j] = next[j] * inv
 	}
 }
 

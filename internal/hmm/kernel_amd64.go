@@ -2,10 +2,10 @@
 
 package hmm
 
-// Vector kernels for the forward step. Both keep the canonical rounding
+// Vector kernels for the forward step. All keep the canonical rounding
 // order defined in kernel.go: lanes run across destination states j, the
 // per-j reduction over i stays a single sequential multiply-then-add chain
-// (no FMA), and the AVX-512 kernel accumulates the scale sum in one 8-lane
+// (no FMA), and the AVX-512 kernels accumulate each scale sum in one 8-lane
 // register folded by the reduceLanes tree.
 
 // dotEmitScaleAVX512 computes next = (alphaᵀA) ∘ bcol over the flat
@@ -14,6 +14,18 @@ package hmm
 //
 //go:noescape
 func dotEmitScaleAVX512(alpha, a, bcol, next *float64, n, np int) float64
+
+// fusedStepAVX512 advances the ng ∈ {2,3,4} normalised forward vectors
+// alphas[0:ng] by one observation in a single pass over a: each 16-lane slab
+// block is loaded once per predecessor state and multiplied into every
+// window of the group. Window w's emitted dots land in next[w*np:(w+1)*np]
+// (next must hold groupMax·np entries), its canonical scale sum in
+// scales[w], and, when that sum is non-zero, alphas[w][0:n] is overwritten
+// with the normalised vector next·(1/scale); the n%8 tail is stored under a
+// mask, so the alpha slots need no padding.
+//
+//go:noescape
+func fusedStepAVX512(alphas *[groupMax]*float64, a, bcol, next *float64, scales *[groupMax]float64, ng, n, np int)
 
 // forwardDotsAVX2 computes next[j] = Σ_i alpha[i]·a[i*np+j] for all np padded
 // destination states; the emission multiply and scale sum run in Go

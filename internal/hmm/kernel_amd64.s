@@ -5,13 +5,14 @@
 // Forward-step kernels. The rounding-order contract (kernel.go) is: per
 // destination state j, the reduction over predecessor states i is one
 // sequential multiply-then-add chain (no FMA), and the scale sum places
-// element j in lane j mod 8 with the reduceLanes fold tree. Both kernels
-// vectorise across j only, so every lane replays the scalar chain exactly.
+// element j in lane j mod 8 with the reduceLanes fold tree. Every kernel
+// vectorises across j only, so every lane replays the scalar chain exactly.
 //
 // The Scorer pads its slabs to np = roundup16(n) destination states with
 // zero columns (kernel.go): a zero transition column times any alpha is +0.0
 // and adds exactly nothing to the scale lanes, so the kernels run unmasked
-// full-width blocks with no tail cases.
+// full-width blocks with no tail cases. The only masked access is the fused
+// step's store of a normalised vector into its unpadded ring slot.
 
 // func dotEmitScaleAVX512(alpha, a, bcol, next *float64, n, np int) float64
 //
@@ -133,6 +134,204 @@ reduce:
 	VADDSD X10, X9, X9
 	VZEROUPPER
 	MOVSD X9, ret+48(FP)
+	RET
+
+// Fused group step. Every move between general and vector registers or
+// memory here is VEX-encoded: a legacy SSE instruction while the zmm upper
+// halves are dirty costs a state transition, which doubled the step's time.
+// Two to four windows share each load of the slab: per
+// predecessor i the 16-lane block a[i*np+jb : i*np+jb+16] is loaded once
+// into Z16/Z17 and multiplied into every window of the group, so each
+// window keeps two accumulators (Z0..Z7) and each (window, j) lane still
+// runs its own ascending-i multiply-then-add chain. Z8..Z11 hold the
+// windows' scale lanes, Z12..Z15 the broadcast alpha_w[i].
+
+// MACC folds one window's broadcast alpha (B) into its two accumulators.
+#define MACC(B, ACC0, ACC1) \
+	VMULPD Z16, B, Z18; \
+	VADDPD Z18, ACC0, ACC0; \
+	VMULPD Z17, B, Z19; \
+	VADDPD Z19, ACC1, ACC1
+
+// EMIT applies the emission block (Z16/Z17) to one window's accumulators,
+// stores them at DST0/DST1 and adds them, low block first, to its scale
+// lanes S.
+#define EMIT(ACC0, ACC1, S, DST0, DST1) \
+	VMULPD Z16, ACC0, ACC0; \
+	VMULPD Z17, ACC1, ACC1; \
+	VMOVUPD ACC0, DST0; \
+	VMOVUPD ACC1, DST1; \
+	VADDPD ACC0, S, S; \
+	VADDPD ACC1, S, S
+
+// FOLD reduces scale lanes with the reduceLanes tree into the low lane of
+// X; Y and X name the low halves of the same register, Y7/X7 is scratch.
+#define FOLD(Z, Y, X) \
+	VEXTRACTF64X4 $1, Z, Y7; \
+	VADDPD Y7, Y, Y; \
+	VEXTRACTF128 $1, Y, X7; \
+	VADDPD X7, X, X; \
+	VUNPCKHPD X, X, X7; \
+	VADDSD X7, X, X
+
+// NEXTROW steps the slab walker to row i+1 and loops to L while i < n.
+#define NEXTROW(L) \
+	ADDQ R13, R12; \
+	INCQ R11; \
+	CMPQ R11, R9; \
+	JLT L
+
+// func fusedStepAVX512(alphas *[4]*float64, a, bcol, next *float64, scales *[4]float64, ng, n, np int)
+//
+// Advances the ng ∈ {2,3,4} windows alphas[0:ng] by one observation in one
+// pass over the n×np slab a. Window w's transition dots times bcol land in
+// next[w*np : (w+1)*np] (next holds 4·np entries; windows at or beyond ng
+// receive zeros), its canonical scale sum in scales[w], and, when that sum
+// is non-zero, its normalised vector next·(1/scale) back in alphas[w][0:n]
+// with the n%8 tail stored under a mask, so alpha slots need no padding.
+TEXT ·fusedStepAVX512(SB), NOSPLIT, $0-64
+	MOVQ alphas+0(FP), R12
+	MOVQ 0(R12), AX
+	MOVQ 8(R12), BX
+	MOVQ 16(R12), CX
+	MOVQ 24(R12), R8
+	MOVQ a+8(FP), SI          // &a[jb]
+	MOVQ bcol+16(FP), DX      // &bcol[jb]
+	MOVQ next+24(FP), DI      // &next[jb] of window 0; window w's is w·R13 on
+	MOVQ n+48(FP), R9
+	MOVQ np+56(FP), R10       // padded states remaining
+	MOVQ R10, R13
+	SHLQ $3, R13              // row stride in bytes
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+
+f_block:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	MOVQ SI, R12
+	XORQ R11, R11
+	CMPQ ng+40(FP), $4
+	JEQ f_g4
+	CMPQ ng+40(FP), $3
+	JEQ f_g3
+
+f_g2:
+	VMOVUPD (R12), Z16
+	VMOVUPD 64(R12), Z17
+	VBROADCASTSD (AX)(R11*8), Z12
+	VBROADCASTSD (BX)(R11*8), Z13
+	MACC(Z12, Z0, Z1)
+	MACC(Z13, Z2, Z3)
+	NEXTROW(f_g2)
+	JMP f_emit
+
+f_g3:
+	VMOVUPD (R12), Z16
+	VMOVUPD 64(R12), Z17
+	VBROADCASTSD (AX)(R11*8), Z12
+	VBROADCASTSD (BX)(R11*8), Z13
+	VBROADCASTSD (CX)(R11*8), Z14
+	MACC(Z12, Z0, Z1)
+	MACC(Z13, Z2, Z3)
+	MACC(Z14, Z4, Z5)
+	NEXTROW(f_g3)
+	JMP f_emit
+
+f_g4:
+	VMOVUPD (R12), Z16
+	VMOVUPD 64(R12), Z17
+	VBROADCASTSD (AX)(R11*8), Z12
+	VBROADCASTSD (BX)(R11*8), Z13
+	VBROADCASTSD (CX)(R11*8), Z14
+	VBROADCASTSD (R8)(R11*8), Z15
+	MACC(Z12, Z0, Z1)
+	MACC(Z13, Z2, Z3)
+	MACC(Z14, Z4, Z5)
+	MACC(Z15, Z6, Z7)
+	NEXTROW(f_g4)
+
+f_emit:
+	// Idle windows' accumulators are zero, so emitting all four is exact.
+	VMOVUPD (DX), Z16
+	VMOVUPD 64(DX), Z17
+	EMIT(Z0, Z1, Z8, (DI), 64(DI))
+	EMIT(Z2, Z3, Z9, (DI)(R13*1), 64(DI)(R13*1))
+	EMIT(Z4, Z5, Z10, (DI)(R13*2), 64(DI)(R13*2))
+	LEAQ (DI)(R13*2), R12
+	EMIT(Z6, Z7, Z11, (R12)(R13*1), 64(R12)(R13*1))
+
+	ADDQ $128, SI
+	ADDQ $128, DX
+	ADDQ $128, DI
+	SUBQ $16, R10
+	JGT f_block
+
+	FOLD(Z8, Y8, X8)
+	FOLD(Z9, Y9, X9)
+	FOLD(Z10, Y10, X10)
+	FOLD(Z11, Y11, X11)
+	MOVQ scales+32(FP), BX
+	VMOVSD X8, 0(BX)
+	VMOVSD X9, 8(BX)
+	VMOVSD X10, 16(BX)
+	VMOVSD X11, 24(BX)
+
+	// Normalise window by window: alpha = next·(1/scale). The n%8 tail
+	// store is masked to the live lanes, so the slot past n is untouched.
+	MOVQ R9, CX
+	ANDQ $7, CX
+	MOVL $1, R12
+	SHLL CX, R12
+	DECL R12
+	KMOVW R12, K1
+	MOVQ R9, R10
+	ANDQ $-8, R10             // full 8-lane blocks end here
+	MOVQ $0x3FF0000000000000, R12
+	VMOVQ R12, X12            // 1.0
+	VXORPD X14, X14, X14
+	MOVQ alphas+0(FP), AX
+	MOVQ next+24(FP), DI
+	MOVQ ng+40(FP), CX
+
+f_norm:
+	MOVQ (AX), R8
+	VMOVSD (BX), X8
+	VUCOMISD X14, X8
+	JEQ f_norm_next           // scale 0: the window died, alpha is never read
+	VDIVSD X8, X12, X13       // inv = 1/scale
+	VBROADCASTSD X13, Z13
+	XORQ R11, R11
+	CMPQ R11, R10
+	JGE f_norm_tail
+
+f_norm_j:
+	VMULPD (DI)(R11*8), Z13, Z15
+	VMOVUPD Z15, (R8)(R11*8)
+	ADDQ $8, R11
+	CMPQ R11, R10
+	JLT f_norm_j
+
+f_norm_tail:
+	CMPQ R11, R9
+	JGE f_norm_next
+	VMULPD (DI)(R11*8), Z13, Z15
+	VMOVUPD Z15, K1, (R8)(R11*8)
+
+f_norm_next:
+	ADDQ $8, AX
+	ADDQ $8, BX
+	ADDQ R13, DI
+	DECQ CX
+	JNZ f_norm
+	VZEROUPPER
 	RET
 
 // func forwardDotsAVX2(alpha, a, next *float64, n, np int)

@@ -11,6 +11,10 @@ func dotEmitScaleAVX512(alpha, a, bcol, next *float64, n, np int) float64 {
 	panic("hmm: AVX-512 kernel unavailable")
 }
 
+func fusedStepAVX512(alphas *[groupMax]*float64, a, bcol, next *float64, scales *[groupMax]float64, ng, n, np int) {
+	panic("hmm: AVX-512 kernel unavailable")
+}
+
 func forwardDotsAVX2(alpha, a, next *float64, n, np int) {
 	panic("hmm: AVX2 kernel unavailable")
 }

@@ -84,11 +84,20 @@ type Scorer struct {
 	wmax []float64
 	dmax []float64
 
-	batch sync.Pool // *batchScratch for Scorer.LogProb
+	pool sync.Pool // *scratch for LogProb and StreamScorer pushes
 }
 
-type batchScratch struct {
-	alpha, next []float64
+// scratch is a pooled work buffer of groupMax·np entries: LogProb uses its
+// first two np blocks as the alternating alpha/next pair, and a
+// StreamScorer push uses all of it for the emitted vectors of one fused
+// group. Pooling it on the shared Scorer keeps it out of every stream.
+type scratch struct{ buf []float64 }
+
+func (s *Scorer) scratch() *scratch {
+	if sc, ok := s.pool.Get().(*scratch); ok {
+		return sc
+	}
+	return &scratch{buf: make([]float64, groupMax*s.np)}
 }
 
 // NewScorer snapshots the model into an exact scoring view. The view is safe
@@ -240,14 +249,11 @@ func (s *Scorer) LogProbBound(obs []int) (logp, bound float64, err error) {
 	if len(obs) == 0 {
 		return 0, 0, nil
 	}
-	sc, _ := s.batch.Get().(*batchScratch)
-	if sc == nil {
-		// Both buffers are np-sized: they swap roles every step and the vector
-		// kernels store into all np padded lanes.
-		sc = &batchScratch{alpha: make([]float64, s.np), next: make([]float64, s.np)}
-	}
-	defer s.batch.Put(sc)
-	alpha, next := sc.alpha, sc.next
+	sc := s.scratch()
+	defer s.pool.Put(sc)
+	// Both buffers are np-sized: they swap roles every step and the vector
+	// kernels store into all np padded lanes.
+	alpha, next := sc.buf[:s.np], sc.buf[s.np:2*s.np]
 
 	o := obs[0]
 	if o < 0 || o >= s.m {
@@ -259,10 +265,7 @@ func (s *Scorer) LogProbBound(obs []int) (logp, bound float64, err error) {
 		return math.Inf(-1), 0, nil
 	}
 	logL := math.Log(scale)
-	inv := 1 / scale
-	for i := range alpha[:s.n] {
-		alpha[i] *= inv
-	}
+	normalise(alpha[:s.n], alpha, scale)
 
 	var rho float64
 	for t := 1; t < len(obs); t++ {
@@ -287,13 +290,9 @@ func (s *Scorer) LogProbBound(obs []int) (logp, bound float64, err error) {
 			rho = (s.wmax[o]*rho + s.dmax[o]) / scale
 		}
 		logL += math.Log(scale)
-		inv = 1 / scale
-		for j := range next[:s.n] {
-			next[j] *= inv
-		}
+		normalise(next[:s.n], next, scale)
 		alpha, next = next, alpha
 	}
-	sc.alpha, sc.next = alpha, next
 	return logL, boundFromRho(rho), nil
 }
 
@@ -311,16 +310,24 @@ func boundFromRho(rho float64) float64 {
 }
 
 // StreamScorer scores every sliding window (step 1, fixed length) of one call
-// stream incrementally. It maintains the scaled forward variables of all
-// windows currently open — a ring of W forward vectors, one per in-flight
-// window — and each pushed symbol runs one forward step per open window, each
-// step a full pass over the flat transition slab (O(N²) memory traffic, or
-// O(N·K) pruned). Once the ring is full that is W−1 steps per call: the same
-// model traffic as recomputing each completed window with a batch LogProb,
-// plus the steps spent on windows that a Reset at the end of a run discards
-// before they complete. The hot path performs zero allocations. In exact mode
-// the arithmetic replays the canonical forward order exactly (kernel.go), so
-// completed-window scores are bit-identical to Model.LogProb.
+// stream incrementally. It keeps the scaled forward vectors of all windows
+// currently open — a ring of W forward vectors, one per in-flight window —
+// and each pushed symbol advances every open window by one forward step.
+// Exact mode fuses those steps: the open windows are taken in groups of up
+// to four, and on AVX-512 each group of two or more shares one pass over
+// the transition slab, loading every 16-lane block of a row once and
+// multiplying it into all the group's windows before each window's
+// emission, scale sum and normalisation. Once the ring is full a call
+// advances W−1 windows, so the slab is read about W/4 times per call
+// instead of W−1 times. The saving is bounded: keeping the canonical order
+// (kernel.go) costs one multiply and one add per (i, j) term and window
+// whatever the loop order, so the fused pass removes repeated loads and
+// per-window overhead, not arithmetic. A group of one, and every group on
+// the other kernel levels, runs one window at a time; top-K steps each
+// window through its pruned rows. The hot path performs zero allocations:
+// the group's scratch comes from the Scorer's pool. In exact mode every
+// window replays the canonical forward order, so completed-window scores
+// are bit-identical to Model.LogProb.
 //
 // A StreamScorer belongs to one session/stream and is not safe for concurrent
 // use; the Scorer behind it is shared freely.
@@ -331,10 +338,9 @@ type StreamScorer struct {
 	// Ring state. Slot (t mod w) holds the window started at time t; the
 	// window started at t completes at t+w-1. alphas is w×n flattened.
 	alphas []float64
-	next   []float64 // scratch shared by all slots
 	logs   []float64 // accumulated log scale factors per slot
 	rhos   []float64 // accumulated relative mass error per slot (topk)
-	lens   []int     // symbols folded into each slot's window (0 = free)
+	open   []bool    // slot holds a window in flight
 	dead   []bool    // slot hit a zero scale: window probability is 0
 
 	count     int     // symbols pushed since the last reset
@@ -351,10 +357,9 @@ func (s *Scorer) NewStream(window int) *StreamScorer {
 		s:      s,
 		w:      window,
 		alphas: make([]float64, window*s.n),
-		next:   make([]float64, s.np), // vector kernels store all padded lanes
 		logs:   make([]float64, window),
 		rhos:   make([]float64, window),
-		lens:   make([]int, window),
+		open:   make([]bool, window),
 		dead:   make([]bool, window),
 	}
 }
@@ -367,12 +372,10 @@ func (st *StreamScorer) Mode() ScorerMode { return st.s.mode }
 
 // Reset clears all in-flight windows; the next Push starts a new stream.
 func (st *StreamScorer) Reset() {
-	for i := range st.lens {
-		st.lens[i] = 0
-		st.dead[i] = false
-		st.logs[i] = 0
-		st.rhos[i] = 0
-	}
+	clear(st.open)
+	clear(st.dead)
+	clear(st.logs)
+	clear(st.rhos)
 	st.count = 0
 	st.lastBound = 0
 }
@@ -402,50 +405,13 @@ func (st *StreamScorer) push(obs int) (logp float64, done bool) {
 	s := st.s
 	n := s.n
 	bc := s.bcol(obs)
-	exact := s.mode.Exact()
-	var wmaxO, dmaxO float64
-	if !exact {
-		wmaxO = s.wmax[obs]
-		dmaxO = s.dmax[obs]
+	sc := s.scratch()
+	if s.mode.Exact() {
+		st.advance(bc, sc.buf)
+	} else {
+		st.advancePruned(obs, bc, sc.buf)
 	}
-
-	// Advance every open window by obs. Per window the arithmetic is the
-	// canonical forward step (kernel.go), so exact-mode scores replay
-	// Model.LogProb bit for bit.
-	for slot := 0; slot < st.w; slot++ {
-		if st.lens[slot] == 0 || st.dead[slot] {
-			if st.dead[slot] {
-				st.lens[slot]++
-			}
-			continue
-		}
-		alpha := st.alphas[slot*n : (slot+1)*n]
-		var scale float64
-		if exact {
-			scale = s.step(alpha, bc, st.next)
-		} else {
-			scale = s.stepPruned(alpha, bc, st.next)
-		}
-		if scale == 0 {
-			st.dead[slot] = true
-			st.logs[slot] = math.Inf(-1)
-			if !exact {
-				// Pruning may have zeroed a possible path; the bound is
-				// vacuous for this window.
-				st.rhos[slot] = math.Inf(1)
-			}
-		} else {
-			if !exact {
-				st.rhos[slot] = (wmaxO*st.rhos[slot] + dmaxO) / scale
-			}
-			st.logs[slot] += math.Log(scale)
-			inv := 1 / scale
-			for j := 0; j < n; j++ {
-				alpha[j] = st.next[j] * inv
-			}
-		}
-		st.lens[slot]++
-	}
+	s.pool.Put(sc)
 
 	// Open the window that starts at this symbol. Its slot was freed when the
 	// window w steps older completed on the previous push. The initial step
@@ -460,13 +426,10 @@ func (st *StreamScorer) push(obs int) (logp float64, done bool) {
 	} else {
 		st.dead[slot] = false
 		st.logs[slot] = math.Log(scale)
-		inv := 1 / scale
-		for i := 0; i < n; i++ {
-			alpha[i] *= inv
-		}
+		normalise(alpha, alpha, scale)
 	}
 	st.rhos[slot] = 0
-	st.lens[slot] = 1
+	st.open[slot] = true
 	st.count++
 
 	// The oldest open window completes once the stream is w symbols deep.
@@ -476,10 +439,69 @@ func (st *StreamScorer) push(obs int) (logp float64, done bool) {
 	doneSlot := st.count % st.w // window started at count-w, reused next push
 	logp = st.logs[doneSlot]
 	st.lastBound = boundFromRho(st.rhos[doneSlot])
-	st.lens[doneSlot] = 0
+	st.open[doneSlot] = false
 	st.dead[doneSlot] = false
 	st.rhos[doneSlot] = 0
 	return logp, true
+}
+
+// advance moves every open, live window one symbol forward on the exact
+// kernel, groupMax windows per fused step and the remainder in a last,
+// smaller group. Per window the arithmetic is the canonical forward step
+// (kernel.go), so scores replay Model.LogProb bit for bit. next is the group
+// scratch (groupMax·np entries).
+func (st *StreamScorer) advance(bc, next []float64) {
+	n := st.s.n
+	var (
+		group  [groupMax][]float64
+		slots  [groupMax]int
+		scales [groupMax]float64
+	)
+	g := 0
+	for slot, open := range st.open {
+		if open && !st.dead[slot] {
+			group[g], slots[g] = st.alphas[slot*n:(slot+1)*n], slot
+			g++
+		}
+		if g < groupMax && (g == 0 || slot < st.w-1) {
+			continue
+		}
+		st.s.stepGroup(&group, g, bc, next, &scales)
+		for k, sl := range slots[:g] {
+			if scales[k] == 0 {
+				st.dead[sl] = true
+				st.logs[sl] = math.Inf(-1)
+			} else {
+				st.logs[sl] += math.Log(scales[k])
+			}
+		}
+		g = 0
+	}
+}
+
+// advancePruned moves every open, live window one symbol forward through the
+// pruned top-K rows, tracking each window's error bound.
+func (st *StreamScorer) advancePruned(obs int, bc, next []float64) {
+	s := st.s
+	n := s.n
+	for slot, open := range st.open {
+		if !open || st.dead[slot] {
+			continue
+		}
+		alpha := st.alphas[slot*n : (slot+1)*n]
+		scale := s.stepPruned(alpha, bc, next)
+		if scale == 0 {
+			// Pruning may have zeroed a possible path; the bound is vacuous
+			// for this window.
+			st.dead[slot] = true
+			st.logs[slot] = math.Inf(-1)
+			st.rhos[slot] = math.Inf(1)
+			continue
+		}
+		st.rhos[slot] = (s.wmax[obs]*st.rhos[slot] + s.dmax[obs]) / scale
+		st.logs[slot] += math.Log(scale)
+		normalise(alpha, next, scale)
+	}
 }
 
 // Partial returns the log probability and length of the window covering the

@@ -3,52 +3,136 @@ package hmm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// TestStreamScorerMatchesBatch drives random streams through StreamScorer and
-// checks every completed window's log probability against the batch forward
-// pass — exact mode guarantees bit-identical scores, so the comparison is ==.
+// TestStreamScorerMatchesBatch drives random streams through StreamScorer at
+// every available kernel level and compares every completed window, and the
+// partial window during warm-up, with Model.LogProb by bits. State counts
+// straddle each 16-lane block and the bundled apps' padded widths (np 48 and
+// 64) and give every n mod 8 tail of the normalising store; window lengths
+// 1–20 make every fused group size and warm-up depth occur; each stream is
+// Reset midway. The gated models make windows die (score -Inf) inside fused
+// groups, both all at once and while the group's other windows live on. The
+// fixed cases add larger alphabets and long streams without a Reset.
 func TestStreamScorerMatchesBatch(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for _, tc := range []struct{ n, m, w, T int }{
-		{1, 2, 3, 40},
-		{4, 5, 2, 60},
-		{9, 6, 15, 200},
-		{33, 12, 15, 300},
-	} {
-		model := NewRandom(tc.n, tc.m, int64(tc.n*tc.m))
-		st := model.NewScorer().NewStream(tc.w)
-		obs := make([]int, tc.T)
-		for i := range obs {
-			obs[i] = r.Intn(tc.m)
+	sizes := []int{1, 2, 3, 4, 9, 10, 11, 12, 15, 16, 17, 33, 46, 47, 48, 49, 53, 62, 63, 64, 65, 97}
+	for _, lvl := range []struct {
+		name  string
+		level int
+	}{{"go", KernelGo}, {"avx2", KernelAVX2}, {"avx512", KernelAVX512}} {
+		restore, ok := ForceKernel(lvl.level)
+		if !ok {
+			continue
 		}
-		completed := 0
-		for i, o := range obs {
-			got, done := st.Push(o)
-			if i < tc.w-1 {
-				if done {
-					t.Fatalf("n=%d: window completed during warm-up at %d", tc.n, i)
+		r := rand.New(rand.NewSource(7))
+		for _, n := range sizes {
+			for _, gated := range []bool{false, true} {
+				model := NewRandom(n, 6, int64(n))
+				if gated {
+					gate(model)
 				}
-				continue
-			}
-			if !done {
-				t.Fatalf("n=%d: no window completed at %d", tc.n, i)
-			}
-			completed++
-			want, err := model.LogProb(obs[i-tc.w+1 : i+1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("n=%d w=%d t=%d: stream %v, batch %v (must be bit-identical)", tc.n, tc.w, i, got, want)
+				s := model.NewScorer()
+				for w := 1; w <= 20; w++ {
+					// The last symbol, which gate makes unemittable, is drawn
+					// four times less often than the others.
+					obs := make([]int, 3*w+7)
+					for i := range obs {
+						if obs[i] = r.Intn(model.M); obs[i] == model.M-1 && r.Intn(4) != 0 {
+							obs[i] = r.Intn(model.M - 1)
+						}
+					}
+					name := fmt.Sprintf("%s/n=%d/gated=%v/w=%d", lvl.name, n, gated, w)
+					checkStream(t, name, model, s.NewStream(w), obs, len(obs)/2)
+				}
 			}
 		}
-		if completed != tc.T-tc.w+1 {
-			t.Fatalf("n=%d: %d windows completed, want %d", tc.n, completed, tc.T-tc.w+1)
+		for _, tc := range []struct{ n, m, w, T int }{
+			{1, 2, 3, 40},
+			{4, 5, 2, 60},
+			{9, 6, 15, 200},
+			{33, 12, 15, 300},
+		} {
+			model := NewRandom(tc.n, tc.m, int64(tc.n*tc.m))
+			obs := make([]int, tc.T)
+			for i := range obs {
+				obs[i] = r.Intn(tc.m)
+			}
+			name := fmt.Sprintf("%s/n=%d/m=%d/w=%d/T=%d", lvl.name, tc.n, tc.m, tc.w, tc.T)
+			checkStream(t, name, model, model.NewScorer().NewStream(tc.w), obs, -1)
 		}
+		restore()
+	}
+}
+
+// checkStream pushes obs, resetting the stream before obs[reset] (never when
+// reset is negative), and checks every completed and partial window against
+// Model.LogProb.
+func checkStream(t *testing.T, name string, model *Model, st *StreamScorer, obs []int, reset int) {
+	t.Helper()
+	w := st.WindowLen()
+	base, completed, want := 0, 0, len(obs)-w+1
+	if reset > 0 {
+		want -= w - 1
+	}
+	for i, o := range obs {
+		if i == reset {
+			st.Reset()
+			base = i
+		}
+		got, done := st.Push(o)
+		if i-base < w-1 {
+			if done {
+				t.Fatalf("%s: window completed during warm-up at %d", name, i)
+			}
+			got, length := st.Partial()
+			want := mustLogProb(t, model, obs[base:i+1])
+			if length != i-base+1 || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s t=%d: partial (%v, %d), batch (%v, %d) (must be bit-identical)",
+					name, i, got, length, want, i-base+1)
+			}
+			continue
+		}
+		if !done {
+			t.Fatalf("%s: no window completed at %d", name, i)
+		}
+		completed++
+		if want := mustLogProb(t, model, obs[i-w+1:i+1]); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s t=%d: stream %v, batch %v (must be bit-identical)", name, i, got, want)
+		}
+	}
+	if completed != want {
+		t.Fatalf("%s: %d windows completed, want %d", name, completed, want)
+	}
+}
+
+func mustLogProb(t *testing.T, m *Model, obs []int) float64 {
+	t.Helper()
+	ll, err := m.LogProb(obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ll
+}
+
+// gate makes windows impossible in two ways. No state emits the last
+// symbol, so every window holding it dies at once, as in
+// TestStreamScorerImpossibleWindow. Only state 0 emits symbol 0, state 0
+// emits nothing above 1 and is entered only from itself, so a window dies at
+// a 0 exactly when it has seen a symbol above 1 earlier: the windows opened
+// after that symbol live on through the same push.
+func gate(m *Model) {
+	for i := 0; i < m.N; i++ {
+		m.B[i][m.M-1] = 0
+		if i == 0 {
+			clear(m.B[0][2:])
+			continue
+		}
+		m.B[i][0] = 0
+		m.A[i][0] = 0
 	}
 }
 
