@@ -582,24 +582,16 @@ type TraceContext = trace.Context
 //
 //	go http.ListenAndServe("localhost:9313", adprom.NewIntrospectionHandler(rt, nil))
 func NewIntrospectionHandler(rt *Runtime, lc *Lifecycle) http.Handler {
-	return obsv.NewHandler(obsv.ServerConfig{
-		Metrics: func(w io.Writer) error {
+	cfg := rt.Introspection()
+	if lc != nil {
+		cfg.Metrics = func(w io.Writer) error {
 			if err := rt.WritePrometheus(w); err != nil {
 				return err
 			}
-			if lc != nil {
-				return obsv.WriteLifecycleProm(w, lc.Stats())
-			}
-			return nil
-		},
-		Decisions: rt.Decisions,
-		Traces:    rt.Traces,
-		TraceByID: rt.TraceByID,
-		// Liveness is the process answering at all; readiness is the runtime
-		// accepting ingest with a published profile generation.
-		Healthz: func() error { return nil },
-		Readyz:  rt.Ready,
-	})
+			return obsv.WriteLifecycleProm(w, lc.Stats())
+		}
+	}
+	return obsv.NewHandler(cfg)
 }
 
 // NewLifecycle builds a profile-lifecycle manager; wire it into a runtime

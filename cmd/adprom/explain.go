@@ -28,7 +28,7 @@ import (
 func cmdExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	httpAddr := fs.String("http", "localhost:9313", "introspection endpoint of the live server")
-	tenantID := fs.String("tenant", "", "tenant scope on fleet servers (their /decisions and /traces listings require one)")
+	tenantID := fs.String("tenant", "", "tenant scope (required when the server's fleet serves more than one tenant)")
 	logPath := fs.String("log", "", "explain from a recorded /decisions JSON capture instead of a live server")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -95,11 +95,7 @@ func TestExplainFusedAlert(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	ts := httptest.NewServer(obsv.NewHandler(obsv.ServerConfig{
-		Decisions: rt.Decisions,
-		Traces:    rt.Traces,
-		TraceByID: rt.TraceByID,
-	}))
+	ts := httptest.NewServer(obsv.NewHandler(rt.Introspection()))
 	defer ts.Close()
 	addr := strings.TrimPrefix(ts.URL, "http://")
 

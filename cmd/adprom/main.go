@@ -1,61 +1,67 @@
 // Command adprom drives the AD-PROM reproduction from the command line:
-// static analysis, profile training, attack detection demos, and the paper's
-// full experiment suite.
+// static analysis, profile training, attack detection demos, the detection
+// daemon, and the paper's full experiment suite.
 //
 // Usage:
 //
 //	adprom analyze    -app <name>
 //	adprom train      -app <name> -out <profile.gob>
 //	adprom detect     -app <name> [-profile <profile.gob>] [-attack <1..5|mitm>]
-//	adprom serve      -app <name> [-streams <n>] [-workers <n>] [-queue <n>] [-drop block|newest] [-shed] [-shed-seed <n>] [-overload] [-repeat <n>] [-batch <n>] [-scorer exact|topk:<k>] [-sql-channel] [-chaos] [-profile-dir <dir>] [-http <addr>] [-log]
-//	adprom serve      -tenants <a,b,...> -ingest-addr <addr> [-ingest-codec auto|ndjson|binary] [-tenant-dir <dir>] [-tenant-quota <n>] [-sql-channel] [-http <addr>]
+//	adprom serve      -app <name> [-profile <file>] [-profile-dir <dir>] [-streams <n>] [-repeat <n>] [-batch <n>] [-ingest-codec auto|ndjson|binary] [-chaos] [shard and daemon flags]
+//	adprom serve      -tenants <a,b,...> -ingest-addr <addr> [-ingest-codec auto|ndjson|binary] [-tenant-dir <dir>] [-tenant-quota <n>] [shard and daemon flags]
+//	adprom explain    [-http <addr>] [-tenant <id>] [-log <decisions.json>] <alert-seq|trace-id>
 //	adprom profile    inspect <file>...
 //	adprom experiment <table3|table4|table5|table6|table7|table8|fig10|clustering|ablation|corpus|all> [-full]
 //
+// Shard flags: -workers, -queue, -drop block|newest, -shed, -shed-seed,
+// -overload, -scorer exact|topk:<k>, -sql-channel (and its -sql-*/-fusion-*
+// tuning), -trace, -trace-sample. Daemon flags: -http, -watch-interval,
+// -log, -log-format.
+//
 // App names: apph, appb, apps (CA-dataset), app1..app4 (SIR-style).
 //
-// With -shed, serve runs the risk-aware ShedByRisk admission controller
-// instead of a blanket full-queue policy: sessions with recent alerts,
-// drifting scores, or sensitive-table touches are always scored, while
-// low-risk streams are thinned probabilistically (deterministically under
-// -shed-seed) as queues fill. -overload slows the detection workers so the
-// replay's offered load exceeds capacity, demonstrating the measured
-// degradation curve; the run ends with a shed summary (shed rate, estimated
-// miss probability, queue high water).
+// serve is one daemon: a fleet of per-tenant profile shards fed over TCP.
+// With -ingest-addr it accepts collector events for the -tenants apps (and
+// any lineage under -tenant-dir) in NDJSON or binary frames until
+// SIGINT/SIGTERM. Without it, serve runs a one-tenant fleet for -app on a
+// loopback listener and feeds it through the built-in replay client: one
+// connection and session per stream, -batch calls per observe event (one
+// per event at -batch 0), binary frames unless -ingest-codec ndjson, and a
+// flush after each trace. Every replay therefore crosses the real wire
+// path: codec, ingest server, tenant routing, runtime.
 //
-// With -profile-dir, serve loads its starting profile from the newest
-// .adprof file in the directory (when one exists) and keeps watching it for
-// the whole replay: each new or rewritten profile file is hot-swapped into
-// the running detection runtime with zero downtime, so a lifecycle manager
-// or an operator publishing generations into the directory retunes a live
-// server without restarting it.
+// With -shed, each shard runs the risk-aware ShedByRisk admission
+// controller instead of a blanket full-queue policy: sessions with recent
+// alerts, drifting scores, or sensitive-table touches are always scored,
+// while low-risk streams are thinned probabilistically (deterministically
+// under -shed-seed) as queues fill. -overload slows the detection workers so
+// the replay's offered load exceeds capacity, demonstrating the measured
+// degradation curve; the run ends with a shed summary (shed rate, estimated
+// miss probability, queue high water). -chaos injects a crashing, slow alert
+// sink, an engine panic on the first stream and a worker crash on the last,
+// and fails unless a healthy stream survives.
+//
+// With -profile-dir, the replayed tenant starts from the newest .adprof file
+// in the directory (when one exists), and every profile file written there
+// while serving is hot-swapped into its shard with zero downtime — the same
+// watch loop that serves each -tenant-dir lineage.
 //
 // With -http, serve exposes the live introspection endpoint on the given
-// address — /metrics (Prometheus text format), /decisions (recent judgement
-// provenance as JSON), /healthz, /readyz, and /debug/pprof/ — and keeps it
-// (and the detection runtime) alive after the replay until SIGINT/SIGTERM,
-// so operators and scrapers can inspect a running server. -log mirrors the
-// runtime's structured events (worker restarts, quarantines, profile swaps)
-// to stderr.
+// address — /metrics (every runtime family with a tenant label, plus the
+// router's and the ingest server's), /tenants, /decisions and /traces
+// (?tenant= may be omitted on a one-tenant fleet), /traces/{id}, /healthz,
+// /readyz, and /debug/pprof/ — and the replay lingers after its summary
+// until SIGINT/SIGTERM so operators and scrapers can inspect the running
+// server. -log mirrors alerts and the structured events (worker restarts,
+// quarantines, profile swaps, tenant loads) to stderr.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"syscall"
-	"time"
 
 	"adprom/internal/attack"
 	"adprom/internal/collector"
@@ -63,15 +69,9 @@ import (
 	"adprom/internal/dataset"
 	"adprom/internal/detect"
 	"adprom/internal/experiments"
-	"adprom/internal/faultinject"
 	"adprom/internal/hmm"
 	"adprom/internal/interp"
-	"adprom/internal/lifecycle"
-	"adprom/internal/obsv"
 	"adprom/internal/profile"
-	"adprom/internal/runtime"
-	"adprom/internal/shed"
-	"adprom/internal/sqlchan"
 )
 
 func main() {
@@ -112,50 +112,46 @@ func usage() {
   adprom analyze    -app <name>
   adprom train      -app <name> -out <profile.gob>
   adprom detect     -app <name> [-profile <file>] [-attack <1..5|mitm>]
-  adprom serve      -app <name> [-streams <n>] [-workers <n>] [-queue <n>] [-drop block|newest] [-shed] [-shed-seed <n>] [-overload] [-repeat <n>] [-batch <n>] [-scorer exact|topk:<k>] [-sql-channel] [-chaos] [-profile-dir <dir>] [-http <addr>] [-trace <n>] [-trace-sample <n>] [-log] [-log-format text|json]
+  adprom serve      -app <name> [-profile <file>] [-profile-dir <dir>] [-streams <n>] [-repeat <n>] [-batch <n>] [-ingest-codec auto|ndjson|binary] [-chaos] [shard and daemon flags]
+  adprom serve      -tenants <a,b,...> -ingest-addr <addr> [-ingest-codec auto|ndjson|binary] [-tenant-dir <dir>] [-tenant-quota <n>] [-tenant-max-active <n>] [shard and daemon flags]
   adprom explain    [-http <addr>] [-tenant <id>] [-log <decisions.json>] <alert-seq|trace-id>
   adprom profile    inspect <file>...
   adprom experiment <table3|table4|table5|table6|table7|table8|fig10|clustering|ablation|corpus|all> [-full]
 
+shard flags: [-workers <n>] [-queue <n>] [-drop block|newest] [-shed] [-shed-seed <n>] [-overload] [-scorer exact|topk:<k>] [-sql-channel] [-trace <n>] [-trace-sample <n>]
+daemon flags: [-http <addr>] [-watch-interval <d>] [-log] [-log-format text|json]
+
 apps: apph, appb, apps (CA-dataset), app1, app2, app3, app4 (SIR-style)
-serve -profile-dir: load the newest .adprof in <dir> at startup and hot-swap
-every profile published there while the replay runs
-serve -http: expose /metrics, /decisions, /healthz, /readyz, /debug/pprof/ on
-<addr> and stay alive after the replay until SIGINT/SIGTERM
+serve: one daemon — a fleet of per-tenant profile shards fed over TCP. With
+-ingest-addr it serves remote collectors (NDJSON or binary frames) for the
+-tenants apps until SIGINT/SIGTERM; -tenant-dir holds per-tenant profile
+lineages for lazy loading and hot-swap, -tenant-quota caps sessions per tenant.
+Without -ingest-addr it serves -app as a one-tenant fleet on a loopback port
+and replays the app's traces into it: one connection per -streams session,
+-batch calls per event (0 = one per call), a flush after each trace
+serve -profile-dir: start -app from the newest .adprof in <dir> and hot-swap
+every profile published there while serving
+serve -http: expose /metrics, /tenants, /decisions, /traces, /traces/{id},
+/healthz, /readyz, /debug/pprof/ on <addr>; the replay then stays alive until
+SIGINT/SIGTERM. /decisions and /traces take ?tenant=ID, optional on a
+one-tenant fleet
 serve -shed: risk-aware admission (ShedByRisk) — high-risk sessions always
 scored, low-risk ones thinned as queues fill; -overload slows the workers so
-the replay overruns capacity and exercises the degradation curve
-serve -tenants/-ingest-addr: fleet mode — serve many apps at once as tenants,
-each behind its own profile shard, accepting collector events over TCP in
-NDJSON or binary frames (-ingest-codec); -tenant-dir holds per-tenant profile
-lineages for lazy loading and hot-swap, -tenant-quota caps sessions per tenant
+the replay overruns capacity and exercises the degradation curve; -chaos
+injects sink, engine and worker faults into the replay
 serve -sql-channel: two-channel detection — an SQL-behaviour scorer (query
 signatures, result cardinalities, sensitive columns) runs beside the HMM and
 the fused judge escalates when the weighted margins agree; tune with
 -sql-window, -sql-sensitive, -fusion-hmm-weight, -fusion-sql-weight, and
--fusion-slack (negative disables escalation). In fleet mode each named tenant
-trains its own SQL profile.
-serve -trace: retain up to <n> end-to-end decision traces (alerts always kept,
-healthy ops sampled 1-in-<trace-sample>) and expose them on /traces and
-/traces/{id}; explain renders one as a forensic timeline
+-fusion-slack (negative disables escalation). Each named tenant trains its
+own SQL profile.
+serve -trace: retain up to <n> end-to-end decision traces per tenant (alerts
+always kept, healthy ops sampled 1-in-<trace-sample>) and expose them on
+/traces and /traces/{id}; explain renders one as a forensic timeline
 explain: reconstruct an alert's pipeline timeline — ingest, routing, shed
 admission, per-channel scoring, fusion, sink delivery — from a live server's
 /traces endpoint (-http, numeric alert seq or trace ID) or from a recorded
 /decisions JSON capture (-log)`)
-}
-
-// newLogger builds the stderr slog logger for -log in the encoding picked by
-// -log-format: text (the default, human-oriented logfmt) or json (one object
-// per line, for log shippers that index by key).
-func newLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	default:
-		return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
-	}
 }
 
 func lookupApp(name string) (*dataset.App, error) {
@@ -336,373 +332,6 @@ func cmdDetect(args []string) error {
 		fmt.Println("no alerts: behaviour matches the profile")
 	} else {
 		fmt.Printf("alert totals: %v\n", totals)
-	}
-	return nil
-}
-
-// cmdServe replays an application's collected traces as N concurrent client
-// streams through the multi-session detection runtime and reports throughput
-// — the serving-mode counterpart of `detect`, which scores one stream at a
-// time. With -chaos it injects faults (a crashing, slow alert sink; an
-// engine panic on one stream; a worker crash on another) to demonstrate that
-// the runtime isolates failures: healthy streams finish, victims are
-// quarantined, and the run ends with clean shutdown and fault counters.
-// parseScorerMode parses the -scorer flag: "exact" or "topk:<k>".
-func parseScorerMode(s string) (hmm.ScorerMode, error) {
-	switch {
-	case s == "" || s == "exact":
-		return hmm.ScorerExact, nil
-	case len(s) > 5 && s[:5] == "topk:":
-		k, err := strconv.Atoi(s[5:])
-		if err != nil || k < 1 {
-			return hmm.ScorerMode{}, fmt.Errorf("bad -scorer %q (want exact or topk:<k>, k >= 1)", s)
-		}
-		return hmm.ScorerTopK(k), nil
-	default:
-		return hmm.ScorerMode{}, fmt.Errorf("bad -scorer %q (want exact or topk:<k>)", s)
-	}
-}
-
-// sqlChannelFlags is the serve flag subset enabling two-channel detection:
-// an SQL-behaviour scorer fused with the HMM channel.
-type sqlChannelFlags struct {
-	enabled   bool
-	window    int
-	sensitive string
-	hmmWeight float64
-	sqlWeight float64
-	slack     float64
-}
-
-// registerSQLFlags adds the two-channel detection flags to serve's flag set.
-func registerSQLFlags(fs *flag.FlagSet) *sqlChannelFlags {
-	sf := &sqlChannelFlags{}
-	fs.BoolVar(&sf.enabled, "sql-channel", false, "enable the SQL-behaviour detection channel fused with the HMM channel")
-	fs.IntVar(&sf.window, "sql-window", 0, "SQL channel sliding query-window length (0 = default)")
-	fs.StringVar(&sf.sensitive, "sql-sensitive", "name,balance", "comma-separated sensitive column names for DL attribution")
-	fs.Float64Var(&sf.hmmWeight, "fusion-hmm-weight", 0, "HMM margin weight in fused scoring (0 = default)")
-	fs.Float64Var(&sf.sqlWeight, "fusion-sql-weight", 0, "SQL margin weight in fused scoring (0 = default)")
-	fs.Float64Var(&sf.slack, "fusion-slack", 0, "fused-margin escalation slack (0 = default, negative disables escalation)")
-	return sf
-}
-
-// trainOptions maps the flags to sqlchan training options.
-func (sf *sqlChannelFlags) trainOptions() sqlchan.Options {
-	var cols []string
-	for _, c := range strings.Split(sf.sensitive, ",") {
-		if c = strings.TrimSpace(c); c != "" {
-			cols = append(cols, c)
-		}
-	}
-	return sqlchan.Options{WindowLen: sf.window, SensitiveColumns: cols}
-}
-
-// fusionConfig maps the flags to the fused judge's configuration.
-func (sf *sqlChannelFlags) fusionConfig() detect.FusionConfig {
-	return detect.FusionConfig{
-		HMMWeight:       sf.hmmWeight,
-		SQLWeight:       sf.sqlWeight,
-		EscalationSlack: sf.slack,
-	}
-}
-
-// trainFor builds the SQL-behaviour profile for one app from its collected
-// traces (the same corpus the HMM trains on).
-func (sf *sqlChannelFlags) trainFor(app *dataset.App, traces []collector.Trace) (*sqlchan.Profile, error) {
-	sqlProf, err := sqlchan.Train(traces, sf.trainOptions())
-	if err != nil {
-		return nil, fmt.Errorf("sql channel for %s: %w", app.Name, err)
-	}
-	return sqlProf, nil
-}
-
-// replayTrace feeds one trace through a serving session — batched when
-// batch > 0, per-call otherwise — and flushes the trailing short window.
-// Chunks shed under -drop newest are skipped, matching ObserveTrace.
-func replayTrace(s *runtime.Session, tr collector.Trace, batch int) error {
-	if batch <= 0 {
-		_, err := s.ObserveTrace(tr)
-		return err
-	}
-	for lo := 0; lo < len(tr); lo += batch {
-		hi := lo + batch
-		if hi > len(tr) {
-			hi = len(tr)
-		}
-		if err := s.ObserveBatch(tr[lo:hi]); err != nil && !errors.Is(err, runtime.ErrDropped) {
-			return err
-		}
-	}
-	_, err := s.Flush()
-	return err
-}
-
-func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	appName := fs.String("app", "appb", "application to serve")
-	profPath := fs.String("profile", "", "trained profile (gob); trains fresh when empty")
-	streams := fs.Int("streams", 64, "concurrent client streams")
-	workers := fs.Int("workers", 0, "detection workers (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 256, "per-worker ingest queue depth")
-	drop := fs.String("drop", "block", "full-queue policy: block (backpressure) or newest (shed)")
-	shedFlag := fs.Bool("shed", false, "risk-aware admission (ShedByRisk): always score high-risk sessions, thin low-risk ones under pressure")
-	shedSeed := fs.Uint64("shed-seed", 1, "deterministic admission seed for -shed")
-	overload := fs.Bool("overload", false, "slow the workers so the replay's offered load exceeds capacity (pairs with -shed or -drop newest)")
-	repeat := fs.Int("repeat", 8, "replay passes per stream")
-	batch := fs.Int("batch", 64, "calls per batched observe (0 = per-call ingest)")
-	scorer := fs.String("scorer", "exact", "scoring kernel: exact or topk:<k> (approximate, with reported error bound)")
-	chaos := fs.Bool("chaos", false, "inject sink, engine, and worker faults during the replay")
-	profileDir := fs.String("profile-dir", "", "load the newest .adprof here and hot-swap profiles published while serving")
-	watchEvery := fs.Duration("watch-interval", 500*time.Millisecond, "poll interval for -profile-dir")
-	httpAddr := fs.String("http", "", "serve the introspection endpoint (/metrics /decisions /traces /healthz /readyz /debug/pprof/) on this address and linger after the replay")
-	traceCap := fs.Int("trace", 0, "retain up to this many decision traces (0 = tracing off); alerts always kept, healthy ops sampled")
-	traceSample := fs.Int("trace-sample", 16, "with -trace, keep one in this many healthy (unflagged) traces")
-	logEvents := fs.Bool("log", false, "emit structured runtime events (worker restarts, quarantines, swaps) to stderr")
-	logFormat := fs.String("log-format", "text", "structured event encoding for -log: text or json")
-	ff := registerFleetFlags(fs)
-	sf := registerSQLFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if ff.active() {
-		// Fleet mode: a long-lived network daemon serving many tenants at
-		// once instead of replaying one app's traces locally.
-		return serveFleet(ff, sf, *workers, *queue, *drop, *shedFlag, *shedSeed,
-			*scorer, *httpAddr, *watchEvery, *traceCap, *traceSample, *logEvents, *logFormat)
-	}
-	if *streams < 1 {
-		*streams = 1
-	}
-	if *chaos && *streams < 2 {
-		// Chaos mode quarantines two victim streams; keep at least one
-		// healthy stream to demonstrate isolation.
-		*streams = 2
-	}
-	app, err := lookupApp(*appName)
-	if err != nil {
-		return err
-	}
-	traces, err := app.CollectTraces(collector.ModeADPROM)
-	if err != nil {
-		return err
-	}
-
-	var p *profile.Profile
-	switch {
-	case *profPath != "":
-		f, err := os.Open(*profPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if p, err = profile.Load(f); err != nil {
-			return err
-		}
-	case *profileDir != "":
-		path, loaded, err := lifecycle.LatestProfile(*profileDir)
-		switch {
-		case err == nil:
-			p = loaded
-			fmt.Printf("serving generation from %s\n", path)
-		case errors.Is(err, os.ErrNotExist):
-			fmt.Printf("no profile in %s yet; training a starting profile...\n", *profileDir)
-			if p, err = trainApp(app); err != nil {
-				return err
-			}
-		default:
-			return err
-		}
-	default:
-		fmt.Println("training profile (pass -profile to reuse one)...")
-		if p, err = trainApp(app); err != nil {
-			return err
-		}
-	}
-
-	mode, err := parseScorerMode(*scorer)
-	if err != nil {
-		return err
-	}
-	opts := []runtime.Option{
-		runtime.WithWorkers(*workers),
-		runtime.WithQueueDepth(*queue),
-		runtime.WithScorerMode(mode),
-	}
-	if sf.enabled {
-		sqlProf, err := sf.trainFor(app, traces)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, runtime.WithSQLChannel(sqlProf), runtime.WithFusion(sf.fusionConfig()))
-		fmt.Printf("sql channel: %s\n", sqlProf)
-	}
-	if *logEvents {
-		logger, err := newLogger(*logFormat)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, runtime.WithLogger(logger))
-	}
-	if *traceCap > 0 {
-		opts = append(opts, runtime.WithTracing(*traceCap, *traceSample))
-	}
-	switch *drop {
-	case "block":
-	case "newest":
-		if *shedFlag {
-			return errors.New("-shed replaces -drop newest; pick one")
-		}
-		opts = append(opts, runtime.WithDropPolicy(runtime.DropNewest))
-	default:
-		return fmt.Errorf("bad -drop %q (want block or newest)", *drop)
-	}
-	if *shedFlag {
-		opts = append(opts, runtime.WithShedConfig(shed.Config{Seed: *shedSeed}))
-	}
-	if *overload {
-		if *chaos {
-			return errors.New("-overload and -chaos both own the worker hook; pick one")
-		}
-		// A per-op stall puts worker capacity far below the replay's offered
-		// rate, so queues saturate and the configured policy must degrade.
-		opts = append(opts, runtime.WithWorkerHook(faultinject.WorkerLatency(500*time.Microsecond)))
-		fmt.Println("overload: workers stalled 500µs/op; offered load will exceed drain capacity")
-	}
-
-	var (
-		sink        *faultinject.Sink
-		engineFault *faultinject.EngineFault
-		workerFault *faultinject.WorkerFault
-	)
-	engineVictim := fmt.Sprintf("stream-%03d", 0)
-	workerVictim := fmt.Sprintf("stream-%03d", (*streams-1)%*streams)
-	if *chaos {
-		sink = faultinject.NewSink(nil, faultinject.PanicEvery(5), faultinject.Latency(time.Millisecond))
-		engineFault = faultinject.NewEngineFault(faultinject.FaultPanic, 1,
-			func(id string) bool { return id == engineVictim })
-		workerFault = faultinject.NewWorkerFault(workerVictim, 3)
-		opts = append(opts,
-			runtime.WithAlertFunc(sink.Deliver),
-			runtime.WithSinkBuffer(16),
-			runtime.WithSinkTimeout(50*time.Millisecond),
-			runtime.WithJudgeHook(engineFault.Hook),
-			runtime.WithWorkerHook(workerFault.Hook),
-		)
-		fmt.Printf("chaos: sink panics every 5th delivery; engine panic on %s; worker crash on op 3 of %s\n",
-			engineVictim, workerVictim)
-	}
-
-	rt := runtime.New(p, opts...)
-	var srv *http.Server
-	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			rt.Close()
-			return err
-		}
-		srv = &http.Server{Handler: obsv.NewHandler(obsv.ServerConfig{
-			Metrics:   func(w io.Writer) error { return rt.WritePrometheus(w) },
-			Decisions: rt.Decisions,
-			Traces:    rt.Traces,
-			TraceByID: rt.TraceByID,
-			Healthz:   func() error { return nil },
-			Readyz:    rt.Ready,
-		})}
-		go func() { _ = srv.Serve(ln) }()
-		fmt.Printf("introspection: http://%s (/metrics /decisions /traces /healthz /readyz /debug/pprof/)\n", ln.Addr())
-	}
-	var watchWG sync.WaitGroup
-	stopWatch := func() {}
-	if *profileDir != "" {
-		var watchCtx context.Context
-		watchCtx, stopWatch = context.WithCancel(context.Background())
-		defer stopWatch()
-		watchWG.Add(1)
-		go func() {
-			defer watchWG.Done()
-			_ = lifecycle.WatchDir(watchCtx, *profileDir, *watchEvery,
-				func(path string, next *profile.Profile, err error) {
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "profile-dir: skipping %s: %v\n", path, err)
-						return
-					}
-					gen, err := rt.SwapProfile(next)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "profile-dir: swap of %s refused: %v\n", path, err)
-						return
-					}
-					fmt.Printf("profile-dir: %s live as generation %d (threshold %.4f)\n",
-						path, gen, next.Threshold)
-				})
-		}()
-		fmt.Printf("watching %s every %v for new profile generations\n", *profileDir, *watchEvery)
-	}
-	fmt.Printf("serving %s: %d streams x %d passes over %d traces\n",
-		app.Name, *streams, *repeat, len(traces))
-	start := time.Now()
-	var wg sync.WaitGroup
-	var quarantinedStreams atomic.Int64
-	for i := 0; i < *streams; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := rt.Session(fmt.Sprintf("stream-%03d", i))
-			for pass := 0; pass < *repeat; pass++ {
-				err := replayTrace(s, traces[(i+pass)%len(traces)], *batch)
-				switch {
-				case err == nil:
-				case errors.Is(err, runtime.ErrDropped):
-					// Load shedding under -drop newest: the runtime reports
-					// how many calls it shed; keep replaying.
-				case errors.Is(err, runtime.ErrSessionFailed):
-					quarantinedStreams.Add(1)
-					fmt.Fprintf(os.Stderr, "stream %d quarantined: %v\n", i, err)
-					return
-				default:
-					fmt.Fprintf(os.Stderr, "stream %d: %v\n", i, err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if srv != nil {
-		// Stay alive so operators (and the CI smoke test) can inspect the
-		// still-serving runtime; profile hot-swaps keep applying meanwhile.
-		fmt.Println("replay done; introspection endpoint still live — SIGINT/SIGTERM to exit")
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-		<-sigc
-		signal.Stop(sigc)
-		shutCtx, cancelShut := context.WithTimeout(context.Background(), 5*time.Second)
-		_ = srv.Shutdown(shutCtx)
-		cancelShut()
-	}
-	stopWatch()
-	watchWG.Wait()
-	closeCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := rt.CloseContext(closeCtx); err != nil {
-		return err
-	}
-	st := rt.Stats()
-	fmt.Println(st)
-	fmt.Printf("replayed in %v: %.0f calls/sec across %d workers\n",
-		elapsed.Round(time.Millisecond), float64(st.Calls)/elapsed.Seconds(), st.Workers)
-	if *shedFlag {
-		ss := rt.ShedSnapshot()
-		fmt.Printf("shedding: %d calls shed over %d rejecting decisions (rate %.4f); estimated miss probability %.4f; queue high water %d calls\n",
-			st.Shed, ss.ShedDecisions, st.ShedRate, st.EstimatedMissProb, st.QueueHighWater)
-	}
-	if *chaos {
-		fmt.Printf("chaos outcome: %d/%d streams quarantined; sink deliveries=%d panics=%d; engine fault fired=%v; worker fault fired=%v\n",
-			quarantinedStreams.Load(), *streams, sink.Calls(), sink.Panics(),
-			engineFault.Fired(engineVictim), workerFault.Fired())
-		healthy := int64(*streams) - quarantinedStreams.Load()
-		if healthy <= 0 {
-			return fmt.Errorf("chaos replay: no healthy streams survived")
-		}
 	}
 	return nil
 }

@@ -1,0 +1,665 @@
+package main
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"log/slog"
+	"net"
+	"net/http"
+	"os"
+	"os/signal"
+	"strconv"
+	"strings"
+	"sync"
+	"syscall"
+	"time"
+
+	"adprom"
+	"adprom/internal/collector"
+	"adprom/internal/dataset"
+	"adprom/internal/detect"
+	"adprom/internal/faultinject"
+	"adprom/internal/hmm"
+	"adprom/internal/ingest"
+	"adprom/internal/lifecycle"
+	"adprom/internal/profile"
+	"adprom/internal/runtime"
+	"adprom/internal/shed"
+	"adprom/internal/sqlchan"
+	"adprom/internal/tenant"
+)
+
+// serveConfig is everything serve's flags decide.
+type serveConfig struct {
+	// The built-in replay (no -ingest-addr): one app's traces streamed into
+	// a one-tenant fleet.
+	app, profile, profileDir string
+	streams, repeat, batch   int
+
+	// Runtime options applied to every tenant shard.
+	workers, queue        int
+	drop, scorer          string
+	shed, overload, chaos bool
+	shedSeed              uint64
+	traceCap, traceSample int
+
+	// The fleet daemon.
+	tenants, ingestAddr, ingestCodec, tenantDir string
+	quota, maxActive                            int
+	watchEvery                                  time.Duration
+	httpAddr                                    string
+	logEvents                                   bool
+	logFormat                                   string
+	sql                                         sqlChannelFlags
+
+	// log is the -log event logger; nil without -log.
+	log *slog.Logger
+
+	// alert receives every alert the daemon raises; parseServe sets it to
+	// the event log (or stdout).
+	alert func(session string, a detect.Alert)
+}
+
+// replay reports whether serve runs the built-in replay client instead of
+// waiting for remote collectors.
+func (sc *serveConfig) replay() bool { return sc.ingestAddr == "" }
+
+func parseServe(args []string) (*serveConfig, error) {
+	sc := &serveConfig{}
+	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	fs.StringVar(&sc.app, "app", "appb", "application whose traces the built-in replay streams in (without -ingest-addr)")
+	fs.StringVar(&sc.profile, "profile", "", "trained profile (gob) for the replayed app; trains fresh when empty")
+	fs.IntVar(&sc.streams, "streams", 64, "concurrent replay connections, one session each")
+	fs.IntVar(&sc.workers, "workers", 0, "detection workers per tenant shard (0 = GOMAXPROCS)")
+	fs.IntVar(&sc.queue, "queue", 256, "per-worker ingest queue depth")
+	fs.StringVar(&sc.drop, "drop", "block", "full-queue policy: block (backpressure) or newest (shed)")
+	fs.BoolVar(&sc.shed, "shed", false, "risk-aware admission (ShedByRisk): always score high-risk sessions, thin low-risk ones under pressure")
+	fs.Uint64Var(&sc.shedSeed, "shed-seed", 1, "deterministic admission seed for -shed")
+	fs.BoolVar(&sc.overload, "overload", false, "slow the workers so the offered load exceeds capacity (pairs with -shed or -drop newest)")
+	fs.IntVar(&sc.repeat, "repeat", 8, "replay passes per stream")
+	fs.IntVar(&sc.batch, "batch", 64, "calls per replayed observe event (0 = one event per call)")
+	fs.StringVar(&sc.scorer, "scorer", "exact", "scoring kernel: exact or topk:<k> (approximate, with reported error bound)")
+	fs.BoolVar(&sc.chaos, "chaos", false, "inject sink, engine, and worker faults during the replay")
+	fs.StringVar(&sc.profileDir, "profile-dir", "", "load the replayed app's newest .adprof here and hot-swap profiles published while serving")
+	fs.DurationVar(&sc.watchEvery, "watch-interval", 500*time.Millisecond, "poll interval for -profile-dir and -tenant-dir")
+	fs.StringVar(&sc.httpAddr, "http", "", "serve the introspection endpoint (/metrics /tenants /decisions /traces /healthz /readyz /debug/pprof/) on this address; the replay lingers until SIGINT/SIGTERM")
+	fs.IntVar(&sc.traceCap, "trace", 0, "retain up to this many decision traces per tenant (0 = tracing off); alerts always kept, healthy ops sampled")
+	fs.IntVar(&sc.traceSample, "trace-sample", 16, "with -trace, keep one in this many healthy (unflagged) traces")
+	fs.BoolVar(&sc.logEvents, "log", false, "emit structured events (alerts, worker restarts, quarantines, swaps, tenant loads) to stderr")
+	fs.StringVar(&sc.logFormat, "log-format", "text", "structured event encoding for -log: text or json")
+	fs.StringVar(&sc.tenants, "tenants", "", "comma-separated app names to serve as tenants (with -ingest-addr; e.g. apph,appb)")
+	fs.StringVar(&sc.ingestAddr, "ingest-addr", "", "accept collector events over TCP on this address instead of running the built-in replay")
+	fs.StringVar(&sc.ingestCodec, "ingest-codec", "auto", "ingest wire format: auto, ndjson, or binary (the replay sends binary frames unless ndjson)")
+	fs.StringVar(&sc.tenantDir, "tenant-dir", "", "fleet profile store root (one lineage per tenant); lazily loads unknown tenants and hot-swaps published generations")
+	fs.IntVar(&sc.quota, "tenant-quota", 0, "max concurrent sessions per tenant (0 = unlimited)")
+	fs.IntVar(&sc.maxActive, "tenant-max-active", 64, "max resident tenant shards; past it the coldest tenant is evicted (negative disables)")
+	sc.sql.register(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if sc.tenants != "" && sc.replay() {
+		return nil, errors.New("-tenants needs -ingest-addr (the TCP address collectors stream to)")
+	}
+	sc.streams = max(sc.streams, 1)
+	if sc.chaos {
+		// Chaos mode quarantines two victim streams; keep at least one
+		// healthy stream to demonstrate isolation.
+		sc.streams = max(sc.streams, 2)
+	}
+	var err error
+	if sc.log, err = sc.logger(); err != nil {
+		return nil, err
+	}
+	// Alerts are the daemon's product, so deliver each one to the event log
+	// (or stdout) rather than leaving them visible only through /decisions.
+	// Routing them through the async sink pipeline also completes the traced
+	// op timeline — ingest→route→score→fusion→sink — for every alert.
+	sc.alert = func(session string, a detect.Alert) {
+		if sc.log != nil {
+			sc.log.Warn("alert", "session", session, "seq", a.Seq, "flag", a.Flag.String(), "score", a.Score,
+				"threshold", a.Threshold, "channels", strings.Join(a.Channels, ","))
+			return
+		}
+		fmt.Printf("alert: session=%s seq=%d flag=%s score=%.4f threshold=%.4f channels=%s\n",
+			session, a.Seq, a.Flag, a.Score, a.Threshold, strings.Join(a.Channels, ","))
+	}
+	return sc, nil
+}
+
+// logger builds the stderr slog logger for -log in the encoding picked by
+// -log-format: text (the default, human-oriented logfmt) or json (one
+// object per line, for log shippers that index by key). Nil without -log.
+func (sc *serveConfig) logger() (*slog.Logger, error) {
+	if !sc.logEvents {
+		return nil, nil
+	}
+	switch sc.logFormat {
+	case "text":
+		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
+	default:
+		return nil, fmt.Errorf("bad -log-format %q (want text or json)", sc.logFormat)
+	}
+}
+
+// cmdServe runs the detection daemon: a fleet of per-tenant profile shards
+// fed over TCP. With -ingest-addr it serves remote collectors until
+// SIGINT/SIGTERM; without it, it serves the one tenant -app on a loopback
+// listener and streams that app's traces in through the built-in replay
+// client, then reports throughput (lingering for -http scrapes first).
+func cmdServe(args []string) error {
+	sc, err := parseServe(args)
+	if err != nil {
+		return err
+	}
+	d, err := startDaemon(sc)
+	if err != nil {
+		return err
+	}
+	return d.run()
+}
+
+// parseScorerMode parses the -scorer flag: "exact" or "topk:<k>".
+func parseScorerMode(s string) (hmm.ScorerMode, error) {
+	switch {
+	case s == "" || s == "exact":
+		return hmm.ScorerExact, nil
+	case len(s) > 5 && s[:5] == "topk:":
+		k, err := strconv.Atoi(s[5:])
+		if err != nil || k < 1 {
+			return hmm.ScorerMode{}, fmt.Errorf("bad -scorer %q (want exact or topk:<k>, k >= 1)", s)
+		}
+		return hmm.ScorerTopK(k), nil
+	default:
+		return hmm.ScorerMode{}, fmt.Errorf("bad -scorer %q (want exact or topk:<k>)", s)
+	}
+}
+
+// sqlChannelFlags is the serve flag subset enabling two-channel detection:
+// an SQL-behaviour scorer fused with the HMM channel.
+type sqlChannelFlags struct {
+	enabled   bool
+	window    int
+	sensitive string
+	hmmWeight float64
+	sqlWeight float64
+	slack     float64
+}
+
+// register adds the two-channel detection flags to serve's flag set.
+func (sf *sqlChannelFlags) register(fs *flag.FlagSet) {
+	fs.BoolVar(&sf.enabled, "sql-channel", false, "enable the SQL-behaviour detection channel fused with the HMM channel")
+	fs.IntVar(&sf.window, "sql-window", 0, "SQL channel sliding query-window length (0 = default)")
+	fs.StringVar(&sf.sensitive, "sql-sensitive", "name,balance", "comma-separated sensitive column names for DL attribution")
+	fs.Float64Var(&sf.hmmWeight, "fusion-hmm-weight", 0, "HMM margin weight in fused scoring (0 = default)")
+	fs.Float64Var(&sf.sqlWeight, "fusion-sql-weight", 0, "SQL margin weight in fused scoring (0 = default)")
+	fs.Float64Var(&sf.slack, "fusion-slack", 0, "fused-margin escalation slack (0 = default, negative disables escalation)")
+}
+
+// options trains the SQL-behaviour profile for one app from its collected
+// traces (the corpus the HMM trains on) and returns the shard options that
+// fuse it with the HMM channel.
+func (sf *sqlChannelFlags) options(app *dataset.App, traces []collector.Trace) ([]runtime.Option, error) {
+	sqlProf, err := sqlchan.Train(traces, sqlchan.Options{WindowLen: sf.window, SensitiveColumns: splitList(sf.sensitive)})
+	if err != nil {
+		return nil, fmt.Errorf("sql channel for %s: %w", app.Name, err)
+	}
+	fmt.Printf("tenant %s: sql channel: %s\n", app.Name, sqlProf)
+	return []runtime.Option{
+		runtime.WithSQLChannel(sqlProf),
+		runtime.WithFusion(detect.FusionConfig{HMMWeight: sf.hmmWeight, SQLWeight: sf.sqlWeight, EscalationSlack: sf.slack}),
+	}, nil
+}
+
+// chaosFaults are the faults -chaos injects: a crashing, slow alert sink;
+// an engine panic on the first stream; a worker crash on the last.
+type chaosFaults struct {
+	sink                       *faultinject.Sink
+	engine                     *faultinject.EngineFault
+	worker                     *faultinject.WorkerFault
+	engineVictim, workerVictim string
+}
+
+// runtimeOptions maps the flags to the options every tenant shard runs with.
+func (sc *serveConfig) runtimeOptions() ([]runtime.Option, *chaosFaults, error) {
+	mode, err := parseScorerMode(sc.scorer)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts := []runtime.Option{
+		runtime.WithWorkers(sc.workers),
+		runtime.WithQueueDepth(sc.queue),
+		runtime.WithScorerMode(mode),
+		runtime.WithAlertFunc(sc.alert),
+	}
+	if sc.log != nil {
+		opts = append(opts, runtime.WithLogger(sc.log))
+	}
+	if sc.traceCap > 0 {
+		// Every tenant shard retains its own bounded trace store; /traces/{id}
+		// searches them all.
+		opts = append(opts, runtime.WithTracing(sc.traceCap, sc.traceSample))
+	}
+	switch sc.drop {
+	case "block":
+	case "newest":
+		if sc.shed {
+			return nil, nil, errors.New("-shed replaces -drop newest; pick one")
+		}
+		opts = append(opts, runtime.WithDropPolicy(runtime.DropNewest))
+	default:
+		return nil, nil, fmt.Errorf("bad -drop %q (want block or newest)", sc.drop)
+	}
+	if sc.shed {
+		opts = append(opts, runtime.WithShedConfig(shed.Config{Seed: sc.shedSeed}))
+	}
+	if sc.overload {
+		if sc.chaos {
+			return nil, nil, errors.New("-overload and -chaos both own the worker hook; pick one")
+		}
+		// A per-op stall puts worker capacity far below the replay's offered
+		// rate, so queues saturate and the configured policy must degrade.
+		opts = append(opts, runtime.WithWorkerHook(faultinject.WorkerLatency(500*time.Microsecond)))
+		fmt.Println("overload: workers stalled 500µs/op; offered load will exceed drain capacity")
+	}
+	if !sc.chaos {
+		return opts, nil, nil
+	}
+	cf := &chaosFaults{
+		sink:         faultinject.NewSink(nil, faultinject.PanicEvery(5), faultinject.Latency(time.Millisecond)),
+		engineVictim: streamSession(0),
+		workerVictim: streamSession(sc.streams - 1),
+	}
+	cf.engine = faultinject.NewEngineFault(faultinject.FaultPanic, 1, func(id string) bool { return id == cf.engineVictim })
+	cf.worker = faultinject.NewWorkerFault(cf.workerVictim, 3)
+	fmt.Printf("chaos: sink panics every 5th delivery; engine panic on %s; worker crash on op 3 of %s\n",
+		cf.engineVictim, cf.workerVictim)
+	return append(opts,
+		runtime.WithAlertFunc(cf.sink.Deliver),
+		runtime.WithSinkBuffer(16),
+		runtime.WithSinkTimeout(50*time.Millisecond),
+		runtime.WithJudgeHook(cf.engine.Hook),
+		runtime.WithWorkerHook(cf.worker.Hook),
+	), cf, nil
+}
+
+// streamSession names replay stream i's session.
+func streamSession(i int) string { return fmt.Sprintf("stream-%03d", i) }
+
+// daemon is a running fleet: the tenant router behind a TCP ingest
+// listener, the optional introspection endpoint, and one hot-swap watcher
+// per watched profile directory.
+type daemon struct {
+	sc       *serveConfig
+	router   *tenant.Router
+	ingest   *ingest.Server
+	codec    ingest.Codec
+	addr     string
+	serveErr chan error
+	http     *http.Server
+	chaos    *chaosFaults
+	tenants  []string          // the tenants named at startup
+	traces   []collector.Trace // the replayed app's traces
+
+	stopWatch context.CancelFunc
+	watchWG   sync.WaitGroup
+}
+
+// startDaemon builds and starts the fleet. Each served tenant's starting
+// profile is the -profile file (replay only), else the newest generation in
+// its -tenant-dir lineage or -profile-dir, else a fresh training run, which
+// is published into the lineage so restarts and watchers see it.
+func startDaemon(sc *serveConfig) (*daemon, error) {
+	codec, err := ingest.ParseCodec(sc.ingestCodec)
+	if err != nil {
+		return nil, err
+	}
+	opts, cf, err := sc.runtimeOptions()
+	if err != nil {
+		return nil, err
+	}
+	cfg := tenant.Config{
+		MaxActive:            sc.maxActive,
+		MaxSessionsPerTenant: sc.quota,
+		RuntimeOptions:       opts,
+		Logger:               sc.log,
+	}
+	var reg *tenant.Registry
+	if sc.tenantDir != "" {
+		if reg, err = tenant.OpenRegistry(sc.tenantDir); err != nil {
+			return nil, err
+		}
+		cfg.Loader = reg
+	}
+	names := []string{sc.app}
+	if !sc.replay() {
+		if names = splitList(sc.tenants); len(names) == 0 && reg == nil {
+			return nil, errors.New("serving -ingest-addr needs -tenants or -tenant-dir")
+		}
+	}
+
+	d := &daemon{sc: sc, codec: codec, chaos: cf, tenants: names, serveErr: make(chan error, 1)}
+	watch := map[string]string{} // tenant → profile directory to hot-swap from
+	if reg != nil {
+		known, _ := reg.Tenants()
+		for _, name := range append(known, names...) {
+			if watch[name], err = reg.TenantDir(name); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if sc.replay() && sc.profileDir != "" {
+		watch[sc.app] = sc.profileDir
+	}
+	cfg.Static = make(map[string]*profile.Profile, len(names))
+	cfg.PerTenant = map[string][]runtime.Option{}
+	for _, name := range names {
+		app, err := lookupApp(name)
+		if err != nil {
+			return nil, err
+		}
+		var traces []collector.Trace
+		if sc.replay() || sc.sql.enabled {
+			if traces, err = app.CollectTraces(collector.ModeADPROM); err != nil {
+				return nil, fmt.Errorf("tenant %s: %w", name, err)
+			}
+		}
+		if sc.replay() {
+			d.traces = traces
+		}
+		if sc.sql.enabled {
+			// Each named tenant's shard gets its own SQL profile, trained on
+			// the traces its HMM trains on. Tenants first seen on the wire
+			// (lazy loads) stay single-channel.
+			if cfg.PerTenant[name], err = sc.sql.options(app, traces); err != nil {
+				return nil, err
+			}
+		}
+		if cfg.Static[name], err = sc.startProfile(app, reg, watch[name]); err != nil {
+			return nil, fmt.Errorf("tenant %s: %w", name, err)
+		}
+	}
+
+	if d.router, err = tenant.NewRouter(cfg); err != nil {
+		return nil, err
+	}
+	if err := d.listen(); err != nil {
+		d.close()
+		return nil, err
+	}
+	var watchCtx context.Context
+	watchCtx, d.stopWatch = context.WithCancel(context.Background())
+	for name, dir := range watch {
+		d.watchWG.Add(1)
+		go d.watchProfiles(watchCtx, name, dir)
+		fmt.Printf("tenant %s: watching %s every %v for published generations\n", name, dir, sc.watchEvery)
+	}
+	return d, nil
+}
+
+// startProfile resolves one named tenant's starting profile.
+func (sc *serveConfig) startProfile(app *dataset.App, reg *tenant.Registry, dir string) (*profile.Profile, error) {
+	switch {
+	case sc.replay() && sc.profile != "":
+		f, err := os.Open(sc.profile)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return profile.Load(f)
+	case reg != nil:
+		if p, err := reg.LoadTenant(app.Name); err == nil {
+			fmt.Printf("tenant %s: serving newest registry generation\n", app.Name)
+			return p, nil
+		}
+	case dir != "":
+		path, p, err := lifecycle.LatestProfile(dir)
+		if err == nil {
+			fmt.Printf("tenant %s: serving generation from %s\n", app.Name, path)
+			return p, nil
+		}
+		if !errors.Is(err, os.ErrNotExist) {
+			return nil, err
+		}
+	}
+	fmt.Printf("tenant %s: training profile...\n", app.Name)
+	p, err := trainApp(app)
+	if err != nil {
+		return nil, err
+	}
+	if reg != nil {
+		if _, err := reg.Publish(app.Name, p, "serve-startup"); err != nil {
+			return nil, fmt.Errorf("publishing: %w", err)
+		}
+	}
+	return p, nil
+}
+
+// listen starts the ingest listener (loopback on an ephemeral port for the
+// replay) and the introspection endpoint.
+func (d *daemon) listen() error {
+	var err error
+	if d.ingest, err = ingest.NewServer(ingest.ServerConfig{Sink: d.router, Codec: d.codec, Logger: d.sc.log}); err != nil {
+		return err
+	}
+	addr := d.sc.ingestAddr
+	if d.sc.replay() {
+		addr = "127.0.0.1:0"
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	d.addr = ln.Addr().String()
+	go func() { d.serveErr <- d.ingest.Serve(ln) }()
+	fmt.Printf("ingest: listening on %s (codec %s)\n", d.addr, d.codec)
+	if d.sc.httpAddr == "" {
+		return nil
+	}
+	hln, err := net.Listen("tcp", d.sc.httpAddr)
+	if err != nil {
+		return err
+	}
+	d.http = &http.Server{Handler: adprom.NewFleetIntrospectionHandler(d.router, d.ingest)}
+	go func() { _ = d.http.Serve(hln) }()
+	fmt.Printf("introspection: http://%s (/metrics /tenants /decisions /traces /traces/{id} /healthz /readyz /debug/pprof/)\n", hln.Addr())
+	return nil
+}
+
+// watchProfiles hot-swaps every profile published into dir into tenant's
+// shard until ctx ends.
+func (d *daemon) watchProfiles(ctx context.Context, tenant, dir string) {
+	defer d.watchWG.Done()
+	_ = lifecycle.WatchDir(ctx, dir, d.sc.watchEvery, func(path string, next *profile.Profile, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tenant %s: skipping %s: %v\n", tenant, path, err)
+			return
+		}
+		gen, err := d.router.SwapProfile(tenant, next)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tenant %s: swap of %s refused: %v\n", tenant, path, err)
+			return
+		}
+		fmt.Printf("tenant %s: %s live as generation %d (threshold %.4f)\n", tenant, path, gen, next.Threshold)
+	})
+}
+
+// run serves until the replay is done (lingering for -http until
+// SIGINT/SIGTERM) or, without the replay, until SIGINT/SIGTERM; then it
+// shuts down and prints the final stats.
+func (d *daemon) run() error {
+	var sigc chan os.Signal // nil when the replay exits without lingering
+	if !d.sc.replay() || d.http != nil {
+		sigc = make(chan os.Signal, 1)
+		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sigc)
+	}
+	var elapsed time.Duration
+	if d.sc.replay() {
+		fmt.Printf("serving %s: %d streams x %d passes over %d traces\n", d.sc.app, d.sc.streams, d.sc.repeat, len(d.traces))
+		start := time.Now()
+		if err := d.replay(); err != nil {
+			d.close()
+			return err
+		}
+		elapsed = time.Since(start)
+		if sigc != nil {
+			// Stay alive so operators (and the CI smoke tests) can inspect the
+			// still-serving fleet; profile hot-swaps keep applying meanwhile.
+			fmt.Println("replay done; introspection endpoint still live — SIGINT/SIGTERM to exit")
+		}
+	} else {
+		fmt.Printf("fleet serving %d tenants — SIGINT/SIGTERM to exit\n", len(d.tenants))
+	}
+	if sigc != nil {
+		select {
+		case <-sigc:
+		case err := <-d.serveErr:
+			if err != nil {
+				d.close()
+				return err
+			}
+		}
+	}
+	// Shards are read after Close drains them, which also empties the router.
+	var shards []*tenant.Shard
+	for _, id := range d.router.Tenants() {
+		if sh, err := d.router.Shard(id); err == nil {
+			shards = append(shards, sh)
+		}
+	}
+	if err := d.close(); err != nil {
+		return err
+	}
+	fmt.Printf("ingest: %s\n", d.ingest.Stats())
+	for _, sh := range shards {
+		fmt.Println(tenant.Stats{Tenant: sh.ID(), Runtime: sh.Runtime().Stats()})
+	}
+	rs := d.router.Stats()
+	fmt.Printf("router: tenants=%d loads=%d evictions=%d unknown=%d quota_rejected=%d\n",
+		rs.ActiveTenants, rs.Loads, rs.Evictions, rs.UnknownTenant, rs.QuotaRejected)
+	if !d.sc.replay() || len(shards) == 0 {
+		return nil
+	}
+	rt := shards[0].Runtime()
+	st := rt.Stats()
+	fmt.Printf("replayed in %v: %.0f calls/sec across %d workers\n",
+		elapsed.Round(time.Millisecond), float64(st.Calls)/elapsed.Seconds(), st.Workers)
+	if d.sc.shed {
+		fmt.Printf("shedding: %d calls shed over %d rejecting decisions (rate %.4f); estimated miss probability %.4f; queue high water %d calls\n",
+			st.Shed, rt.ShedSnapshot().ShedDecisions, st.ShedRate, st.EstimatedMissProb, st.QueueHighWater)
+	}
+	if cf := d.chaos; cf != nil {
+		fmt.Printf("chaos outcome: %d/%d streams quarantined; sink deliveries=%d panics=%d; engine fault fired=%v; worker fault fired=%v\n",
+			st.Quarantined, d.sc.streams, cf.sink.Calls(), cf.sink.Panics(),
+			cf.engine.Fired(cf.engineVictim), cf.worker.Fired())
+		if uint64(d.sc.streams) <= st.Quarantined {
+			return errors.New("chaos replay: no healthy streams survived")
+		}
+	}
+	return nil
+}
+
+// close stops the watchers and the introspection endpoint, then the ingest
+// listener, then drains and closes every tenant shard.
+func (d *daemon) close() error {
+	if d.stopWatch != nil {
+		d.stopWatch()
+		d.watchWG.Wait()
+	}
+	if d.http != nil {
+		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_ = d.http.Shutdown(shutCtx)
+		cancel()
+	}
+	if d.ingest != nil {
+		d.ingest.Close()
+	}
+	if err := d.router.Close(); err != nil && !errors.Is(err, tenant.ErrClosed) {
+		return err
+	}
+	return nil
+}
+
+// replay is the built-in collector: one TCP connection per stream into the
+// daemon's own ingest listener, each carrying one session. Pass p of
+// stream i sends trace (i+p) mod len(traces) as observe events of -batch
+// calls (one call per event at -batch 0) and then a flush, in binary frames
+// or, under -ingest-codec ndjson, NDJSON lines. No acknowledgements are
+// needed: after the client's CloseWrite the server handles every event
+// before it reads EOF and closes its end, and each flush waits for the
+// worker, so a connection the server has closed is fully judged.
+func (d *daemon) replay() error {
+	errs := make(chan error, d.sc.streams)
+	var wg sync.WaitGroup
+	for i := 0; i < d.sc.streams; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := d.replayStream(i); err != nil {
+				errs <- fmt.Errorf("stream %d: %w", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
+}
+
+func (d *daemon) replayStream(i int) error {
+	conn, err := net.Dial("tcp", d.addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	encode := ingest.EncodeFrame
+	if d.codec == ingest.CodecNDJSON {
+		encode = ingest.EncodeNDJSON
+	}
+	bw := bufio.NewWriterSize(conn, 64<<10)
+	var buf []byte
+	send := func(e ingest.Event) error {
+		e.Tenant, e.Session = d.sc.app, streamSession(i)
+		if buf, err = encode(buf[:0], e); err != nil {
+			return err
+		}
+		_, err = bw.Write(buf)
+		return err
+	}
+	step := max(d.sc.batch, 1)
+	for pass := 0; pass < d.sc.repeat; pass++ {
+		tr := d.traces[(i+pass)%len(d.traces)]
+		for lo := 0; lo < len(tr); lo += step {
+			if err := send(ingest.Event{Kind: ingest.KindObserve, Calls: tr[lo:min(lo+step, len(tr))]}); err != nil {
+				return err
+			}
+		}
+		if err := send(ingest.Event{Kind: ingest.KindFlush}); err != nil {
+			return err
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		return err
+	}
+	_, err = io.Copy(io.Discard, conn)
+	return err
+}
+
+// splitList splits a comma-separated flag value, dropping blanks.
+func splitList(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
+}

@@ -19,11 +19,9 @@ package adprom
 //	defer srv.Close()
 
 import (
-	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 
 	"adprom/internal/ingest"
 	"adprom/internal/obsv"
@@ -253,56 +251,21 @@ func EncodeIngestNDJSON(dst []byte, e IngestEvent) ([]byte, error) {
 }
 
 // NewFleetIntrospectionHandler builds the live introspection endpoint for a
-// fleet: GET /metrics (per-tenant Prometheus families plus the ingest
-// server's counters when srv is non-nil), /tenants (per-tenant stats as
-// JSON), /decisions?tenant=ID&limit=N (a tenant's recent judgement
-// provenance), /healthz and /readyz, and the net/http/pprof suite. Serve it
-// on a private address.
+// fleet: GET /metrics (every runtime family with a tenant label per resident
+// shard, the router's families, and the ingest server's counters when srv is
+// non-nil), /tenants (per-tenant stats as JSON), /decisions and /traces
+// (?tenant=ID&limit=N; the tenant may be omitted when the fleet knows
+// exactly one), /traces/{id} across every shard, /healthz and /readyz, and
+// the net/http/pprof suite. Serve it on a private address.
 func NewFleetIntrospectionHandler(f *Fleet, srv *IngestServer) http.Handler {
-	base := obsv.NewHandler(obsv.ServerConfig{
-		Metrics: func(w io.Writer) error {
+	cfg := f.Introspection()
+	if srv != nil {
+		cfg.Metrics = func(w io.Writer) error {
 			if err := f.WritePrometheus(w); err != nil {
 				return err
 			}
-			if srv != nil {
-				return srv.WritePrometheus(w)
-			}
-			return nil
-		},
-		Healthz: func() error { return nil },
-		Readyz:  f.Ready,
-	})
-	mux := http.NewServeMux()
-	mux.Handle("/", base)
-	mux.HandleFunc("/tenants", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(f.StatsAll())
-	})
-	mux.HandleFunc("/decisions", func(w http.ResponseWriter, r *http.Request) {
-		id := r.URL.Query().Get("tenant")
-		if id == "" {
-			http.Error(w, "missing tenant parameter", http.StatusBadRequest)
-			return
+			return srv.WritePrometheus(w)
 		}
-		limit := 100
-		if s := r.URL.Query().Get("limit"); s != "" {
-			n, err := strconv.Atoi(s)
-			if err != nil {
-				http.Error(w, "bad limit: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			limit = n
-		}
-		ds := f.Decisions(id, limit)
-		if ds == nil {
-			ds = []Decision{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(ds)
-	})
-	return mux
+	}
+	return obsv.NewHandler(cfg)
 }

@@ -198,12 +198,35 @@ func TestFleetSQLChannelEndToEnd(t *testing.T) {
 	}
 	metrics := string(body)
 	for _, want := range []string{
-		"# TYPE adprom_tenant_channel_alerts_total counter",
-		`adprom_tenant_channel_alerts_total{tenant="bank-a",channel="sql"} 1`,
-		`adprom_tenant_channel_alerts_total{tenant="bank-b",channel="sql"} 0`,
+		"# TYPE adprom_channel_alerts_total counter",
+		`adprom_channel_alerts_total{tenant="bank-a",channel="sql"} 1`,
+		`adprom_channel_alerts_total{tenant="bank-b",channel="sql"} 0`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+
+	// The fleet handler is the one introspection handler: tenant-scoped
+	// listings, including /traces, and a 400 naming the tenants when a
+	// two-tenant fleet is asked without one.
+	for path, want := range map[string]int{
+		"/decisions?tenant=bank-a": http.StatusOK,
+		"/traces?tenant=bank-a":    http.StatusOK,
+		"/traces/no-such-trace":    http.StatusNotFound,
+		"/decisions":               http.StatusBadRequest,
+	} {
+		resp, err := http.Get(h.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d %q, want %d", path, resp.StatusCode, body, want)
+		}
+		if want == http.StatusBadRequest && !(strings.Contains(string(body), "bank-a") && strings.Contains(string(body), "bank-b")) {
+			t.Errorf("GET %s refusal %q does not name the fleet's tenants", path, body)
 		}
 	}
 }

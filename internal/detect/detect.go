@@ -645,19 +645,3 @@ func (e *Engine) runJudgeHook(seq int, score float64, flagged bool) {
 		e.err = err
 	}
 }
-
-// Classify scores one label window against a profile and threshold: the
-// batch form used by the accuracy experiments (the callers and origins of
-// synthetic sequences are unknown, so only Normal/Anomalous/DL apply).
-func Classify(p *profile.Profile, threshold float64, window []string) (Flag, float64) {
-	score := p.Score(window)
-	if score >= threshold {
-		return FlagNormal, score
-	}
-	for _, l := range window {
-		if p.LeakLabels[l] {
-			return FlagDL, score
-		}
-	}
-	return FlagAnomalous, score
-}

@@ -199,37 +199,6 @@ func TestThresholdOverride(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	p, traces, _ := trainAppH(t)
-	normal := traces[0].LabelWindows(p.WindowLen)[0]
-	if flag, score := Classify(p, p.Threshold, normal); flag != FlagNormal || score < p.Threshold {
-		t.Errorf("normal window classified %v (%v)", flag, score)
-	}
-
-	foreign := make([]string, p.WindowLen)
-	for i := range foreign {
-		foreign[i] = "alien"
-	}
-	if flag, _ := Classify(p, p.Threshold, foreign); flag != FlagAnomalous {
-		t.Errorf("foreign window classified %v", flag)
-	}
-
-	// A leak label inside a low-probability window upgrades to DL.
-	var leak string
-	for l := range p.LeakLabels {
-		leak = l
-		break
-	}
-	if leak == "" {
-		t.Fatal("profile has no leak labels")
-	}
-	mixed := append([]string(nil), foreign...)
-	mixed[3] = leak
-	if flag, _ := Classify(p, p.Threshold, mixed); flag != FlagDL {
-		t.Errorf("leaky window classified %v", flag)
-	}
-}
-
 func TestShortTraceFlushJudgesOnce(t *testing.T) {
 	p, _, _ := trainAppH(t)
 	e := NewEngine(p)

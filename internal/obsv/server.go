@@ -12,20 +12,25 @@ import (
 	"adprom/internal/trace"
 )
 
-// ServerConfig wires the introspection handler to a live runtime without
-// obsv importing it: every hook is a plain function. Nil hooks disable the
-// corresponding endpoint (it answers 404).
+// ServerConfig wires the introspection handler to a live runtime or fleet
+// without obsv importing either: every hook is a plain function. Nil hooks
+// disable the corresponding endpoint (it answers 404).
 type ServerConfig struct {
 	// Metrics renders the Prometheus exposition for /metrics.
 	Metrics func(w io.Writer) error
 	// Decisions returns the most recent provenance records (newest first) for
-	// /decisions; limit ≤ 0 means everything retained.
-	Decisions func(limit int) []Decision
+	// /decisions; limit ≤ 0 means everything retained. tenant is the
+	// ?tenant= query parameter ("" when absent): a Runtime ignores it, a
+	// fleet uses it to pick a shard. An error (an ambiguous or missing
+	// tenant) answers 400 with its text.
+	Decisions func(tenant string, limit int) ([]Decision, error)
 	// Traces returns the most recent retained decision traces (newest first)
-	// for /traces; limit ≤ 0 means everything retained.
-	Traces func(limit int) []trace.Trace
+	// for /traces, with the same tenant and limit semantics as Decisions.
+	Traces func(tenant string, limit int) ([]trace.Trace, error)
 	// TraceByID resolves one decision trace for /traces/{id}.
 	TraceByID func(id string) (trace.Trace, bool)
+	// Tenants returns the per-tenant listing rendered as JSON on /tenants.
+	Tenants func() any
 	// Healthz reports process liveness: nil while the serving process is able
 	// to make progress at all.
 	Healthz func() error
@@ -37,63 +42,45 @@ type ServerConfig struct {
 // NewHandler builds the introspection endpoint: /metrics (Prometheus text
 // format), /decisions (recent provenance as JSON), /traces and /traces/{id}
 // (retained decision traces as JSON — the forensic feed behind adprom
-// explain), /healthz and /readyz (200 ok / 503 with the cause), and the
-// net/http/pprof suite under /debug/pprof/. GET / lists the routes.
+// explain), /tenants (a fleet's per-tenant stats as JSON), /healthz and
+// /readyz (200 ok / 503 with the cause), and the net/http/pprof suite under
+// /debug/pprof/. /decisions and /traces take ?limit=N (default 100) and
+// ?tenant=ID. GET / lists the wired routes.
 func NewHandler(cfg ServerConfig) http.Handler {
 	mux := http.NewServeMux()
+	var routes []string
+	handle := func(route, pattern string, h http.HandlerFunc) {
+		routes = append(routes, route)
+		mux.HandleFunc(pattern, h)
+	}
 	if cfg.Metrics != nil {
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		handle("/metrics", "/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := cfg.Metrics(w); err != nil {
-				// Headers are gone; all we can do is abort the body.
-				return
-			}
+			// On a write error the headers are gone; all we can do is abort
+			// the body.
+			_ = cfg.Metrics(w)
 		})
 	}
 	if cfg.Decisions != nil {
-		mux.HandleFunc("/decisions", func(w http.ResponseWriter, r *http.Request) {
-			limit := 100
-			if s := r.URL.Query().Get("limit"); s != "" {
-				n, err := strconv.Atoi(s)
-				if err != nil {
-					http.Error(w, "bad limit: "+err.Error(), http.StatusBadRequest)
-					return
-				}
-				limit = n
-			}
-			ds := cfg.Decisions(limit)
+		handle("/decisions?tenant=ID&limit=N", "/decisions", listing(func(tenant string, limit int) (any, error) {
+			ds, err := cfg.Decisions(tenant, limit)
 			if ds == nil {
 				ds = []Decision{}
 			}
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(ds)
-		})
+			return ds, err
+		}))
 	}
 	if cfg.Traces != nil {
-		mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
-			limit := 100
-			if s := r.URL.Query().Get("limit"); s != "" {
-				n, err := strconv.Atoi(s)
-				if err != nil {
-					http.Error(w, "bad limit: "+err.Error(), http.StatusBadRequest)
-					return
-				}
-				limit = n
-			}
-			trs := cfg.Traces(limit)
+		handle("/traces?tenant=ID&limit=N", "/traces", listing(func(tenant string, limit int) (any, error) {
+			trs, err := cfg.Traces(tenant, limit)
 			if trs == nil {
 				trs = []trace.Trace{}
 			}
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(trs)
-		})
+			return trs, err
+		}))
 	}
 	if cfg.TraceByID != nil {
-		mux.HandleFunc("/traces/", func(w http.ResponseWriter, r *http.Request) {
+		handle("/traces/{id}", "/traces/", func(w http.ResponseWriter, r *http.Request) {
 			id := strings.TrimPrefix(r.URL.Path, "/traces/")
 			if id == "" || strings.ContainsRune(id, '/') {
 				http.NotFound(w, r)
@@ -104,10 +91,12 @@ func NewHandler(cfg ServerConfig) http.Handler {
 				http.Error(w, "no such trace: "+id, http.StatusNotFound)
 				return
 			}
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(tr)
+			writeJSON(w, tr)
+		})
+	}
+	if cfg.Tenants != nil {
+		handle("/tenants", "/tenants", func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, cfg.Tenants())
 		})
 	}
 	probe := func(check func() error) http.HandlerFunc {
@@ -122,11 +111,12 @@ func NewHandler(cfg ServerConfig) http.Handler {
 		}
 	}
 	if cfg.Healthz != nil {
-		mux.HandleFunc("/healthz", probe(cfg.Healthz))
+		handle("/healthz", "/healthz", probe(cfg.Healthz))
 	}
 	if cfg.Readyz != nil {
-		mux.HandleFunc("/readyz", probe(cfg.Readyz))
+		handle("/readyz", "/readyz", probe(cfg.Readyz))
 	}
+	routes = append(routes, "/debug/pprof/")
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -139,9 +129,41 @@ func NewHandler(cfg ServerConfig) http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "adprom introspection endpoints:")
-		for _, route := range []string{"/metrics", "/decisions?limit=N", "/traces?limit=N", "/traces/{id}", "/healthz", "/readyz", "/debug/pprof/"} {
+		for _, route := range routes {
 			fmt.Fprintln(w, "  "+route)
 		}
 	})
 	return mux
+}
+
+// listing serves a tenant-scoped, limited JSON listing: ?limit=N (default
+// 100, ≤ 0 for everything retained) and ?tenant=ID are parsed here, and a
+// parse failure or a hook error answers 400.
+func listing(fetch func(tenant string, limit int) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		limit := 100
+		if s := q.Get("limit"); s != "" {
+			n, err := strconv.Atoi(s)
+			if err != nil {
+				http.Error(w, "bad limit: "+err.Error(), http.StatusBadRequest)
+				return
+			}
+			limit = n
+		}
+		v, err := fetch(q.Get("tenant"), limit)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		writeJSON(w, v)
+	}
+}
+
+// writeJSON renders v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }

@@ -57,11 +57,14 @@ func TestHandlerDecisions(t *testing.T) {
 		{Session: "s1", Seq: 4, Flag: "Normal"},
 	}
 	srv := testServer(t, ServerConfig{
-		Decisions: func(limit int) []Decision {
-			if limit > 0 && limit < len(recorded) {
-				return recorded[:limit]
+		Decisions: func(tenant string, limit int) ([]Decision, error) {
+			if tenant == "ghost" {
+				return nil, errors.New("tenant parameter names no tenant")
 			}
-			return recorded
+			if limit > 0 && limit < len(recorded) {
+				return recorded[:limit], nil
+			}
+			return recorded, nil
 		},
 	})
 
@@ -90,10 +93,15 @@ func TestHandlerDecisions(t *testing.T) {
 	if code, _, _ = get(t, srv.URL+"/decisions?limit=bogus"); code != http.StatusBadRequest {
 		t.Errorf("bad limit: status %d, want 400", code)
 	}
+	// The ?tenant= parameter reaches the hook, and a hook error is a 400
+	// carrying its text.
+	if code, body, _ = get(t, srv.URL+"/decisions?tenant=ghost"); code != http.StatusBadRequest || !strings.Contains(body, "names no tenant") {
+		t.Errorf("hook error: %d %q, want 400 with the error", code, body)
+	}
 }
 
 func TestHandlerDecisionsEmptyIsJSONArray(t *testing.T) {
-	srv := testServer(t, ServerConfig{Decisions: func(int) []Decision { return nil }})
+	srv := testServer(t, ServerConfig{Decisions: func(string, int) ([]Decision, error) { return nil, nil }})
 	_, body, _ := get(t, srv.URL+"/decisions")
 	if strings.TrimSpace(body) != "[]" {
 		t.Errorf("empty decision log rendered %q, want []", body)

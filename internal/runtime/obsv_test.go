@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"adprom/internal/collector"
 	"adprom/internal/detect"
 	"adprom/internal/metrics"
+	"adprom/internal/obsv"
 )
 
 // TestStatsStringGolden pins the full Stats.String rendering with every field
@@ -98,16 +100,22 @@ func TestStatsStringCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusCoversEveryCounter holds /metrics to the counters
-// snapshot: every CountersSnapshot field must be mapped to a family in
-// countersMetric, and every mapped family must appear in the rendered
-// exposition. Adding a counter without exporting it fails here.
+// TestWritePrometheusCoversEveryCounter holds both expositions to the
+// counters snapshot through one map: a lone Runtime's /metrics and a
+// fleet's, which renders every shard through WritePrometheusSet under a
+// tenant label. Every CountersSnapshot field must be mapped in
+// countersMetric and every entry must name a live field; every mapped
+// family must appear in both renderings; and the labelled rendering must
+// carry exactly the families of the unlabelled one, each once, with every
+// runtime sample labelled and attributed to its own runtime, not pooled.
+// Adding a counter without exporting it, or exporting a family only one
+// way, fails here.
 func TestWritePrometheusCoversEveryCounter(t *testing.T) {
 	typ := reflect.TypeOf(metrics.CountersSnapshot{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
 		if _, ok := countersMetric[name]; !ok {
-			t.Errorf("CountersSnapshot.%s has no entry in countersMetric; extend the map and WritePrometheus", name)
+			t.Errorf("CountersSnapshot.%s has no entry in countersMetric; extend the map and WritePrometheusSet", name)
 		}
 	}
 	for name := range countersMetric {
@@ -117,41 +125,118 @@ func TestWritePrometheusCoversEveryCounter(t *testing.T) {
 	}
 
 	p, traces := trainAppH(t)
-	rt := New(p, WithWorkers(2), WithQueueDepth(64))
-	defer rt.Close()
-	s := rt.Session("prom-test")
-	for _, c := range traces[0] {
-		if err := s.Observe(c); err != nil {
+	feed := func(rt *Runtime, tr collector.Trace) {
+		s := rt.Session("prom-test")
+		for _, c := range tr {
+			if err := s.Observe(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Flush(); err != nil {
+	rt := New(p, WithWorkers(2), WithQueueDepth(64))
+	defer rt.Close()
+	feed(rt, traces[0])
+	other := New(p, WithWorkers(1))
+	defer other.Close()
+	feed(other, traces[1])
+
+	var single, set, goRT bytes.Buffer
+	if err := rt.WritePrometheus(&single); err != nil {
 		t.Fatal(err)
+	}
+	if err := WritePrometheusSet(&set,
+		Labelled{Labels: [][2]string{{"tenant", "alpha"}}, Runtime: rt},
+		Labelled{Labels: [][2]string{{"tenant", "beta"}}, Runtime: other}); err != nil {
+		t.Fatal(err)
+	}
+	if err := obsv.WriteGoRuntimeProm(&goRT, obsv.BuildInfo{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []string{single.String(), set.String()} {
+		for field, family := range countersMetric {
+			if !strings.Contains(out, family) {
+				t.Errorf("family %q (CountersSnapshot.%s) missing from exposition", family, field)
+			}
+		}
+		for _, extra := range []string{
+			"adprom_profile_generation", "adprom_workers",
+			"adprom_queue_capacity", "adprom_queue_depth",
+			"adprom_decisions_recorded_total", "adprom_decisions_sampled_out_total",
+			"adprom_traces_stored_total", "adprom_traces_sampled_out_total",
+			"adprom_worker_queue_depth", "adprom_shed_rate",
+			"adprom_shed_estimated_miss_probability", "adprom_shed_engaged",
+			"adprom_shed_decisions_total",
+		} {
+			if !strings.Contains(out, "# TYPE "+extra+" ") {
+				t.Errorf("family %q missing from exposition", extra)
+			}
+		}
+		checkExposition(t, out)
 	}
 
-	var buf bytes.Buffer
-	if err := rt.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for field, family := range countersMetric {
-		if !strings.Contains(out, family) {
-			t.Errorf("family %q (CountersSnapshot.%s) missing from /metrics output", family, field)
+	// The labelled rendering carries the lone runtime's families, each once.
+	unlabelled, labelled, process := promFamilies(single.String()), promFamilies(set.String()), promFamilies(goRT.String())
+	for name := range unlabelled {
+		if labelled[name] != 1 {
+			t.Errorf("family %s rendered %d times on the labelled scrape, want once", name, labelled[name])
 		}
 	}
-	for _, extra := range []string{
-		"adprom_profile_generation", "adprom_workers",
-		"adprom_queue_capacity", "adprom_queue_depth",
-		"adprom_decisions_recorded_total", "adprom_decisions_sampled_out_total",
-		"adprom_worker_queue_depth", "adprom_shed_rate",
-		"adprom_shed_estimated_miss_probability", "adprom_shed_engaged",
-		"adprom_shed_decisions_total",
+	for name := range labelled {
+		if unlabelled[name] == 0 {
+			t.Errorf("family %s rendered only on the labelled scrape", name)
+		}
+	}
+	// Every sample of a runtime family (not the process-wide Go families)
+	// carries its runtime's label first.
+	for _, line := range strings.Split(strings.TrimRight(set.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if process[strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")] > 0 || process[name] > 0 {
+			continue
+		}
+		if !strings.HasPrefix(line, name+`{tenant="alpha"`) && !strings.HasPrefix(line, name+`{tenant="beta"`) {
+			t.Errorf("runtime sample without a tenant label: %q", line)
+		}
+	}
+	for _, want := range []string{
+		"adprom_calls_total " + strconv.Itoa(len(traces[0])) + "\n",
 	} {
-		if !strings.Contains(out, extra) {
-			t.Errorf("gauge %q missing from /metrics output", extra)
+		if !strings.Contains(single.String(), want) {
+			t.Errorf("lone runtime exposition lacks %q", want)
 		}
 	}
-	// Every sample line must be `name[{labels}] value` with a parseable value.
+	for _, want := range []string{
+		`adprom_calls_total{tenant="alpha"} ` + strconv.Itoa(len(traces[0])) + "\n",
+		`adprom_calls_total{tenant="beta"} ` + strconv.Itoa(len(traces[1])) + "\n",
+		`adprom_worker_queue_depth{tenant="alpha",worker="1"} `,
+		`adprom_alerts_total{tenant="beta",flag="DL"} `,
+	} {
+		if !strings.Contains(set.String(), want) {
+			t.Errorf("labelled exposition lacks %q", want)
+		}
+	}
+}
+
+// promFamilies counts the # TYPE headers per family in an exposition.
+func promFamilies(out string) map[string]int {
+	fams := map[string]int{}
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			fams[strings.Fields(rest)[0]]++
+		}
+	}
+	return fams
+}
+
+// checkExposition requires every sample line to be `name[{labels}] value`
+// with a parseable value.
+func checkExposition(t *testing.T, out string) {
+	t.Helper()
 	for ln, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
 		if strings.HasPrefix(line, "#") {
 			continue
@@ -165,9 +250,6 @@ func TestWritePrometheusCoversEveryCounter(t *testing.T) {
 				t.Fatalf("line %d: unparseable value %q: %v", ln+1, v, err)
 			}
 		}
-	}
-	if !strings.Contains(out, "adprom_calls_total "+strconv.Itoa(len(traces[0]))) {
-		t.Errorf("adprom_calls_total does not reflect the %d observed calls:\n%s", len(traces[0]), out)
 	}
 }
 

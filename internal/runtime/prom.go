@@ -1,8 +1,8 @@
 package runtime
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 
 	"adprom/internal/detect"
 	"adprom/internal/hmm"
@@ -12,10 +12,11 @@ import (
 )
 
 // countersMetric maps every metrics.CountersSnapshot field to the Prometheus
-// family it is exported under. The map is consulted by WritePrometheus's
-// test via reflection: adding a counter field without extending this map —
-// and the rendering below — fails CI instead of silently hiding the new
-// counter from /metrics.
+// family it is exported under — by a lone Runtime and, with a tenant label,
+// by every shard of a fleet, since both render through WritePrometheusSet.
+// The reflection test holds the map bidirectional: adding a counter field
+// without extending this map (and the rendering below) fails CI instead of
+// silently hiding the new counter from /metrics, and so does a stale entry.
 var countersMetric = map[string]string{
 	"Calls":          "adprom_calls_total",
 	"Dropped":        "adprom_dropped_total",
@@ -38,88 +39,159 @@ var countersMetric = map[string]string{
 	"SinkDelivery":   "adprom_sink_delivery_seconds",
 }
 
+// Labelled is one runtime on a shared scrape with the labels its samples
+// carry: none for a lone Runtime, {tenant} for each shard of a fleet.
+type Labelled struct {
+	Labels  [][2]string
+	Runtime *Runtime
+}
+
+// promSnap is one runtime's exposition input: its counters, shed state and
+// queue depths are snapshotted once per scrape.
+type promSnap struct {
+	labels [][2]string
+	rt     *Runtime
+	ctr    metrics.CountersSnapshot
+	shed   shed.Snapshot
+	depths []int
+}
+
+func (rt *Runtime) promSnap(labels [][2]string) promSnap {
+	s := promSnap{labels: labels, rt: rt, ctr: rt.ctr.Snapshot(), depths: rt.WorkerQueueDepths()}
+	if rt.shed != nil {
+		s.shed = rt.shed.Snapshot()
+	}
+	return s
+}
+
+// with returns labels plus one more pair, never aliasing labels' storage.
+func with(labels [][2]string, name, value string) [][2]string {
+	return append(labels[:len(labels):len(labels)], [2]string{name, value})
+}
+
 // WritePrometheus renders the runtime's counters, gauges, and latency
 // histograms in the Prometheus text exposition format — the body of the
 // introspection endpoint's /metrics.
 func (rt *Runtime) WritePrometheus(w io.Writer) error {
-	snap := rt.ctr.Snapshot()
+	return WritePrometheusSet(w, Labelled{Runtime: rt})
+}
+
+// WritePrometheusSet renders every runtime family once, with one labelled
+// sample set per runtime in rts, followed by the process-wide Go runtime and
+// build families. A fleet passes one {tenant} pair per resident shard, so
+// its scrape carries exactly the families of a lone Runtime under the same
+// names; with no runtimes the families keep their headers and carry no
+// samples.
+func WritePrometheusSet(w io.Writer, rts ...Labelled) error {
+	snaps := make([]promSnap, len(rts))
+	for i, l := range rts {
+		snaps[i] = l.Runtime.promSnap(l.Labels)
+	}
 	p := obsv.NewPromWriter(w)
-
-	p.Counter(countersMetric["Calls"], "Calls scored by detection workers.", float64(snap.Calls))
-	p.Counter(countersMetric["Dropped"], "Calls shed under queue pressure or after session failure.", float64(snap.Dropped))
-	p.Counter(countersMetric["Shed"], "Calls rejected by the risk-aware admission controller.", float64(snap.Shed))
-	p.Gauge(countersMetric["QueueHighWater"], "Lifetime maximum pending-call depth on any single worker queue.", float64(snap.QueueHighWater))
-	p.Family(countersMetric["Alerts"], "counter", "Alerts raised, by flag.")
-	for f := 0; f < metrics.NumFlags; f++ {
-		p.Sample(countersMetric["Alerts"],
-			[][2]string{{"flag", detect.Flag(f).String()}}, float64(snap.Alerts[f]))
+	m := countersMetric
+	family := func(name, typ, help string, val func(*promSnap) float64) {
+		p.Family(name, typ, help)
+		for i := range snaps {
+			p.Sample(name, snaps[i].labels, val(&snaps[i]))
+		}
 	}
-	p.Family(countersMetric["ChannelAlerts"], "counter", "Alert provenance by detection channel (one alert can count against several).")
-	for ch := 0; ch < metrics.NumChannels; ch++ {
-		p.Sample(countersMetric["ChannelAlerts"],
-			[][2]string{{"channel", detect.ChannelNames[ch]}}, float64(snap.ChannelAlerts[ch]))
+	counter := func(name, help string, val func(*promSnap) uint64) {
+		family(name, "counter", help, func(s *promSnap) float64 { return float64(val(s)) })
 	}
-	p.Gauge(countersMetric["ActiveSessions"], "Sessions currently open.", float64(snap.ActiveSessions))
-	p.Counter(countersMetric["SessionsOpened"], "Sessions opened since start.", float64(snap.SessionsOpened))
-	p.Counter(countersMetric["Panics"], "Panics recovered on detection workers.", float64(snap.Panics))
-	p.Counter(countersMetric["WorkerRestarts"], "Supervised worker restarts.", float64(snap.WorkerRestarts))
-	p.Counter(countersMetric["Quarantined"], "Sessions quarantined after a failure.", float64(snap.Quarantined))
-	p.Counter(countersMetric["SinkDropped"], "Alert deliveries shed by the async sink dispatcher.", float64(snap.SinkDropped))
-	p.Counter(countersMetric["SinkPanics"], "Panics recovered from the user's alert sink.", float64(snap.SinkPanics))
-	p.Counter(countersMetric["Swaps"], "Profile hot-swaps published.", float64(snap.Swaps))
-	p.Counter(countersMetric["EnginesRetired"], "Engines discarded for being a generation behind.", float64(snap.EnginesRetired))
-
+	gauge := func(name, help string, val func(*promSnap) float64) { family(name, "gauge", help, val) }
+	// byLabel renders a family with one sample per runtime and label value.
+	byLabel := func(name, typ, help, label string, values []string, val func(*promSnap, int) float64) {
+		p.Family(name, typ, help)
+		for i := range snaps {
+			for j, v := range values {
+				p.Sample(name, with(snaps[i].labels, label, v), val(&snaps[i], j))
+			}
+		}
+	}
 	// The histograms carry LatencyNanos (= Observe.Sum) as their _sum series.
-	p.Histogram(countersMetric["Observe"], "Per-call engine scoring latency.", snap.Observe)
-	p.Histogram(countersMetric["Flush"], "Flush/close op processing latency.", snap.Flush)
-	p.Histogram(countersMetric["SinkDelivery"], "Alert delivery duration at the user sink.", snap.SinkDelivery)
-
-	p.Gauge("adprom_profile_generation", "Serving profile generation (1 until the first swap).", float64(rt.cur.Load().gen))
-	p.Gauge("adprom_workers", "Detection worker count.", float64(rt.cfg.workers))
-	p.Gauge("adprom_queue_capacity", "Per-worker ingest queue capacity.", float64(rt.cfg.queueDepth))
-	depths := rt.WorkerQueueDepths()
-	depth := 0
-	p.Family("adprom_worker_queue_depth", "gauge", "Pending calls per worker ingest queue.")
-	for i, d := range depths {
-		depth += d
-		p.Sample("adprom_worker_queue_depth", [][2]string{{"worker", itoa(i)}}, float64(d))
+	histogram := func(name, help string, val func(*promSnap) metrics.HistogramSnapshot) {
+		p.Family(name, "histogram", help)
+		for i := range snaps {
+			p.HistogramSamples(name, snaps[i].labels, val(&snaps[i]))
+		}
 	}
-	p.Gauge("adprom_queue_depth", "Calls waiting across all worker queues.", float64(depth))
-	p.Counter("adprom_decisions_recorded_total", "Provenance decisions written into the ring.", float64(rt.rec.Recorded()))
-	p.Counter("adprom_decisions_sampled_out_total", "Unflagged judgements passed over by the 1-in-N sampler.", float64(rt.rec.Skipped()))
-	p.Counter("adprom_traces_stored_total", "Decision traces committed into the trace store (alerts plus sampled healthy traces).", float64(rt.traces.Stored()))
-	p.Counter("adprom_traces_sampled_out_total", "Healthy decision traces passed over by the trace sampling gate.", float64(rt.traces.SampledOut()))
+
+	counter(m["Calls"], "Calls scored by detection workers.", func(s *promSnap) uint64 { return s.ctr.Calls })
+	counter(m["Dropped"], "Calls shed under queue pressure or after session failure.", func(s *promSnap) uint64 { return s.ctr.Dropped })
+	counter(m["Shed"], "Calls rejected by the risk-aware admission controller.", func(s *promSnap) uint64 { return s.ctr.Shed })
+	gauge(m["QueueHighWater"], "Lifetime maximum pending-call depth on any single worker queue.",
+		func(s *promSnap) float64 { return float64(s.ctr.QueueHighWater) })
+	flags := make([]string, metrics.NumFlags)
+	for f := range flags {
+		flags[f] = detect.Flag(f).String()
+	}
+	byLabel(m["Alerts"], "counter", "Alerts raised, by flag.", "flag", flags,
+		func(s *promSnap, f int) float64 { return float64(s.ctr.Alerts[f]) })
+	byLabel(m["ChannelAlerts"], "counter", "Alert provenance by detection channel (one alert can count against several).",
+		"channel", detect.ChannelNames[:], func(s *promSnap, ch int) float64 { return float64(s.ctr.ChannelAlerts[ch]) })
+	gauge(m["ActiveSessions"], "Sessions currently open.", func(s *promSnap) float64 { return float64(s.ctr.ActiveSessions) })
+	counter(m["SessionsOpened"], "Sessions opened since start.", func(s *promSnap) uint64 { return s.ctr.SessionsOpened })
+	counter(m["Panics"], "Panics recovered on detection workers.", func(s *promSnap) uint64 { return s.ctr.Panics })
+	counter(m["WorkerRestarts"], "Supervised worker restarts.", func(s *promSnap) uint64 { return s.ctr.WorkerRestarts })
+	counter(m["Quarantined"], "Sessions quarantined after a failure.", func(s *promSnap) uint64 { return s.ctr.Quarantined })
+	counter(m["SinkDropped"], "Alert deliveries shed by the async sink dispatcher.", func(s *promSnap) uint64 { return s.ctr.SinkDropped })
+	counter(m["SinkPanics"], "Panics recovered from the user's alert sink.", func(s *promSnap) uint64 { return s.ctr.SinkPanics })
+	counter(m["Swaps"], "Profile hot-swaps published.", func(s *promSnap) uint64 { return s.ctr.Swaps })
+	counter(m["EnginesRetired"], "Engines discarded for being a generation behind.", func(s *promSnap) uint64 { return s.ctr.EnginesRetired })
+
+	histogram(m["Observe"], "Engine scoring latency per call. An observe op of n calls records its mean per-call latency n times, "+
+		"so for batched ops the quantiles are quantiles of per-op means, not of single calls.",
+		func(s *promSnap) metrics.HistogramSnapshot { return s.ctr.Observe })
+	histogram(m["Flush"], "Flush/close op processing latency.", func(s *promSnap) metrics.HistogramSnapshot { return s.ctr.Flush })
+	histogram(m["SinkDelivery"], "Alert delivery duration at the user sink.", func(s *promSnap) metrics.HistogramSnapshot { return s.ctr.SinkDelivery })
+
+	gauge("adprom_profile_generation", "Serving profile generation (1 until the first swap).",
+		func(s *promSnap) float64 { return float64(s.rt.cur.Load().gen) })
+	gauge("adprom_workers", "Detection worker count.", func(s *promSnap) float64 { return float64(s.rt.cfg.workers) })
+	gauge("adprom_queue_capacity", "Per-worker ingest queue capacity.", func(s *promSnap) float64 { return float64(s.rt.cfg.queueDepth) })
+	p.Family("adprom_worker_queue_depth", "gauge", "Pending calls per worker ingest queue.")
+	for i := range snaps {
+		for wk, d := range snaps[i].depths {
+			p.Sample("adprom_worker_queue_depth", with(snaps[i].labels, "worker", strconv.Itoa(wk)), float64(d))
+		}
+	}
+	gauge("adprom_queue_depth", "Calls waiting across all worker queues.", func(s *promSnap) float64 {
+		depth := 0
+		for _, d := range s.depths {
+			depth += d
+		}
+		return float64(depth)
+	})
+	counter("adprom_decisions_recorded_total", "Provenance decisions written into the ring.", func(s *promSnap) uint64 { return s.rt.rec.Recorded() })
+	counter("adprom_decisions_sampled_out_total", "Unflagged judgements passed over by the 1-in-N sampler.",
+		func(s *promSnap) uint64 { return s.rt.rec.Skipped() })
+	counter("adprom_traces_stored_total", "Decision traces committed into the trace store (alerts plus sampled healthy traces).",
+		func(s *promSnap) uint64 { return s.rt.traces.Stored() })
+	counter("adprom_traces_sampled_out_total", "Healthy decision traces passed over by the trace sampling gate.",
+		func(s *promSnap) uint64 { return s.rt.traces.SampledOut() })
 
 	// Risk-aware shedding gauges: rendered whether or not ShedByRisk is
 	// active, so dashboards keyed on them never see the family disappear.
-	var ss shed.Snapshot
-	if rt.shed != nil {
-		ss = rt.shed.Snapshot()
-	}
-	shedRate := 0.0
-	if snap.Shed > 0 {
-		shedRate = float64(snap.Shed) / float64(snap.Shed+snap.Calls)
-	}
-	p.Gauge("adprom_shed_rate", "Fraction of offered calls rejected by risk-aware admission.", shedRate)
-	p.Gauge("adprom_shed_estimated_miss_probability", "Estimated fraction of alert evidence lost to shedding (shed risk mass over total).", ss.MissProbability)
-	engaged := 0.0
-	if ss.Engaged {
-		engaged = 1
-	}
-	p.Gauge("adprom_shed_engaged", "Whether any worker's admission controller is currently shedding (1) or passing everything (0).", engaged)
-	p.Counter("adprom_shed_decisions_total", "Admission decisions that rejected an op.", float64(ss.ShedDecisions))
+	gauge("adprom_shed_rate", "Fraction of offered calls rejected by risk-aware admission.", func(s *promSnap) float64 {
+		if s.ctr.Shed == 0 {
+			return 0
+		}
+		return float64(s.ctr.Shed) / float64(s.ctr.Shed+s.ctr.Calls)
+	})
+	gauge("adprom_shed_estimated_miss_probability", "Estimated fraction of alert evidence lost to shedding (shed risk mass over total).",
+		func(s *promSnap) float64 { return s.shed.MissProbability })
+	gauge("adprom_shed_engaged", "Whether any worker's admission controller is currently shedding (1) or passing everything (0).",
+		func(s *promSnap) float64 {
+			if s.shed.Engaged {
+				return 1
+			}
+			return 0
+		})
+	counter("adprom_shed_decisions_total", "Admission decisions that rejected an op.", func(s *promSnap) uint64 { return s.shed.ShedDecisions })
 	if err := p.Err(); err != nil {
 		return err
 	}
 	// Process-level Go runtime health and build provenance ride on the same
-	// scrape; rendered here (not per-tenant) so they appear exactly once.
+	// scrape, rendered once whatever the number of runtimes.
 	return obsv.WriteGoRuntimeProm(w, obsv.BuildInfo{ScorerDispatch: hmm.KernelName()})
-}
-
-// itoa is a tiny allocation-light strconv.Itoa for small worker indices.
-func itoa(i int) string {
-	if i >= 0 && i < 10 {
-		return string([]byte{'0' + byte(i)})
-	}
-	return fmt.Sprintf("%d", i)
 }

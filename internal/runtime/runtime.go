@@ -1992,11 +1992,6 @@ func (rt *Runtime) Histograms() Histograms {
 	return Histograms{Observe: snap.Observe, Flush: snap.Flush, SinkDelivery: snap.SinkDelivery}
 }
 
-// CountersSnapshot exposes the raw counters snapshot — the tenant router's
-// per-shard Prometheus exposition renders it under tenant labels, holding
-// the same every-field reflection guard the single-runtime /metrics does.
-func (rt *Runtime) CountersSnapshot() metrics.CountersSnapshot { return rt.ctr.Snapshot() }
-
 // Decisions returns up to limit of the most recent provenance records,
 // newest first (limit ≤ 0 returns everything retained). Empty when the
 // decision log was disabled with WithDecisionLog(-1, 0).
@@ -2023,6 +2018,21 @@ func (rt *Runtime) Traces(limit int) []trace.Trace { return rt.traces.Traces(lim
 
 // TraceByID returns the retained decision trace with the given ID.
 func (rt *Runtime) TraceByID(id string) (trace.Trace, bool) { return rt.traces.TraceByID(id) }
+
+// Introspection wires the runtime into obsv.NewHandler: /metrics,
+// /decisions, /traces, /traces/{id}, /healthz and /readyz. A runtime serves
+// one profile, so the hooks ignore the ?tenant= parameter. Liveness is the
+// process answering at all; readiness is Ready.
+func (rt *Runtime) Introspection() obsv.ServerConfig {
+	return obsv.ServerConfig{
+		Metrics:   rt.WritePrometheus,
+		Decisions: func(_ string, limit int) ([]obsv.Decision, error) { return rt.Decisions(limit), nil },
+		Traces:    func(_ string, limit int) ([]trace.Trace, error) { return rt.Traces(limit), nil },
+		TraceByID: rt.TraceByID,
+		Healthz:   func() error { return nil },
+		Readyz:    rt.Ready,
+	}
+}
 
 // Ready reports nil while the runtime serves ingest: workers supervised, a
 // profile generation published, and Close not yet begun. The introspection

@@ -1,87 +1,22 @@
 package tenant
 
 import (
+	"fmt"
 	"io"
 	"sort"
+	"strings"
 
-	"adprom/internal/detect"
-	"adprom/internal/hmm"
-	"adprom/internal/metrics"
 	"adprom/internal/obsv"
+	"adprom/internal/runtime"
+	"adprom/internal/trace"
 )
 
-// tenantMetric maps every metrics.CountersSnapshot field to the per-tenant
-// Prometheus family its values are exported under (each sample carries a
-// tenant label). Like the runtime's countersMetric, the map is held
-// bidirectional by a reflection test: a counter added to CountersSnapshot
-// without an entry here — and a rendering below — fails CI instead of
-// silently missing per-tenant exposition, and a stale entry for a removed
-// field fails the same test.
-var tenantMetric = map[string]string{
-	"Calls":          "adprom_tenant_calls_total",
-	"Dropped":        "adprom_tenant_dropped_total",
-	"Shed":           "adprom_tenant_shed_calls_total",
-	"QueueHighWater": "adprom_tenant_queue_high_water",
-	"Alerts":         "adprom_tenant_alerts_total",
-	"ChannelAlerts":  "adprom_tenant_channel_alerts_total",
-	"LatencyNanos":   "adprom_tenant_observe_latency_seconds_sum",
-	"ActiveSessions": "adprom_tenant_active_sessions",
-	"SessionsOpened": "adprom_tenant_sessions_opened_total",
-	"Panics":         "adprom_tenant_panics_total",
-	"WorkerRestarts": "adprom_tenant_worker_restarts_total",
-	"Quarantined":    "adprom_tenant_quarantined_sessions_total",
-	"SinkDropped":    "adprom_tenant_sink_dropped_total",
-	"SinkPanics":     "adprom_tenant_sink_panics_total",
-	"Swaps":          "adprom_tenant_profile_swaps_total",
-	"EnginesRetired": "adprom_tenant_engines_retired_total",
-	"Observe":        "adprom_tenant_observe_latency_seconds",
-	"Flush":          "adprom_tenant_flush_latency_seconds",
-	"SinkDelivery":   "adprom_tenant_sink_delivery_seconds",
-}
-
-// tenantSnap is one tenant's exposition input, snapshotted once per scrape.
-type tenantSnap struct {
-	id         string
-	ctr        metrics.CountersSnapshot
-	generation uint64
-	queueDepth int
-	shedRate   float64
-}
-
 // WritePrometheus renders the fleet's metrics in the Prometheus text
-// exposition format: router-level counters (resident shards, loads,
-// evictions, refusals) plus every shard's full counter set under
-// {tenant="..."} labels — one family header per family, one labelled sample
-// set per tenant, so dashboards slice any runtime metric by protected
-// program.
+// exposition format: the router-level families (resident shards, loads,
+// evictions, refusals), then every runtime family once under the names a
+// lone Runtime exports, with one {tenant="..."} sample set per resident
+// shard, so dashboards slice any runtime metric by protected program.
 func (r *Router) WritePrometheus(w io.Writer) error {
-	r.mu.RLock()
-	shards := make([]*Shard, 0, len(r.shards))
-	for _, sh := range r.shards {
-		shards = append(shards, sh)
-	}
-	r.mu.RUnlock()
-	sort.Slice(shards, func(i, j int) bool { return shards[i].id < shards[j].id })
-	snaps := make([]tenantSnap, 0, len(shards))
-	for _, sh := range shards {
-		ctr := sh.rt.CountersSnapshot()
-		shedRate := 0.0
-		if ctr.Shed > 0 {
-			shedRate = float64(ctr.Shed) / float64(ctr.Shed+ctr.Calls)
-		}
-		depth := 0
-		for _, d := range sh.rt.WorkerQueueDepths() {
-			depth += d
-		}
-		snaps = append(snaps, tenantSnap{
-			id:         sh.id,
-			ctr:        ctr,
-			generation: sh.rt.Generation(),
-			queueDepth: depth,
-			shedRate:   shedRate,
-		})
-	}
-
 	p := obsv.NewPromWriter(w)
 	rs := r.Stats()
 	p.Gauge("adprom_tenants_active", "Tenant shards currently resident.", float64(rs.ActiveTenants))
@@ -89,82 +24,66 @@ func (r *Router) WritePrometheus(w io.Writer) error {
 	p.Counter("adprom_tenant_evictions_total", "Tenant shards evicted by the LRU cap.", float64(rs.Evictions))
 	p.Counter("adprom_tenant_unknown_total", "Routes refused for an unknown tenant.", float64(rs.UnknownTenant))
 	p.Counter("adprom_tenant_quota_rejected_total", "Sessions refused by the per-tenant quota.", float64(rs.QuotaRejected))
-
-	label := func(id string) [][2]string { return [][2]string{{"tenant", id}} }
-	counter := func(field, help string, val func(tenantSnap) float64) {
-		p.Family(tenantMetric[field], "counter", help)
-		for _, s := range snaps {
-			p.Sample(tenantMetric[field], label(s.id), val(s))
-		}
-	}
-	gauge := func(field, help string, val func(tenantSnap) float64) {
-		p.Family(tenantMetric[field], "gauge", help)
-		for _, s := range snaps {
-			p.Sample(tenantMetric[field], label(s.id), val(s))
-		}
-	}
-
-	counter("Calls", "Calls scored, by tenant.", func(s tenantSnap) float64 { return float64(s.ctr.Calls) })
-	counter("Dropped", "Calls shed under queue pressure or after session failure, by tenant.", func(s tenantSnap) float64 { return float64(s.ctr.Dropped) })
-	counter("Shed", "Calls rejected by risk-aware admission, by tenant.", func(s tenantSnap) float64 { return float64(s.ctr.Shed) })
-	gauge("QueueHighWater", "Lifetime maximum pending-call depth on any of the tenant's worker queues.", func(s tenantSnap) float64 { return float64(s.ctr.QueueHighWater) })
-
-	p.Family(tenantMetric["Alerts"], "counter", "Alerts raised, by tenant and flag.")
-	for _, s := range snaps {
-		for f := 0; f < metrics.NumFlags; f++ {
-			p.Sample(tenantMetric["Alerts"],
-				[][2]string{{"tenant", s.id}, {"flag", detect.Flag(f).String()}},
-				float64(s.ctr.Alerts[f]))
-		}
-	}
-
-	p.Family(tenantMetric["ChannelAlerts"], "counter", "Alert provenance by tenant and detection channel (one alert can count against several).")
-	for _, s := range snaps {
-		for ch := 0; ch < metrics.NumChannels; ch++ {
-			p.Sample(tenantMetric["ChannelAlerts"],
-				[][2]string{{"tenant", s.id}, {"channel", detect.ChannelNames[ch]}},
-				float64(s.ctr.ChannelAlerts[ch]))
-		}
-	}
-
-	gauge("ActiveSessions", "Sessions currently open, by tenant.", func(s tenantSnap) float64 { return float64(s.ctr.ActiveSessions) })
-	counter("SessionsOpened", "Sessions opened since shard load, by tenant.", func(s tenantSnap) float64 { return float64(s.ctr.SessionsOpened) })
-	counter("Panics", "Panics recovered on the tenant's detection workers.", func(s tenantSnap) float64 { return float64(s.ctr.Panics) })
-	counter("WorkerRestarts", "Supervised worker restarts, by tenant.", func(s tenantSnap) float64 { return float64(s.ctr.WorkerRestarts) })
-	counter("Quarantined", "Sessions quarantined after a failure, by tenant.", func(s tenantSnap) float64 { return float64(s.ctr.Quarantined) })
-	counter("SinkDropped", "Alert deliveries shed by the tenant's sink dispatcher.", func(s tenantSnap) float64 { return float64(s.ctr.SinkDropped) })
-	counter("SinkPanics", "Panics recovered from the tenant's alert sink.", func(s tenantSnap) float64 { return float64(s.ctr.SinkPanics) })
-	counter("Swaps", "Profile hot-swaps published, by tenant.", func(s tenantSnap) float64 { return float64(s.ctr.Swaps) })
-	counter("EnginesRetired", "Engines discarded for being a generation behind, by tenant.", func(s tenantSnap) float64 { return float64(s.ctr.EnginesRetired) })
-
-	// The per-tenant histograms carry LatencyNanos (= Observe.Sum) as their
-	// _sum series, exactly like the single-runtime exposition.
-	hist := func(field, help string, val func(tenantSnap) metrics.HistogramSnapshot) {
-		p.Family(tenantMetric[field], "histogram", help)
-		for _, s := range snaps {
-			p.HistogramSamples(tenantMetric[field], label(s.id), val(s))
-		}
-	}
-	hist("Observe", "Per-call engine scoring latency, by tenant.", func(s tenantSnap) metrics.HistogramSnapshot { return s.ctr.Observe })
-	hist("Flush", "Flush/close op processing latency, by tenant.", func(s tenantSnap) metrics.HistogramSnapshot { return s.ctr.Flush })
-	hist("SinkDelivery", "Alert delivery duration at the tenant's sink.", func(s tenantSnap) metrics.HistogramSnapshot { return s.ctr.SinkDelivery })
-
-	p.Family("adprom_tenant_generation", "gauge", "Serving profile generation, by tenant.")
-	for _, s := range snaps {
-		p.Sample("adprom_tenant_generation", label(s.id), float64(s.generation))
-	}
-	p.Family("adprom_tenant_queue_depth", "gauge", "Calls waiting across the tenant's worker queues.")
-	for _, s := range snaps {
-		p.Sample("adprom_tenant_queue_depth", label(s.id), float64(s.queueDepth))
-	}
-	p.Family("adprom_tenant_shed_rate", "gauge", "Fraction of the tenant's offered calls rejected by risk-aware admission.")
-	for _, s := range snaps {
-		p.Sample("adprom_tenant_shed_rate", label(s.id), s.shedRate)
-	}
 	if err := p.Err(); err != nil {
 		return err
 	}
-	// Shards share one process: Go runtime health and build provenance are
-	// rendered once here, never per tenant.
-	return obsv.WriteGoRuntimeProm(w, obsv.BuildInfo{ScorerDispatch: hmm.KernelName()})
+	shards := r.resident()
+	set := make([]runtime.Labelled, len(shards))
+	for i, sh := range shards {
+		set[i] = runtime.Labelled{Labels: [][2]string{{"tenant", sh.id}}, Runtime: sh.rt}
+	}
+	return runtime.WritePrometheusSet(w, set...)
+}
+
+// Introspection wires the fleet into obsv.NewHandler: the fleet's /metrics,
+// /tenants (per-tenant stats as JSON), /decisions and /traces scoped by
+// ?tenant=, /traces/{id} searched across every resident shard, and the
+// probes. A fleet that knows exactly one tenant answers /decisions and
+// /traces without ?tenant=; any other fleet answers 400 naming its tenants.
+func (r *Router) Introspection() obsv.ServerConfig {
+	return obsv.ServerConfig{
+		Metrics: r.WritePrometheus,
+		Decisions: func(tenant string, limit int) ([]obsv.Decision, error) {
+			id, err := r.queryTenant(tenant)
+			if err != nil {
+				return nil, err
+			}
+			return r.Decisions(id, limit), nil
+		},
+		Traces: func(tenant string, limit int) ([]trace.Trace, error) {
+			id, err := r.queryTenant(tenant)
+			if err != nil {
+				return nil, err
+			}
+			return r.Traces(id, limit), nil
+		},
+		TraceByID: r.TraceByID,
+		Tenants:   func() any { return r.StatsAll() },
+		Healthz:   func() error { return nil },
+		Readyz:    r.Ready,
+	}
+}
+
+// queryTenant resolves the tenant an introspection query addresses: the one
+// it names, else the fleet's only known tenant (static or resident).
+func (r *Router) queryTenant(id string) (string, error) {
+	if id != "" {
+		return id, nil
+	}
+	known := map[string]bool{}
+	for id := range r.cfg.Static {
+		known[id] = true
+	}
+	for _, sh := range r.resident() {
+		known[sh.id] = true
+	}
+	ids := make([]string, 0, len(known))
+	for id := range known {
+		ids = append(ids, id)
+	}
+	if len(ids) == 1 {
+		return ids[0], nil
+	}
+	sort.Strings(ids)
+	return "", fmt.Errorf("tenant parameter required: this fleet serves %d tenants [%s]", len(ids), strings.Join(ids, " "))
 }

@@ -363,13 +363,7 @@ func (r *Router) Traces(tenant string, limit int) []trace.Trace {
 // the forensic lookup behind /traces/{id} and adprom explain, where the
 // operator holds a trace ID but not necessarily the tenant it belongs to.
 func (r *Router) TraceByID(id string) (trace.Trace, bool) {
-	r.mu.RLock()
-	shards := make([]*Shard, 0, len(r.shards))
-	for _, sh := range r.shards {
-		shards = append(shards, sh)
-	}
-	r.mu.RUnlock()
-	for _, sh := range shards {
+	for _, sh := range r.resident() {
 		if tr, ok := sh.rt.TraceByID(id); ok {
 			return tr, true
 		}
@@ -414,15 +408,25 @@ func (r *Router) SwapProfile(tenant string, next *profile.Profile) (uint64, erro
 	return sh.rt.SwapProfile(next)
 }
 
-// Tenants returns the resident tenant ids, sorted.
-func (r *Router) Tenants() []string {
+// resident snapshots the resident shards, sorted by tenant id.
+func (r *Router) resident() []*Shard {
 	r.mu.RLock()
-	out := make([]string, 0, len(r.shards))
-	for id := range r.shards {
-		out = append(out, id)
+	shards := make([]*Shard, 0, len(r.shards))
+	for _, sh := range r.shards {
+		shards = append(shards, sh)
 	}
 	r.mu.RUnlock()
-	sort.Strings(out)
+	sort.Slice(shards, func(i, j int) bool { return shards[i].id < shards[j].id })
+	return shards
+}
+
+// Tenants returns the resident tenant ids, sorted.
+func (r *Router) Tenants() []string {
+	shards := r.resident()
+	out := make([]string, len(shards))
+	for i, sh := range shards {
+		out[i] = sh.id
+	}
 	return out
 }
 
@@ -460,13 +464,7 @@ func (r *Router) TenantStats(tenant string) (Stats, bool) {
 
 // StatsAll snapshots every resident tenant, sorted by tenant id.
 func (r *Router) StatsAll() []Stats {
-	r.mu.RLock()
-	shards := make([]*Shard, 0, len(r.shards))
-	for _, sh := range r.shards {
-		shards = append(shards, sh)
-	}
-	r.mu.RUnlock()
-	sort.Slice(shards, func(i, j int) bool { return shards[i].id < shards[j].id })
+	shards := r.resident()
 	out := make([]Stats, len(shards))
 	for i, sh := range shards {
 		out[i] = Stats{Tenant: sh.id, Runtime: sh.rt.Stats()}
