@@ -73,24 +73,29 @@ func BenchmarkStreamPush(b *testing.B) {
 	}
 }
 
-// BenchmarkBaumWelchIteration measures one training pass over 100 windows.
+// BenchmarkBaumWelchIteration measures one training pass over 100 windows of
+// 15 calls, the detector's window length, at the bundled apph, appb and apps
+// profiles' 46, 53 and 62 states and at 100.
 func BenchmarkBaumWelchIteration(b *testing.B) {
-	model, _ := benchModel(100, 40)
-	r := rand.New(rand.NewSource(3))
-	seqs := make([][]int, 100)
-	for i := range seqs {
-		s := make([]int, 15)
-		for j := range s {
-			s[j] = r.Intn(40)
+	for _, n := range []int{46, 53, 62, 100} {
+		model, _ := benchModel(n, 40)
+		r := rand.New(rand.NewSource(3))
+		seqs := make([][]int, 100)
+		for i := range seqs {
+			s := make([]int, 15)
+			for j := range s {
+				s[j] = r.Intn(40)
+			}
+			seqs[i] = s
 		}
-		seqs[i] = s
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := model.Clone()
-		if _, err := m.Train(seqs, TrainOptions{MaxIters: 1}); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(itoa(n)+"states", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m := model.Clone()
+				if _, err := m.Train(seqs, TrainOptions{MaxIters: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

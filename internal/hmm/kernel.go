@@ -27,6 +27,28 @@ package hmm
 // with all-zero transition/emission columns: padded lanes contribute exactly
 // nothing to any dot or scale sum, so the vector kernels run unmasked
 // full-width blocks with no tail cases.
+//
+// Baum–Welch training (Model.reestimate, train.go) pins its order to the
+// textbook recurrences instead, and its kernels keep it the same way: each
+// lane is one unfused sequential chain of the Go level's loop, and no chain
+// is ever split across lanes.
+//
+//   - Backward sweep (backward): one lane per source state i over the padded
+//     transposed slab; the lane sums (A[i][j]·b_j)·β_{t+1}[j] over
+//     destination states j in ascending order, then divides by the step's
+//     scale.
+//   - ξ normalisers (xiNorms): one lane per step, up to xiLanes steps of a
+//     sequence at once over transposed n×xiLanes blocks; the lane sums
+//     ((α_t[i]·A[i][j])·b_j)·β_{t+1}[j] over (i, j) in ascending row-major
+//     order.
+//   - ξ sums (xiAccum): one lane per destination state j; each term
+//     (((α_t[i]·A[i][j])·b_j)·β_{t+1}[j]) / ξnorm is a true division, added
+//     to aNum[i][j] step by step, for every row with α_t[i] ≠ 0.
+//
+// Padded lanes there may hold Inf or NaN (β of a zero-probability window),
+// so they are kept out of every live chain rather than relied on to add
+// zero: backward and xiAccum store them only into padded outputs, and
+// xiNorms reads live states only.
 
 const scaleLanes = 8
 
@@ -66,13 +88,13 @@ func emitScale(next, bcol []float64) float64 {
 	return reduceLanes(&s)
 }
 
-// forwardDotsGo computes next[j] = Σ_i alpha[i]·at[j*n+i] for every
-// destination state j, walking the transposed transition matrix so the inner
+// forwardDotsGo computes next[j] = Σ_i alpha[i]·at[j*np+i] for every
+// destination state j, walking the transposed transition slab so the inner
 // reduction is contiguous. Reduction order per j is the canonical ascending-i
 // chain.
-func forwardDotsGo(alpha, at, next []float64, n int) {
+func forwardDotsGo(alpha, at, next []float64, n, np int) {
 	for j := 0; j < n; j++ {
-		row := at[j*n : j*n+n : j*n+n]
+		row := at[j*np : j*np+n : j*np+n]
 		var s float64
 		for i, a := range alpha {
 			s += a * row[i]
@@ -98,7 +120,7 @@ func (s *Scorer) step(alpha, bcol, next []float64) float64 {
 		forwardDotsAVX2(&alpha[0], &s.a[0], &next[0], s.n, s.np)
 		return emitScale(next[:s.n], bcol)
 	default:
-		forwardDotsGo(alpha[:s.n], s.at, next, s.n)
+		forwardDotsGo(alpha[:s.n], s.at, next, s.n, s.np)
 		return emitScale(next[:s.n], bcol)
 	}
 }

@@ -34,6 +34,39 @@ func fusedStepAVX512(alphas *[groupMax]*float64, a, bcol, next *float64, scales 
 //go:noescape
 func forwardDotsAVX2(alpha, a, next *float64, n, np int)
 
+// Training kernels for the Baum–Welch E-step (train.go); kernel.go's header
+// gives the lane layout and order each one keeps.
+
+// backwardAVX512 and backwardAVX2 store cur[i] = (Σ_j (at[j*np+i]·bcol[j])·
+// next[j]) / scale for all np padded source states i over the n×np
+// transposed slab at, summing over destination states j in ascending order.
+//
+//go:noescape
+func backwardAVX512(next, at, bcol, cur *float64, scale float64, n, np int)
+
+//go:noescape
+func backwardAVX2(next, at, bcol, cur *float64, scale float64, n, np int)
+
+// xiNormsAVX512 and xiNormsAVX2 store in norms[l] the chain
+// Σ_i Σ_j ((aT[i*8+l]·a[i*np+j])·bT[j*8+l])·betaT[j*8+l], ascending in i
+// then j, for each of the xiLanes lanes l of the transposed n×8 blocks.
+//
+//go:noescape
+func xiNormsAVX512(aT, a, bT, betaT *float64, norms *[xiLanes]float64, n, np int)
+
+//go:noescape
+func xiNormsAVX2(aT, a, bT, betaT *float64, norms *[xiLanes]float64, n, np int)
+
+// xiAccumAVX512 and xiAccumAVX2 add (((alpha[i]·a[i*np+j])·bcol[j])·
+// next[j]) / xiNorm to aNum[i*np+j] for all np padded destination states j
+// of every row i < n with alpha[i] ≠ 0.
+//
+//go:noescape
+func xiAccumAVX512(alpha, a, bcol, next, aNum *float64, xiNorm float64, n, np int)
+
+//go:noescape
+func xiAccumAVX2(alpha, a, bcol, next, aNum *float64, xiNorm float64, n, np int)
+
 // cpuidRaw executes CPUID with the given leaf/subleaf; xgetbv0 reads XCR0.
 func cpuidRaw(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)

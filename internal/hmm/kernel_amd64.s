@@ -384,6 +384,360 @@ a2_i:
 	VZEROUPPER
 	RET
 
+// Baum–Welch E-step kernels (train.go). Each lane replays one chain of the
+// Go level's loops in its order, unfused: the backward sweep runs one lane
+// per source state i over the padded transposed slab, the ξ sums one lane
+// per destination state j over the padded row-major slab, and the ξ
+// normalisers one lane per step over transposed n×8 blocks. Padded lanes of
+// the first two only ever reach padded outputs.
+
+// BWACC folds destination state j into one 8-lane block of backward chains:
+// ACC += (at_block·b_j)·β_{t+1}[j], with b_j in Z4 and β_{t+1}[j] in Z5.
+#define BWACC(SRC, T, ACC) \
+	VMULPD SRC, Z4, T; \
+	VMULPD Z5, T, T; \
+	VADDPD T, ACC, ACC
+
+// func backwardAVX512(next, at, bcol, cur *float64, scale float64, n, np int)
+//
+// cur[i] = (Σ_j (at[j*np+i]·bcol[j])·next[j]) / scale for all np padded
+// source states i. Source states are covered by passes of 32 (4 zmm blocks,
+// four independent chains) and the np%32 remainder (0 or 16) by one pass of
+// 2 blocks.
+TEXT ·backwardAVX512(SB), NOSPLIT, $0-56
+	MOVQ next+0(FP), DI
+	MOVQ at+8(FP), SI
+	MOVQ bcol+16(FP), DX
+	MOVQ cur+24(FP), R8
+	VBROADCASTSD scale+32(FP), Z15
+	MOVQ n+40(FP), R9
+	MOVQ np+48(FP), BX
+	MOVQ BX, R13
+	SHLQ $3, R13              // row stride in bytes
+	XORQ R10, R10             // ib: first source state of the pass
+
+bw_check:
+	MOVQ BX, CX
+	SUBQ R10, CX              // padded states remaining
+	CMPQ CX, $32
+	JLT bw_tail
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	LEAQ (SI)(R10*8), R12     // &at[0*np + ib]
+	XORQ R11, R11             // j
+
+bw_j:
+	VBROADCASTSD (DX)(R11*8), Z4
+	VBROADCASTSD (DI)(R11*8), Z5
+	BWACC((R12), Z6, Z0)
+	BWACC(64(R12), Z7, Z1)
+	BWACC(128(R12), Z8, Z2)
+	BWACC(192(R12), Z9, Z3)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R9
+	JLT bw_j
+
+	VDIVPD Z15, Z0, Z0
+	VMOVUPD Z0, (R8)(R10*8)
+	VDIVPD Z15, Z1, Z1
+	VMOVUPD Z1, 64(R8)(R10*8)
+	VDIVPD Z15, Z2, Z2
+	VMOVUPD Z2, 128(R8)(R10*8)
+	VDIVPD Z15, Z3, Z3
+	VMOVUPD Z3, 192(R8)(R10*8)
+	ADDQ $32, R10
+	JMP bw_check
+
+bw_tail:
+	TESTQ CX, CX
+	JLE bw_done
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	LEAQ (SI)(R10*8), R12
+	XORQ R11, R11
+
+bw_tail_j:
+	VBROADCASTSD (DX)(R11*8), Z4
+	VBROADCASTSD (DI)(R11*8), Z5
+	BWACC((R12), Z6, Z0)
+	BWACC(64(R12), Z7, Z1)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R9
+	JLT bw_tail_j
+
+	VDIVPD Z15, Z0, Z0
+	VMOVUPD Z0, (R8)(R10*8)
+	VDIVPD Z15, Z1, Z1
+	VMOVUPD Z1, 64(R8)(R10*8)
+
+bw_done:
+	VZEROUPPER
+	RET
+
+// func xiNormsAVX512(aT, a, bT, betaT *float64, norms *[8]float64, n, np int)
+//
+// norms[l] = Σ_i Σ_j ((aT[i*8+l]·a[i*np+j])·bT[j*8+l])·betaT[j*8+l], one
+// 8-lane accumulator whose lane l is step l's ascending-(i, j) chain.
+TEXT ·xiNormsAVX512(SB), NOSPLIT, $0-56
+	MOVQ aT+0(FP), AX
+	MOVQ a+8(FP), SI
+	MOVQ n+40(FP), R9
+	MOVQ np+48(FP), R13
+	SHLQ $3, R13              // row stride in bytes
+	VPXORQ Z0, Z0, Z0
+	XORQ R11, R11             // i
+
+xn_i:
+	VMOVUPD (AX), Z1          // α_t[i] for the block's 8 steps
+	MOVQ bT+16(FP), DX
+	MOVQ betaT+24(FP), DI
+	XORQ R10, R10             // j
+
+xn_j:
+	VBROADCASTSD (SI)(R10*8), Z2
+	VMULPD Z2, Z1, Z2
+	VMULPD (DX), Z2, Z2
+	VMULPD (DI), Z2, Z2
+	VADDPD Z2, Z0, Z0
+	ADDQ $64, DX
+	ADDQ $64, DI
+	INCQ R10
+	CMPQ R10, R9
+	JLT xn_j
+
+	ADDQ R13, SI
+	ADDQ $64, AX
+	INCQ R11
+	CMPQ R11, R9
+	JLT xn_i
+
+	MOVQ norms+32(FP), BX
+	VMOVUPD Z0, (BX)
+	VZEROUPPER
+	RET
+
+// XIACC adds one 8-lane block of ξ terms to aNum: with the broadcast α_t[i]
+// in Z0 and xiNorm in Z15, T = (((α·a)·b)·β)/xiNorm and aNum += T.
+#define XIACC(OFF, T) \
+	VMULPD OFF(SI)(R10*8), Z0, T; \
+	VMULPD OFF(DX)(R10*8), T, T; \
+	VMULPD OFF(DI)(R10*8), T, T; \
+	VDIVPD Z15, T, T; \
+	VADDPD OFF(R8)(R10*8), T, T; \
+	VMOVUPD T, OFF(R8)(R10*8)
+
+// func xiAccumAVX512(alpha, a, bcol, next, aNum *float64, xiNorm float64, n, np int)
+//
+// aNum[i*np+j] += (((alpha[i]·a[i*np+j])·bcol[j])·next[j]) / xiNorm for all
+// np padded destination states j of every row i < n with alpha[i] ≠ 0 (a NaN
+// alpha[i] is not zero and runs, as in Go), 16 lanes per iteration.
+TEXT ·xiAccumAVX512(SB), NOSPLIT, $0-64
+	MOVQ alpha+0(FP), AX
+	MOVQ a+8(FP), SI
+	MOVQ bcol+16(FP), DX
+	MOVQ next+24(FP), DI
+	MOVQ aNum+32(FP), R8
+	VBROADCASTSD xiNorm+40(FP), Z15
+	MOVQ n+48(FP), R9
+	MOVQ np+56(FP), BX
+	MOVQ BX, R13
+	SHLQ $3, R13              // row stride in bytes
+	VXORPD X14, X14, X14
+	XORQ R11, R11             // i
+
+xa_i:
+	VMOVSD (AX)(R11*8), X0
+	VUCOMISD X14, X0
+	JNE xa_live
+	JPS xa_live
+	JMP xa_next
+
+xa_live:
+	VBROADCASTSD X0, Z0
+	XORQ R10, R10             // jb
+
+xa_j:
+	XIACC(0, Z1)
+	XIACC(64, Z2)
+	ADDQ $16, R10
+	CMPQ R10, BX
+	JLT xa_j
+
+xa_next:
+	ADDQ R13, SI
+	ADDQ R13, R8
+	INCQ R11
+	CMPQ R11, R9
+	JLT xa_i
+	VZEROUPPER
+	RET
+
+// BWACC2 is BWACC on 4-lane ymm blocks (b_j in Y4, β_{t+1}[j] in Y5).
+#define BWACC2(SRC, T, ACC) \
+	VMULPD SRC, Y4, T; \
+	VMULPD Y5, T, T; \
+	VADDPD T, ACC, ACC
+
+// func backwardAVX2(next, at, bcol, cur *float64, scale float64, n, np int)
+//
+// backwardAVX512 on ymm: every pass covers 16 padded source states (four
+// 4-lane blocks).
+TEXT ·backwardAVX2(SB), NOSPLIT, $0-56
+	MOVQ next+0(FP), DI
+	MOVQ at+8(FP), SI
+	MOVQ bcol+16(FP), DX
+	MOVQ cur+24(FP), R8
+	VBROADCASTSD scale+32(FP), Y15
+	MOVQ n+40(FP), R9
+	MOVQ np+48(FP), BX
+	MOVQ BX, R13
+	SHLQ $3, R13
+	XORQ R10, R10
+
+b2_pass:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	LEAQ (SI)(R10*8), R12
+	XORQ R11, R11
+
+b2_j:
+	VBROADCASTSD (DX)(R11*8), Y4
+	VBROADCASTSD (DI)(R11*8), Y5
+	BWACC2((R12), Y6, Y0)
+	BWACC2(32(R12), Y7, Y1)
+	BWACC2(64(R12), Y8, Y2)
+	BWACC2(96(R12), Y9, Y3)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R9
+	JLT b2_j
+
+	VDIVPD Y15, Y0, Y0
+	VMOVUPD Y0, (R8)(R10*8)
+	VDIVPD Y15, Y1, Y1
+	VMOVUPD Y1, 32(R8)(R10*8)
+	VDIVPD Y15, Y2, Y2
+	VMOVUPD Y2, 64(R8)(R10*8)
+	VDIVPD Y15, Y3, Y3
+	VMOVUPD Y3, 96(R8)(R10*8)
+	ADDQ $16, R10
+	CMPQ R10, BX
+	JLT b2_pass
+
+	VZEROUPPER
+	RET
+
+// func xiNormsAVX2(aT, a, bT, betaT *float64, norms *[8]float64, n, np int)
+//
+// xiNormsAVX512 on ymm: lanes 0–3 accumulate in Y0 and lanes 4–7 in Y6, two
+// independent sets of chains.
+TEXT ·xiNormsAVX2(SB), NOSPLIT, $0-56
+	MOVQ aT+0(FP), AX
+	MOVQ a+8(FP), SI
+	MOVQ n+40(FP), R9
+	MOVQ np+48(FP), R13
+	SHLQ $3, R13
+	VXORPD Y0, Y0, Y0
+	VXORPD Y6, Y6, Y6
+	XORQ R11, R11
+
+x2_i:
+	VMOVUPD (AX), Y1
+	VMOVUPD 32(AX), Y4
+	MOVQ bT+16(FP), DX
+	MOVQ betaT+24(FP), DI
+	XORQ R10, R10
+
+x2_j:
+	VBROADCASTSD (SI)(R10*8), Y2
+	VMULPD Y2, Y1, Y3
+	VMULPD Y2, Y4, Y5
+	VMULPD (DX), Y3, Y3
+	VMULPD 32(DX), Y5, Y5
+	VMULPD (DI), Y3, Y3
+	VMULPD 32(DI), Y5, Y5
+	VADDPD Y3, Y0, Y0
+	VADDPD Y5, Y6, Y6
+	ADDQ $64, DX
+	ADDQ $64, DI
+	INCQ R10
+	CMPQ R10, R9
+	JLT x2_j
+
+	ADDQ R13, SI
+	ADDQ $64, AX
+	INCQ R11
+	CMPQ R11, R9
+	JLT x2_i
+
+	MOVQ norms+32(FP), BX
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y6, 32(BX)
+	VZEROUPPER
+	RET
+
+// XIACC2 is XIACC on 4-lane ymm blocks (α_t[i] in Y0, xiNorm in Y15).
+#define XIACC2(OFF, T) \
+	VMULPD OFF(SI)(R10*8), Y0, T; \
+	VMULPD OFF(DX)(R10*8), T, T; \
+	VMULPD OFF(DI)(R10*8), T, T; \
+	VDIVPD Y15, T, T; \
+	VADDPD OFF(R8)(R10*8), T, T; \
+	VMOVUPD T, OFF(R8)(R10*8)
+
+// func xiAccumAVX2(alpha, a, bcol, next, aNum *float64, xiNorm float64, n, np int)
+//
+// xiAccumAVX512 on ymm, 16 lanes per iteration.
+TEXT ·xiAccumAVX2(SB), NOSPLIT, $0-64
+	MOVQ alpha+0(FP), AX
+	MOVQ a+8(FP), SI
+	MOVQ bcol+16(FP), DX
+	MOVQ next+24(FP), DI
+	MOVQ aNum+32(FP), R8
+	VBROADCASTSD xiNorm+40(FP), Y15
+	MOVQ n+48(FP), R9
+	MOVQ np+56(FP), BX
+	MOVQ BX, R13
+	SHLQ $3, R13
+	VXORPD X14, X14, X14
+	XORQ R11, R11
+
+a2x_i:
+	VMOVSD (AX)(R11*8), X0
+	VUCOMISD X14, X0
+	JNE a2x_live
+	JPS a2x_live
+	JMP a2x_next
+
+a2x_live:
+	VBROADCASTSD X0, Y0
+	XORQ R10, R10
+
+a2x_j:
+	XIACC2(0, Y1)
+	XIACC2(32, Y2)
+	XIACC2(64, Y3)
+	XIACC2(96, Y4)
+	ADDQ $16, R10
+	CMPQ R10, BX
+	JLT a2x_j
+
+a2x_next:
+	ADDQ R13, SI
+	ADDQ R13, R8
+	INCQ R11
+	CMPQ R11, R9
+	JLT a2x_i
+	VZEROUPPER
+	RET
+
 // func cpuidRaw(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidRaw(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

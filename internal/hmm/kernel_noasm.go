@@ -18,3 +18,27 @@ func fusedStepAVX512(alphas *[groupMax]*float64, a, bcol, next *float64, scales 
 func forwardDotsAVX2(alpha, a, next *float64, n, np int) {
 	panic("hmm: AVX2 kernel unavailable")
 }
+
+func backwardAVX512(next, at, bcol, cur *float64, scale float64, n, np int) {
+	panic("hmm: AVX-512 kernel unavailable")
+}
+
+func backwardAVX2(next, at, bcol, cur *float64, scale float64, n, np int) {
+	panic("hmm: AVX2 kernel unavailable")
+}
+
+func xiNormsAVX512(aT, a, bT, betaT *float64, norms *[xiLanes]float64, n, np int) {
+	panic("hmm: AVX-512 kernel unavailable")
+}
+
+func xiNormsAVX2(aT, a, bT, betaT *float64, norms *[xiLanes]float64, n, np int) {
+	panic("hmm: AVX2 kernel unavailable")
+}
+
+func xiAccumAVX512(alpha, a, bcol, next, aNum *float64, xiNorm float64, n, np int) {
+	panic("hmm: AVX-512 kernel unavailable")
+}
+
+func xiAccumAVX2(alpha, a, bcol, next, aNum *float64, xiNorm float64, n, np int) {
+	panic("hmm: AVX2 kernel unavailable")
+}

@@ -53,8 +53,9 @@ func (m ScorerMode) String() string {
 //	     np = roundup16(n) columns so the vector kernels run unmasked
 //	     full-width blocks (padded columns contribute exactly +0.0; see
 //	     kernel.go)
-//	at   transposed transitions at[j*n+i] = A[i][j] (the scalar fallback's
-//	     contiguous inner reduction, unpadded)
+//	at   transposed transitions at[j*np+i] = A[i][j], padded like a: the
+//	     scalar forward fallback's contiguous inner reduction, and the
+//	     training backward sweep's one-lane-per-source-state blocks
 //	bt   per-symbol emission columns bt[o*np+i] = B[i][o], zero-padded like
 //	     a, so scoring symbol o multiplies one contiguous column view
 //
@@ -115,13 +116,13 @@ func (m *Model) NewScorerMode(mode ScorerMode) *Scorer {
 		mode: mode,
 		pi:   append([]float64(nil), m.Pi...),
 		a:    make([]float64, m.N*np),
-		at:   make([]float64, m.N*m.N),
+		at:   make([]float64, m.N*np),
 		bt:   make([]float64, m.M*np),
 	}
 	for i := 0; i < m.N; i++ {
 		for j := 0; j < m.N; j++ {
 			s.a[i*np+j] = m.A[i][j]
-			s.at[j*m.N+i] = m.A[i][j]
+			s.at[j*np+i] = m.A[i][j]
 		}
 		for o := 0; o < m.M; o++ {
 			s.bt[o*np+i] = m.B[i][o]

@@ -179,16 +179,21 @@ func (m *Model) avgLogProb(seqs [][]int) float64 {
 // non-nil prior contributes priorW pseudo-counts per row (MAP estimation).
 //
 // The E-step reads the parameters through a Scorer snapshot, so every
-// O(N²) pass walks memory contiguously: the forward dots run on the vector
-// kernels over the row-major transition slab, the backward dots sweep the
-// transposed slab one destination state at a time, and each step's emission
-// column is one contiguous row. Every sum keeps the order of the textbook
-// recurrences (reestimateRef in the tests), so the estimate is bit-identical
-// to them.
+// O(N²) pass walks memory contiguously and runs on the dispatched kernels:
+// the forward dots over the row-major transition slab, the backward sweep
+// (backward) over the transposed one, and the ξ normalisers (xiNorms) and
+// ξ sums (xiAccum) over the row-major one; each step's emission column is
+// one contiguous row. Every sum keeps the order of the textbook recurrences
+// (reestimateRef in the tests), so the estimate is bit-identical to them at
+// every kernel level.
 func (m *Model) reestimate(seqs [][]int, prior *Model, priorW float64) float64 {
 	n, mm := m.N, m.M
+	sc := m.NewScorer()
+	np := sc.np
 	piAcc := make([]float64, n)
-	aNum := alloc(n, n)
+	// aNum is one n×np slab padded like the scorer's, so the ξ kernel runs
+	// unmasked full-width blocks; the padded columns are never read.
+	aNum := make([]float64, n*np)
 	aDen := make([]float64, n)
 	bNum := alloc(n, mm)
 	bDen := make([]float64, n)
@@ -198,7 +203,7 @@ func (m *Model) reestimate(seqs [][]int, prior *Model, priorW float64) float64 {
 			aDen[i] = priorW
 			bDen[i] = priorW
 			for j := 0; j < n; j++ {
-				aNum[i][j] = priorW * prior.A[i][j]
+				aNum[i*np+j] = priorW * prior.A[i][j]
 			}
 			for k := 0; k < mm; k++ {
 				bNum[i][k] = priorW * prior.B[i][k]
@@ -207,11 +212,12 @@ func (m *Model) reestimate(seqs [][]int, prior *Model, priorW float64) float64 {
 	}
 	var totalLL float64
 
-	sc := m.NewScorer()
-	np := sc.np
 	// Forward and backward lattices, one np-strided row per step (the vector
-	// kernels store into all np padded lanes), reused across sequences.
-	var alphaBuf, betaBuf, scale []float64
+	// kernels store into all np padded lanes), reused across sequences, with
+	// each sequence's scale factors and ξ normalisers, and the ξ kernels'
+	// transposed blocks.
+	var alphaBuf, betaBuf, scale, xiNorm []float64
+	xiBlocks := make([]float64, 3*xiLanes*n)
 	gamma := make([]float64, n)
 	for _, obs := range seqs {
 		T := len(obs)
@@ -219,6 +225,7 @@ func (m *Model) reestimate(seqs [][]int, prior *Model, priorW float64) float64 {
 			alphaBuf = make([]float64, T*np)
 			betaBuf = make([]float64, T*np)
 			scale = make([]float64, T)
+			xiNorm = make([]float64, T)
 		}
 		alpha := func(t int) []float64 { return alphaBuf[t*np : t*np+np : t*np+np] }
 		beta := func(t int) []float64 { return betaBuf[t*np : t*np+np : t*np+np] }
@@ -261,27 +268,16 @@ func (m *Model) reestimate(seqs [][]int, prior *Model, priorW float64) float64 {
 			totalLL += math.Log(scale[t])
 		}
 
-		// Scaled backward with the forward scale factors. Row j of the
-		// transposed slab is column j of A, so sweeping destination states j
-		// in ascending order accumulates every beta[t][i] in the textbook
-		// order while the inner loop runs contiguously over i.
+		// Scaled backward with the forward scale factors.
 		last := beta(T - 1)
 		for i := 0; i < n; i++ {
 			last[i] = 1 / scale[T-1]
 		}
-		for t := T - 2; t >= 0; t-- {
-			cur, next, bc := beta(t)[:n], beta(t+1), sc.bcol(obs[t+1])
-			clear(cur)
-			for j := 0; j < n; j++ {
-				bj, nj := bc[j], next[j]
-				col := sc.at[j*n : j*n+n : j*n+n]
-				for i, aij := range col {
-					cur[i] += aij * bj * nj
-				}
+		if n > 0 {
+			for t := T - 2; t >= 0; t-- {
+				sc.backward(beta(t+1), sc.bcol(obs[t+1]), beta(t), scale[t])
 			}
-			for i := range cur {
-				cur[i] /= scale[t]
-			}
+			sc.xiNorms(alphaBuf, betaBuf, obs, xiNorm, xiBlocks)
 		}
 
 		// Accumulate γ and ξ.
@@ -306,28 +302,8 @@ func (m *Model) reestimate(seqs [][]int, prior *Model, priorW float64) float64 {
 					aDen[i] += g
 				}
 			}
-			if t < T-1 {
-				next, bc := beta(t+1), sc.bcol(obs[t+1])
-				var xiNorm float64
-				for i := 0; i < n; i++ {
-					ai, row := at[i], m.A[i][:n]
-					for j, aij := range row {
-						xiNorm += ai * aij * bc[j] * next[j]
-					}
-				}
-				if xiNorm == 0 {
-					continue
-				}
-				for i := 0; i < n; i++ {
-					ai := at[i]
-					if ai == 0 {
-						continue
-					}
-					row, acc := m.A[i][:n], aNum[i][:n]
-					for j, aij := range row {
-						acc[j] += ai * aij * bc[j] * next[j] / xiNorm
-					}
-				}
+			if t < T-1 && xiNorm[t] != 0 {
+				sc.xiAccum(at, beta(t+1), sc.bcol(obs[t+1]), aNum, xiNorm[t])
 			}
 		}
 	}
@@ -345,7 +321,7 @@ func (m *Model) reestimate(seqs [][]int, prior *Model, priorW float64) float64 {
 	for i := 0; i < n; i++ {
 		if aDen[i] > 0 {
 			for j := 0; j < n; j++ {
-				m.A[i][j] = aNum[i][j] / aDen[i]
+				m.A[i][j] = aNum[i*np+j] / aDen[i]
 			}
 		}
 		if bDen[i] > 0 {
@@ -355,4 +331,118 @@ func (m *Model) reestimate(seqs [][]int, prior *Model, priorW float64) float64 {
 		}
 	}
 	return totalLL / float64(len(seqs))
+}
+
+// xiLanes is the number of steps one ξ-normaliser kernel call covers: one
+// lane per step of a 512-bit register.
+const xiLanes = 8
+
+// backward stores cur[i] = (Σ_j (A[i][j]·bcol[j])·next[j]) / scale for every
+// source state i, with next = β_{t+1}, bcol the emission column of o_{t+1}
+// and cur = β_t, each np entries. Every sum runs over the destination states
+// j in ascending order. The vector kernels run one lane per source state
+// over the padded transposed slab and store all np lanes of cur (the padded
+// lanes carry no meaning and are never read into a live one); the Go level
+// sweeps that slab one destination state at a time with a contiguous inner
+// loop over i.
+func (s *Scorer) backward(next, bcol, cur []float64, scale float64) {
+	switch kernelLevel {
+	case kernelAVX512:
+		backwardAVX512(&next[0], &s.at[0], &bcol[0], &cur[0], scale, s.n, s.np)
+	case kernelAVX2:
+		backwardAVX2(&next[0], &s.at[0], &bcol[0], &cur[0], scale, s.n, s.np)
+	default:
+		n := s.n
+		cur = cur[:n]
+		clear(cur)
+		for j := 0; j < n; j++ {
+			bj, nj := bcol[j], next[j]
+			col := s.at[j*s.np : j*s.np+n : j*s.np+n]
+			for i, aij := range col {
+				cur[i] += aij * bj * nj
+			}
+		}
+		for i := range cur {
+			cur[i] /= scale
+		}
+	}
+}
+
+// xiNorms stores in norms[t], for every step t < len(obs)-1 of one sequence,
+// the ξ normaliser Σ_i Σ_j ((α_t[i]·A[i][j])·b_j(o_{t+1}))·β_{t+1}[j]: one
+// chain over (i, j) in ascending row-major order per step. alphaBuf and
+// betaBuf are the sequence's np-strided lattices. The vector kernels run up
+// to xiLanes steps at once, one lane per step, over n×xiLanes transposes of
+// α_t, b(o_{t+1}) and β_{t+1} built in blocks (3·xiLanes·n entries of
+// scratch), so the steps' chains share the add latency without
+// reassociating any of them; lanes past the last step are zero.
+func (s *Scorer) xiNorms(alphaBuf, betaBuf []float64, obs []int, norms, blocks []float64) {
+	n, np := s.n, s.np
+	steps := len(obs) - 1
+	if kernelLevel == kernelGo {
+		for t := 0; t < steps; t++ {
+			at, next, bc := alphaBuf[t*np:t*np+n], betaBuf[(t+1)*np:(t+1)*np+n], s.bcol(obs[t+1])
+			var xi float64
+			for i, ai := range at {
+				row := s.a[i*np : i*np+n : i*np+n]
+				for j, aij := range row {
+					xi += ai * aij * bc[j] * next[j]
+				}
+			}
+			norms[t] = xi
+		}
+		return
+	}
+	w := xiLanes * n
+	aT, bT, betaT := blocks[:w:w], blocks[w:2*w:2*w], blocks[2*w:3*w:3*w]
+	var out [xiLanes]float64
+	for t0 := 0; t0 < steps; t0 += xiLanes {
+		k := min(xiLanes, steps-t0)
+		for l := 0; l < xiLanes; l++ {
+			if l >= k {
+				for i := l; i < w; i += xiLanes {
+					aT[i], bT[i], betaT[i] = 0, 0, 0
+				}
+				continue
+			}
+			t := t0 + l
+			at, next, bc := alphaBuf[t*np:t*np+n], betaBuf[(t+1)*np:(t+1)*np+n], s.bcol(obs[t+1])
+			for i := range at {
+				aT[i*xiLanes+l] = at[i]
+				bT[i*xiLanes+l] = bc[i]
+				betaT[i*xiLanes+l] = next[i]
+			}
+		}
+		if kernelLevel == kernelAVX512 {
+			xiNormsAVX512(&aT[0], &s.a[0], &bT[0], &betaT[0], &out, n, np)
+		} else {
+			xiNormsAVX2(&aT[0], &s.a[0], &bT[0], &betaT[0], &out, n, np)
+		}
+		copy(norms[t0:t0+k], out[:k])
+	}
+}
+
+// xiAccum adds ξ_t(i, j) = (((α_t[i]·A[i][j])·bcol[j])·next[j]) / xiNorm,
+// with a true division, to row i of the padded n×np slab aNum for every row
+// with α_t[i] ≠ 0, where next = β_{t+1} and bcol is the emission column of
+// o_{t+1}. The vector kernels run one lane per destination state over all np
+// lanes of each row; the padded lanes stay in the padded columns.
+func (s *Scorer) xiAccum(alpha, next, bcol, aNum []float64, xiNorm float64) {
+	switch kernelLevel {
+	case kernelAVX512:
+		xiAccumAVX512(&alpha[0], &s.a[0], &bcol[0], &next[0], &aNum[0], xiNorm, s.n, s.np)
+	case kernelAVX2:
+		xiAccumAVX2(&alpha[0], &s.a[0], &bcol[0], &next[0], &aNum[0], xiNorm, s.n, s.np)
+	default:
+		n, np := s.n, s.np
+		for i, ai := range alpha[:n] {
+			if ai == 0 {
+				continue
+			}
+			row, acc := s.a[i*np:i*np+n:i*np+n], aNum[i*np:i*np+n:i*np+n]
+			for j, aij := range row {
+				acc[j] += ai * aij * bcol[j] * next[j] / xiNorm
+			}
+		}
+	}
 }

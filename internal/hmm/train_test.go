@@ -181,9 +181,13 @@ func checkSameModel(t *testing.T, tag string, got, want *Model) {
 
 // TestReestimateMatchesReference pins the Baum–Welch step to the textbook
 // recurrences bit for bit, under every kernel level the CPU offers, for state
-// counts around the kernels' block boundaries, with and without a MAP prior,
-// over windows of assorted lengths (including single symbols) and a
-// dead-state model whose zero rows exercise the skipped-row paths.
+// counts around the kernels' block boundaries and the bundled apps' 46, 53
+// and 62, with and without a MAP prior, over windows of assorted lengths
+// (single symbols, and every residue of T−1 mod 8 for the ξ-normaliser
+// blocks) and a dead-state model whose zero rows exercise the skipped-row
+// paths. A second sequence set uses a symbol no state emits, so the
+// zero-scale, zero-normaliser and α_t[i] = 0 paths run, and their NaNs must
+// match bit for bit too.
 func TestReestimateMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for _, lvl := range []struct {
@@ -194,9 +198,13 @@ func TestReestimateMatchesReference(t *testing.T) {
 		if !ok {
 			continue
 		}
-		for _, n := range []int{0, 1, 2, 7, 8, 15, 16, 17, 33, 64, 97} {
+		for _, n := range []int{0, 1, 2, 7, 8, 15, 16, 17, 33, 46, 53, 62, 64, 97} {
+			// Symbol syms is in the model's alphabet but no state emits it.
 			const syms = 9
-			base := NewRandom(n, syms, r.Int63())
+			base := NewRandom(n, syms+1, r.Int63())
+			for i := 0; i < n; i++ {
+				base.B[i][syms] = 0
+			}
 			if n > 2 {
 				// A state nothing reaches and that emits nothing observed.
 				for i := 0; i < n; i++ {
@@ -205,27 +213,35 @@ func TestReestimateMatchesReference(t *testing.T) {
 				base.Pi[n-1] = 0
 				clear(base.B[n-1])
 			}
-			seqs := make([][]int, 12)
+			seqs := make([][]int, 12, 12+2*xiLanes)
 			for i := range seqs {
 				seqs[i] = make([]int, 1+r.Intn(20))
-				for k := range seqs[i] {
-					seqs[i][k] = r.Intn(syms)
+			}
+			for k := 1; k <= 2*xiLanes; k++ {
+				seqs = append(seqs, make([]int, k+1))
+			}
+			for _, s := range seqs {
+				for k := range s {
+					s[k] = r.Intn(syms)
 				}
 			}
-			for _, priorW := range []float64{0, 2} {
-				var prior *Model
-				if priorW > 0 {
-					prior = base.Clone()
-				}
-				got, want := base.Clone(), base.Clone()
-				for iter := 0; iter < 2; iter++ {
-					gotLL := got.reestimate(seqs, prior, priorW)
-					wantLL := reestimateRef(want, seqs, prior, priorW)
-					tag := lvl.name + "/n=" + itoa(n) + "/prior=" + itoa(int(priorW)) + "/iter=" + itoa(iter)
-					if math.Float64bits(gotLL) != math.Float64bits(wantLL) {
-						t.Fatalf("%s: log-likelihood %v, want %v", tag, gotLL, wantLL)
+			unemitted := [][]int{{syms}, {0, syms}, {syms, 3, 4}, {1, 2, syms, 5, 6, 7, 8, 0, 1, 2, 3}}
+			for set, seqs := range [][][]int{seqs, unemitted} {
+				for _, priorW := range []float64{0, 2} {
+					var prior *Model
+					if priorW > 0 {
+						prior = base.Clone()
 					}
-					checkSameModel(t, tag, got, want)
+					got, want := base.Clone(), base.Clone()
+					for iter := 0; iter < 2; iter++ {
+						gotLL := got.reestimate(seqs, prior, priorW)
+						wantLL := reestimateRef(want, seqs, prior, priorW)
+						tag := lvl.name + "/n=" + itoa(n) + "/set=" + itoa(set) + "/prior=" + itoa(int(priorW)) + "/iter=" + itoa(iter)
+						if math.Float64bits(gotLL) != math.Float64bits(wantLL) {
+							t.Fatalf("%s: log-likelihood %v, want %v", tag, gotLL, wantLL)
+						}
+						checkSameModel(t, tag, got, want)
+					}
 				}
 			}
 		}
@@ -255,5 +271,89 @@ func TestAvgLogProbMatchesModelLogProb(t *testing.T) {
 	}
 	if got := New(3, 2).avgLogProb([][]int{{}}); !math.IsInf(got, -1) {
 		t.Fatalf("no scorable sequence: avgLogProb = %v, want -Inf", got)
+	}
+}
+
+// TestTrainKernelParity pins each Baum–Welch kernel to the Go level one call
+// at a time, on inputs a trained model cannot carry: rows with α_t[i] = 0
+// and one NaN α_t[i] beside Inf and NaN β entries, whose ξ terms are NaN, so
+// a row skip that differs from Go's α_t[i] == 0 test shows in aNum. All NaNs
+// here are the x86 default NaN, the only one the arithmetic produces, so
+// their bits compare equal whatever the operand order.
+func TestTrainKernelParity(t *testing.T) {
+	nan := math.Float64frombits(0xfff8000000000000)
+	r := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 2, 7, 15, 16, 17, 31, 46, 53, 62, 97} {
+		for _, hostile := range []bool{false, true} {
+			m := NewRandom(n, 5, r.Int63())
+			s := m.NewScorer()
+			np := s.np
+			obs := make([]int, 2+r.Intn(2*xiLanes))
+			for k := range obs {
+				obs[k] = r.Intn(m.M)
+			}
+			T := len(obs)
+			alphaBuf, betaBuf := make([]float64, T*np), make([]float64, T*np)
+			for k := range alphaBuf {
+				alphaBuf[k], betaBuf[k] = r.Float64(), r.Float64()
+			}
+			for i := 0; i < n; i += 3 {
+				alphaBuf[i] = 0
+			}
+			if hostile {
+				alphaBuf[n-1] = nan
+				betaBuf[np+r.Intn(n)] = math.Inf(1)
+				betaBuf[np+r.Intn(n)] = nan
+			}
+			aNum0 := make([]float64, n*np)
+			for k := range aNum0 {
+				aNum0[k] = r.Float64()
+			}
+			scale, xiNorm := 0.5+r.Float64(), 0.1+r.Float64()
+
+			type result struct{ beta, norms, aNum []float64 }
+			run := func() result {
+				cur := make([]float64, np)
+				s.backward(betaBuf[np:2*np], s.bcol(obs[1]), cur, scale)
+				norms := make([]float64, T-1)
+				s.xiNorms(alphaBuf, betaBuf, obs, norms, make([]float64, 3*xiLanes*n))
+				aNum := append([]float64(nil), aNum0...)
+				s.xiAccum(alphaBuf[:np], betaBuf[np:2*np], s.bcol(obs[1]), aNum, xiNorm)
+				live := make([]float64, 0, n*n)
+				for i := 0; i < n; i++ {
+					live = append(live, aNum[i*np:i*np+n]...)
+				}
+				return result{cur[:n], norms, live}
+			}
+			var want result
+			for _, lvl := range []struct {
+				name  string
+				level int
+			}{{"go", KernelGo}, {"avx2", KernelAVX2}, {"avx512", KernelAVX512}} {
+				restore, ok := ForceKernel(lvl.level)
+				if !ok {
+					continue
+				}
+				got := run()
+				restore()
+				if lvl.level == KernelGo {
+					want = got
+					continue
+				}
+				tag := lvl.name + "/n=" + itoa(n) + "/T=" + itoa(T)
+				if hostile {
+					tag += "/hostile"
+				}
+				if k := sameBits(got.beta, want.beta); k >= 0 {
+					t.Fatalf("%s: backward β[%d] = %v, want %v", tag, k, got.beta[k], want.beta[k])
+				}
+				if k := sameBits(got.norms, want.norms); k >= 0 {
+					t.Fatalf("%s: ξ normaliser of step %d = %v, want %v", tag, k, got.norms[k], want.norms[k])
+				}
+				if k := sameBits(got.aNum, want.aNum); k >= 0 {
+					t.Fatalf("%s: aNum[%d][%d] = %v, want %v", tag, k/n, k%n, got.aNum[k], want.aNum[k])
+				}
+			}
+		}
 	}
 }
