@@ -39,14 +39,16 @@ race:
 
 # A short coverage-guided smoke over the hostile-input surfaces — the profile
 # codec, the ingest frame decoder, the NDJSON decoder against its
-# encoding/json reference, and the SQL-channel scorer (arbitrary query text
-# and cardinalities): enough to catch regressions on every verify without
-# the cost of a long campaign.
+# encoding/json reference, the SQL-channel scorer (arbitrary query text
+# and cardinalities), and the minidb SQL parser with its integer literals
+# against their fmt.Sscanf reference: enough to catch regressions on every
+# verify without the cost of a long campaign.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNDJSON$$' -fuzztime 5s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzSQLChanObserve$$' -fuzztime 5s ./internal/sqlchan
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/minidb
 
 verify: build test vet race fuzz
 

@@ -27,10 +27,12 @@ func AppB() *App {
 		Name:      "appb",
 		DBMS:      "MySQL",
 		Prog:      buildAppB(),
-		FreshDB:   appBDB,
+		FreshDB:   freshAppBDB,
 		TestCases: appBTestCases(),
 	}
 }
+
+var freshAppBDB = templateClones(appBDB)
 
 func appBDB() *minidb.Database {
 	db := minidb.New()

@@ -26,10 +26,12 @@ func AppH() *App {
 		Name:      "apph",
 		DBMS:      "PostgreSQL",
 		Prog:      buildAppH(),
-		FreshDB:   appHDB,
+		FreshDB:   freshAppHDB,
 		TestCases: appHTestCases(),
 	}
 }
+
+var freshAppHDB = templateClones(appHDB)
 
 func appHDB() *minidb.Database {
 	db := minidb.New()

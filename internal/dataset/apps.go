@@ -27,10 +27,12 @@ func AppS() *App {
 		Name:      "apps",
 		DBMS:      "MySQL",
 		Prog:      buildAppS(),
-		FreshDB:   appSDB,
+		FreshDB:   freshAppSDB,
 		TestCases: appSTestCases(),
 	}
 }
+
+var freshAppSDB = templateClones(appSDB)
 
 func appSDB() *minidb.Database {
 	db := minidb.New()

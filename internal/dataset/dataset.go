@@ -3,6 +3,7 @@ package dataset
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"adprom/internal/collector"
 	"adprom/internal/interp"
@@ -95,6 +96,14 @@ func (a *App) RunCase(prog *ir.Program, tc TestCase, mode collector.Mode, setup 
 		return nil, err
 	}
 	return col.Trace(), nil
+}
+
+// templateClones returns a FreshDB that runs build once per process, on
+// first use, and hands every caller a deep copy of that template: a
+// collection then parses its seed SQL once instead of once per test case.
+func templateClones(build func() *minidb.Database) func() *minidb.Database {
+	template := sync.OnceValue(build)
+	return func() *minidb.Database { return template().Clone() }
 }
 
 // CAApps returns the three CA-dataset client applications of Table III.

@@ -126,55 +126,71 @@ type Event struct {
 	Calls []collector.Call
 }
 
-// EncodeFrame appends the v1 binary encoding of e to dst and returns the
-// extended slice. Strings longer than 64 KiB and batches over 65535 calls
-// are refused (the uint16 length prefixes cannot carry them).
+// EncodeFrame appends the FrameVersion binary encoding of e to dst and
+// returns the extended slice. The payload is written straight into dst
+// behind a header whose length and CRC are filled in last, so a dst with
+// room to spare is extended without allocating. Strings longer than 64 KiB
+// and batches over 65535 calls are refused (the uint16 length prefixes
+// cannot carry them); on an error dst comes back at its original length.
 func EncodeFrame(dst []byte, e Event) ([]byte, error) {
 	switch e.Kind {
 	case KindObserve, KindFlush, KindClose:
 	default:
 		return dst, fmt.Errorf("ingest: encoding unknown kind %d", e.Kind)
 	}
-	var payload []byte
-	payload, err := appendString(payload, e.Tenant)
-	if err != nil {
-		return dst, err
-	}
-	if payload, err = appendString(payload, e.Session); err != nil {
-		return dst, err
-	}
-	if payload, err = appendString(payload, e.Trace); err != nil {
-		return dst, err
-	}
-	if e.Kind == KindObserve {
-		if len(e.Calls) > 0xFFFF {
-			return dst, fmt.Errorf("ingest: batch of %d calls exceeds frame limit", len(e.Calls))
-		}
-		payload = binary.BigEndian.AppendUint16(payload, uint16(len(e.Calls)))
-		for i := range e.Calls {
-			c := &e.Calls[i]
-			if payload, err = appendString(payload, c.Label); err != nil {
-				return dst, err
-			}
-			if payload, err = appendString(payload, c.Name); err != nil {
-				return dst, err
-			}
-			if payload, err = appendString(payload, c.Caller); err != nil {
-				return dst, err
-			}
-			payload = binary.BigEndian.AppendUint32(payload, uint32(c.Block))
-			if payload, err = appendString(payload, c.SQL); err != nil {
-				return dst, err
-			}
-			payload = binary.BigEndian.AppendUint32(payload, uint32(c.Rows))
-		}
-	}
+	start := len(dst)
 	dst = append(dst, frameMagic[:]...)
 	dst = binary.BigEndian.AppendUint16(dst, FrameVersion)
 	dst = append(dst, byte(e.Kind))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...), nil
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length and CRC, set below
+	body := len(dst)
+	dst, err := appendPayload(dst, e)
+	if err != nil {
+		return dst[:start], err
+	}
+	payload := dst[body:]
+	binary.BigEndian.PutUint32(dst[body-8:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[body-4:], crc32.ChecksumIEEE(payload))
+	return dst, nil
+}
+
+// appendPayload appends the payload of e's frame to payload.
+func appendPayload(payload []byte, e Event) ([]byte, error) {
+	payload, err := appendString(payload, e.Tenant)
+	if err != nil {
+		return payload, err
+	}
+	if payload, err = appendString(payload, e.Session); err != nil {
+		return payload, err
+	}
+	if payload, err = appendString(payload, e.Trace); err != nil {
+		return payload, err
+	}
+	if e.Kind != KindObserve {
+		return payload, nil
+	}
+	if len(e.Calls) > 0xFFFF {
+		return payload, fmt.Errorf("ingest: batch of %d calls exceeds frame limit", len(e.Calls))
+	}
+	payload = binary.BigEndian.AppendUint16(payload, uint16(len(e.Calls)))
+	for i := range e.Calls {
+		c := &e.Calls[i]
+		if payload, err = appendString(payload, c.Label); err != nil {
+			return payload, err
+		}
+		if payload, err = appendString(payload, c.Name); err != nil {
+			return payload, err
+		}
+		if payload, err = appendString(payload, c.Caller); err != nil {
+			return payload, err
+		}
+		payload = binary.BigEndian.AppendUint32(payload, uint32(c.Block))
+		if payload, err = appendString(payload, c.SQL); err != nil {
+			return payload, err
+		}
+		payload = binary.BigEndian.AppendUint32(payload, uint32(c.Rows))
+	}
+	return payload, nil
 }
 
 func appendString(dst []byte, s string) ([]byte, error) {

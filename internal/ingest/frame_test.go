@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
@@ -241,13 +243,117 @@ func reframe(payload []byte, kind Kind) []byte {
 	return append(b, payload...)
 }
 
+// encodeFrameRef is the encoder EncodeFrame replaced, kept as the
+// reference: it builds the payload in a slice of its own, then appends the
+// header and a copy of the payload to dst.
+func encodeFrameRef(dst []byte, e Event) ([]byte, error) {
+	switch e.Kind {
+	case KindObserve, KindFlush, KindClose:
+	default:
+		return dst, fmt.Errorf("ingest: encoding unknown kind %d", e.Kind)
+	}
+	var payload []byte
+	payload, err := appendString(payload, e.Tenant)
+	if err != nil {
+		return dst, err
+	}
+	if payload, err = appendString(payload, e.Session); err != nil {
+		return dst, err
+	}
+	if payload, err = appendString(payload, e.Trace); err != nil {
+		return dst, err
+	}
+	if e.Kind == KindObserve {
+		if len(e.Calls) > 0xFFFF {
+			return dst, fmt.Errorf("ingest: batch of %d calls exceeds frame limit", len(e.Calls))
+		}
+		payload = binary.BigEndian.AppendUint16(payload, uint16(len(e.Calls)))
+		for i := range e.Calls {
+			c := &e.Calls[i]
+			if payload, err = appendString(payload, c.Label); err != nil {
+				return dst, err
+			}
+			if payload, err = appendString(payload, c.Name); err != nil {
+				return dst, err
+			}
+			if payload, err = appendString(payload, c.Caller); err != nil {
+				return dst, err
+			}
+			payload = binary.BigEndian.AppendUint32(payload, uint32(c.Block))
+			if payload, err = appendString(payload, c.SQL); err != nil {
+				return dst, err
+			}
+			payload = binary.BigEndian.AppendUint32(payload, uint32(c.Rows))
+		}
+	}
+	dst = append(dst, frameMagic[:]...)
+	dst = binary.BigEndian.AppendUint16(dst, FrameVersion)
+	dst = append(dst, byte(e.Kind))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...), nil
+}
+
+// TestEncodeFrameMatchesReference holds EncodeFrame to the reference
+// encoder byte for byte, behind prefixes that must survive.
+func TestEncodeFrameMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	events := append(sampleEvents(), ndjsonBenchEvents()...)
+	for i := 0; i < 5000; i++ {
+		events = append(events, randEvent(rng, false))
+	}
+	for i, e := range events {
+		for _, prefix := range [][]byte{nil, []byte("prev"), append(make([]byte, 0, 1<<10), "prev"...)} {
+			want, err := encodeFrameRef(bytes.Clone(prefix), e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := EncodeFrame(bytes.Clone(prefix), e)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("event %d %+v after %q:\n got %q, %v\nwant %q", i, e, prefix, got, err, want)
+			}
+		}
+	}
+}
+
+// TestEncodeFrameAllocFree pins the collector-side encoder: with room in
+// dst, encoding a frame allocates nothing.
+func TestEncodeFrameAllocFree(t *testing.T) {
+	events := append(ndjsonBenchEvents(), sampleEvents()...)
+	dst := make([]byte, 0, 1<<16)
+	encode := func() {
+		dst = dst[:0]
+		for _, e := range events {
+			var err error
+			if dst, err = EncodeFrame(dst, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, encode); allocs != 0 {
+		t.Errorf("encoding %d frames into a pre-grown dst allocates %v times, want 0", len(events), allocs)
+	}
+}
+
+// TestEncodeFrameLimits: what the uint16 length prefixes cannot carry, and
+// an unknown kind, are refused, and dst comes back at its original length.
 func TestEncodeFrameLimits(t *testing.T) {
 	long := strings.Repeat("x", 0x10000)
-	if _, err := EncodeFrame(nil, Event{Kind: KindFlush, Tenant: long, Session: "s"}); err == nil {
-		t.Error("64KiB+ tenant string encoded without error")
-	}
-	if _, err := EncodeFrame(nil, Event{Kind: 99, Tenant: "t", Session: "s"}); err == nil {
-		t.Error("unknown kind encoded without error")
+	for _, e := range []Event{
+		{Kind: 99, Tenant: "t", Session: "s"},
+		{Kind: KindFlush, Tenant: long, Session: "s"},
+		{Kind: KindClose, Tenant: "t", Session: long},
+		{Kind: KindFlush, Tenant: "t", Session: "s", Trace: long},
+		{Kind: KindObserve, Tenant: "t", Session: "s", Calls: make([]collector.Call, 0x10000)},
+		{Kind: KindObserve, Tenant: "t", Session: "s", Calls: []collector.Call{{Label: "a"}, {Name: "b", SQL: long}}},
+	} {
+		for _, prefix := range [][]byte{nil, []byte("prev"), append(make([]byte, 0, 1<<10), "prev"...)} {
+			got, err := EncodeFrame(bytes.Clone(prefix), e)
+			if err == nil || !bytes.Equal(got, prefix) {
+				t.Errorf("kind %v, %d calls, after %q: got %d bytes, %v; want the prefix back and an error",
+					e.Kind, len(e.Calls), prefix, len(got), err)
+			}
+		}
 	}
 }
 
@@ -436,6 +542,27 @@ func BenchmarkIngestDecodeNDJSON(b *testing.B) {
 	if decoded == 0 {
 		b.Fatal("decoded nothing")
 	}
+}
+
+// BenchmarkIngestEncode measures the collector side of the binary codec on
+// the chatty traffic of BenchmarkIngestEncodeNDJSON: 64 one-call frames and
+// a flush, appended into a reused buffer.
+func BenchmarkIngestEncode(b *testing.B) {
+	events := ndjsonBenchEvents()
+	var wire []byte
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wire = wire[:0]
+		for _, e := range events {
+			if wire, err = EncodeFrame(wire, e); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	b.SetBytes(int64(len(wire)))
 }
 
 // BenchmarkIngestEncodeNDJSON measures the collector side of the same

@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzParse feeds arbitrary text to the SQL front end: it must never panic,
-// and whatever parses must also execute (or fail cleanly) against a seeded
+// every number token must read as the old fmt.Sscanf reading did, and
+// whatever parses must also execute (or fail cleanly) against a seeded
 // schema. Run with `go test -fuzz=FuzzParse ./internal/minidb` to explore;
 // the seed corpus runs on every plain `go test`.
 func FuzzParse(f *testing.F) {
@@ -23,11 +24,29 @@ func FuzzParse(f *testing.F) {
 		"SELECT * FROM t WHERE a = '1' OR '1'='1'",
 		"SELECT * FROM t WHERE NOT (a = 1 AND b != 'x')",
 		"' OR 1=1 --", "SELECT", "((((", "SELECT * FROM t WHERE a = 'unterminated",
+		// Number literals at the edges of int64 and LIMIT's int.
+		"INSERT INTO t VALUES (007, 'x'), (-0, 'y')",
+		"SELECT * FROM t WHERE a = 9223372036854775807 OR a = -9223372036854775808",
+		"SELECT * FROM t WHERE a = 9223372036854775808",
+		"SELECT * FROM t WHERE a = -9223372036854775809",
+		"SELECT * FROM t LIMIT 00000000000000000003",
+		"SELECT * FROM t LIMIT 99999999999999999999",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, query string) {
+		if toks, err := lex(query); err == nil {
+			for _, tok := range toks {
+				if tok.kind != tokNumber {
+					continue
+				}
+				want, ok := sscanfLiteral(tok.text)
+				if got, err := intLiteral(tok, 64); (err == nil) != ok || (ok && got != want) {
+					t.Errorf("intLiteral(%q) = %d, %v; Sscanf read %d, accepted %v", tok.text, got, err, want, ok)
+				}
+			}
+		}
 		stmt, err := Parse(query)
 		if err != nil {
 			return // rejection is fine; panics are not

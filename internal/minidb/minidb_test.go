@@ -3,7 +3,11 @@ package minidb
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -59,6 +63,77 @@ func TestSelectLimit(t *testing.T) {
 	}
 	if res.NTuples() != 3 || res.Get(0, 0) != "101" || res.Get(2, 0) != "103" {
 		t.Errorf("unexpected limited rows %v", res.Rows)
+	}
+}
+
+// TestLimitOutOfRange: a LIMIT that does not fit an int is a syntax error,
+// as an out-of-range literal is. It used to read as LIMIT 0 and return no
+// rows.
+func TestLimitOutOfRange(t *testing.T) {
+	db := seedClients(t)
+	for _, n := range []string{"99999999999999999999", strconv.FormatUint(math.MaxInt+1, 10)} {
+		q := "SELECT id FROM clients LIMIT " + n
+		if _, err := db.Exec(q); !errors.Is(err, ErrSyntax) {
+			t.Errorf("%s: err = %v, want ErrSyntax", q, err)
+		}
+	}
+	for n, want := range map[string]int{"0": 0, "007": 7, strconv.Itoa(math.MaxInt): 20} {
+		res, err := db.Exec("SELECT id FROM clients LIMIT " + n)
+		if err != nil || res.NTuples() != want {
+			t.Errorf("LIMIT %s: %d rows, %v; want %d rows", n, res.NTuples(), err, want)
+		}
+	}
+}
+
+// sscanfLiteral is how the parser read integer literals before intLiteral,
+// kept as the reference: fmt.Sscanf's %d into an int64.
+func sscanfLiteral(text string) (int64, bool) {
+	var n int64
+	_, err := fmt.Sscanf(text, "%d", &n)
+	return n, err == nil
+}
+
+// TestIntLiteralMatchesSscanf: on every number token lex can produce, the
+// literal parser accepts what the old fmt.Sscanf reading accepted and reads
+// the same value, alone and inside a statement.
+func TestIntLiteralMatchesSscanf(t *testing.T) {
+	texts := []string{
+		"0", "7", "42", "-42", "007", "-007", "-0", "000", "0000000000000000000000042",
+		"9223372036854775807", "-9223372036854775808",
+		"9223372036854775808", "-9223372036854775809",
+		"09223372036854775807", "18446744073709551616",
+		"99999999999999999999", "-99999999999999999999",
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		var sb strings.Builder
+		if rng.Intn(2) == 0 {
+			sb.WriteByte('-')
+		}
+		for n := 1 + rng.Intn(22); n > 0; n-- {
+			sb.WriteByte(byte('0' + rng.Intn(10)))
+		}
+		texts = append(texts, sb.String())
+	}
+	for _, text := range texts {
+		toks, err := lex(text)
+		if err != nil || len(toks) != 2 || toks[0].kind != tokNumber || toks[0].text != text {
+			t.Fatalf("lex(%q) = %v, %v; want one number token", text, toks, err)
+		}
+		want, ok := sscanfLiteral(text)
+		got, err := intLiteral(toks[0], 64)
+		if (err == nil) != ok || (ok && got != want) {
+			t.Errorf("intLiteral(%q) = %d, %v; Sscanf read %d, accepted %v", text, got, err, want, ok)
+		}
+		stmt, err := Parse("INSERT INTO t VALUES (" + text + ")")
+		switch {
+		case !ok && !errors.Is(err, ErrSyntax):
+			t.Errorf("VALUES (%s): err = %v, want ErrSyntax", text, err)
+		case ok && err != nil:
+			t.Errorf("VALUES (%s): %v", text, err)
+		case ok && stmt.(*InsertStmt).Rows[0][0] != IntVal(want):
+			t.Errorf("VALUES (%s) = %+v, want %d", text, stmt.(*InsertStmt).Rows[0][0], want)
+		}
 	}
 }
 

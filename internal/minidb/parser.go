@@ -1,6 +1,9 @@
 package minidb
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Stmt is a parsed SQL statement.
 type Stmt interface{ sqlStmt() }
@@ -370,9 +373,11 @@ func (p *parser) selectStmt() (Stmt, error) {
 		if t.kind != tokNumber {
 			return nil, p.errorf("expected number after LIMIT")
 		}
-		n := 0
-		fmt.Sscanf(t.text, "%d", &n)
-		s.Limit = n
+		n, err := intLiteral(t, 0)
+		if err != nil {
+			return nil, err
+		}
+		s.Limit = int(n)
 	}
 	if p.peekKeyword("union") {
 		p.next()
@@ -647,9 +652,9 @@ func (p *parser) literal() (Value, error) {
 	t := p.next()
 	switch t.kind {
 	case tokNumber:
-		var n int64
-		if _, err := fmt.Sscanf(t.text, "%d", &n); err != nil {
-			return Value{}, fmt.Errorf("%w: bad number %q (near offset %d)", ErrSyntax, t.text, t.pos)
+		n, err := intLiteral(t, 64)
+		if err != nil {
+			return Value{}, err
 		}
 		return IntVal(n), nil
 	case tokString:
@@ -662,4 +667,15 @@ func (p *parser) literal() (Value, error) {
 	default:
 		return Value{}, fmt.Errorf("%w: expected literal, got %q (near offset %d)", ErrSyntax, t.text, t.pos)
 	}
+}
+
+// intLiteral reads a number token (an optional '-' and decimal digits, as
+// lex cuts it) into an integer of bitSize bits (0 for int). A value out of
+// that range is a syntax error.
+func intLiteral(t token, bitSize int) (int64, error) {
+	n, err := strconv.ParseInt(t.text, 10, bitSize)
+	if err != nil {
+		return 0, fmt.Errorf("%w: bad number %q (near offset %d)", ErrSyntax, t.text, t.pos)
+	}
+	return n, nil
 }

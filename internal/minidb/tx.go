@@ -33,17 +33,32 @@ func (db *Database) Begin() error {
 	if db.snapshot != nil {
 		return ErrTxActive
 	}
-	snap := make(map[string]*table, len(db.tables))
-	for name, t := range db.tables {
+	db.snapshot = copyTables(db.tables)
+	return nil
+}
+
+// Clone returns an independent deep copy of db's current tables, outside
+// any transaction: changes to either database never reach the other. The
+// dataset apps seed one template database per process and hand each test
+// case a clone, instead of re-parsing the seed SQL for every case.
+func (db *Database) Clone() *Database {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return &Database{tables: copyTables(db.tables)}
+}
+
+// copyTables deep-copies a table set: Begin's snapshot and Clone's copy.
+func copyTables(tables map[string]*table) map[string]*table {
+	out := make(map[string]*table, len(tables))
+	for name, t := range tables {
 		ct := &table{name: t.name, cols: append([]Column(nil), t.cols...)}
 		ct.rows = make([][]Value, len(t.rows))
 		for i, row := range t.rows {
 			ct.rows[i] = append([]Value(nil), row...)
 		}
-		snap[name] = ct
+		out[name] = ct
 	}
-	db.snapshot = snap
-	return nil
+	return out
 }
 
 // Commit makes the transaction's changes permanent.

@@ -2,6 +2,8 @@ package minidb
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -70,4 +72,73 @@ func TestRollbackRestoresCreatedTables(t *testing.T) {
 	if _, err := db.Exec("SELECT * FROM t"); err != nil {
 		t.Errorf("original table lost: %v", err)
 	}
+}
+
+// dumpTables renders every row of every table of db, tables in name order.
+func dumpTables(t *testing.T, db *Database) []string {
+	t.Helper()
+	var out []string
+	for _, name := range db.TableNames() {
+		for _, row := range db.MustExec("SELECT * FROM " + name).Rows {
+			out = append(out, name+": "+strings.Join(row, ","))
+		}
+	}
+	return out
+}
+
+// writeEverything runs each kind of write on db: insert, update, delete,
+// create, and a transaction that empties a table and then rolls back.
+func writeEverything(db *Database) {
+	db.MustExec("INSERT INTO clients VALUES (999, 'intruder', 1)")
+	db.MustExec("UPDATE clients SET balance = 0, name = 'zeroed' WHERE id < 106")
+	db.MustExec("DELETE FROM clients WHERE id > 115")
+	db.MustExec("CREATE TABLE extra (a INT)")
+	db.MustExec("INSERT INTO extra VALUES (1)")
+	db.MustExec("BEGIN")
+	db.MustExec("DELETE FROM clients")
+	db.MustExec("UPDATE extra SET a = 2")
+	db.MustExec("ROLLBACK")
+}
+
+// TestCloneIsIndependent holds Clone to a deep copy: writes on the clone,
+// rolled-back ones included, leave the source as it was, and the other way
+// round.
+func TestCloneIsIndependent(t *testing.T) {
+	for _, side := range []string{"clone", "source"} {
+		t.Run("write "+side, func(t *testing.T) {
+			src := seedClients(t)
+			want := dumpTables(t, src)
+			clone := src.Clone()
+			if got := dumpTables(t, clone); !reflect.DeepEqual(got, want) {
+				t.Fatalf("clone differs from its source:\n got %q\nwant %q", got, want)
+			}
+			written, other := clone, src
+			if side == "source" {
+				written, other = src, clone
+			}
+			writeEverything(written)
+			if got := dumpTables(t, other); !reflect.DeepEqual(got, want) {
+				t.Errorf("writes on the %s reached the other database:\n got %q\nwant %q", side, got, want)
+			}
+			if got := dumpTables(t, written); reflect.DeepEqual(got, want) {
+				t.Errorf("writes on the %s changed nothing", side)
+			}
+		})
+	}
+	t.Run("mid-transaction", func(t *testing.T) {
+		src := seedClients(t)
+		src.MustExec("BEGIN")
+		src.MustExec("DELETE FROM clients WHERE id > 110")
+		clone := src.Clone()
+		src.MustExec("ROLLBACK")
+		if clone.InTx() {
+			t.Error("clone of a database inside a transaction is inside one too")
+		}
+		if n, _ := clone.RowCount("clients"); n != 10 {
+			t.Errorf("clone holds %d clients, want the 10 left uncommitted at Clone", n)
+		}
+		if n, _ := src.RowCount("clients"); n != 20 {
+			t.Errorf("source holds %d clients after rollback, want 20", n)
+		}
+	})
 }
