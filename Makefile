@@ -14,13 +14,17 @@ GO ?= go
 SCORER_BENCHES = BenchmarkScorerLogProb|BenchmarkStreamPush
 SMOKE_BENCHES = $(SCORER_BENCHES)|BenchmarkShedDecide|BenchmarkTenantRoute|BenchmarkIngestDecode|BenchmarkIngestDecodeNDJSON|BenchmarkIngestEncodeNDJSON|BenchmarkSQLChanObserve
 
+# internal/hmm's training tests, which `make race` runs beside every test of
+# internal/pca and internal/kmeans.
+TRAIN_TESTS = Reestimate|EStep|AvgLogProb|Train|Retrain|BaumWelch|Holdout|MAPPrior|Crew
+
 all: verify
 
 build:
 	$(GO) build ./...
 
-# internal/experiments alone runs ~2.5 minutes of full-scale replays; the
-# explicit timeout keeps the per-package default from tripping when the
+# internal/experiments alone runs ~75 s of full-scale replays on 2 vCPUs;
+# the explicit timeout keeps the per-package default from tripping when the
 # package set runs in parallel on a loaded machine.
 test:
 	$(GO) test -timeout 30m ./...
@@ -33,9 +37,14 @@ vet:
 
 # The runtime package is the concurrency-critical surface; -race across the
 # whole module also covers the facade's Runtime tests. tenant and ingest
-# carry the fleet chaos suite and the network front door.
+# carry the fleet chaos suite and the network front door. Training runs its
+# E-step, holdout scoring and PCA products on every core: the second line
+# races the training tests only, since all of internal/hmm under -race takes
+# close to a minute.
 race:
 	$(GO) test -race ./internal/runtime/... ./internal/lifecycle/... ./internal/tenant/... ./internal/ingest/... .
+	$(GO) test -race -run '$(TRAIN_TESTS)' ./internal/hmm
+	$(GO) test -race ./internal/pca ./internal/kmeans
 
 # A short coverage-guided smoke over the hostile-input surfaces — the profile
 # codec, the ingest frame decoder, the NDJSON decoder against its

@@ -59,7 +59,8 @@ func xiNormsAVX2(aT, a, bT, betaT *float64, norms *[xiLanes]float64, n, np int)
 
 // xiAccumAVX512 and xiAccumAVX2 add (((alpha[i]·a[i*np+j])·bcol[j])·
 // next[j]) / xiNorm to aNum[i*np+j] for all np padded destination states j
-// of every row i < n with alpha[i] ≠ 0.
+// of every row i < n with alpha[i] ≠ 0. A caller that owns rows [r0, r1)
+// passes alpha, a and aNum from row r0 on and n = r1 − r0 ≥ 1.
 //
 //go:noescape
 func xiAccumAVX512(alpha, a, bcol, next, aNum *float64, xiNorm float64, n, np int)

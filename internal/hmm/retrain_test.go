@@ -81,13 +81,13 @@ func TestRetrainAdaptsToShiftedCorpus(t *testing.T) {
 	if _, err := base.Train(oldSeqs, TrainOptions{MaxIters: 15}); err != nil {
 		t.Fatal(err)
 	}
-	staleFit := base.avgLogProb(newSeqs)
+	staleFit := base.avgLogProb(newSeqs, newCrew(1))
 
 	next, _, err := base.Retrain(context.Background(), newSeqs, TrainOptions{MaxIters: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshFit := next.avgLogProb(newSeqs)
+	freshFit := next.avgLogProb(newSeqs, newCrew(1))
 	if freshFit <= staleFit {
 		t.Fatalf("retrain did not adapt: stale fit %v, retrained fit %v", staleFit, freshFit)
 	}

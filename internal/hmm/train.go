@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // TrainOptions tune Baum–Welch.
@@ -89,6 +90,9 @@ func (m *Model) TrainContext(ctx context.Context, seqs [][]int, opts TrainOption
 		prior = m.Clone()
 	}
 
+	c := newCrew(runtime.GOMAXPROCS(0))
+	defer c.stop()
+	e := newEStep(nonEmpty, m.N, c)
 	res := &TrainResult{}
 	prevTrain := math.Inf(-1)
 	bestHold := math.Inf(-1)
@@ -98,13 +102,13 @@ func (m *Model) TrainContext(ctx context.Context, seqs [][]int, opts TrainOption
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("hmm: training cancelled after %d iterations: %w", res.Iterations, err)
 		}
-		trainLL := m.reestimate(nonEmpty, prior, opts.PriorWeight)
+		trainLL := m.reestimate(e, prior, opts.PriorWeight)
 		m.Smooth(opts.SmoothFloor)
 		res.Iterations = iter + 1
 		res.TrainLogLik = append(res.TrainLogLik, trainLL)
 
 		if len(opts.Holdout) > 0 {
-			holdLL := m.avgLogProb(opts.Holdout)
+			holdLL := m.avgLogProb(opts.Holdout, c)
 			res.HoldoutLogLik = append(res.HoldoutLogLik, holdLL)
 			// CSDS stopping with patience: a single noisy dip must not end
 			// training while the model is still far from converged, so stop
@@ -153,20 +157,29 @@ func (m *Model) Retrain(ctx context.Context, seqs [][]int, opts TrainOptions) (*
 
 // avgLogProb returns the mean log-likelihood over sequences, scored through
 // a snapshot Scorer: bit-identical to Model.LogProb, on the vector kernels.
-func (m *Model) avgLogProb(seqs [][]int) float64 {
+// The crew scores the windows into a slice that is then summed in order, so
+// the mean does not depend on the worker count.
+func (m *Model) avgLogProb(seqs [][]int, c *crew) float64 {
 	sc := m.NewScorer()
+	type score struct {
+		ll float64
+		ok bool
+	}
+	scores := make([]score, len(seqs))
+	c.run(len(seqs), func(_, k int) {
+		if len(seqs[k]) == 0 {
+			return
+		}
+		ll, err := sc.LogProb(seqs[k])
+		scores[k] = score{ll, err == nil}
+	})
 	var total float64
 	n := 0
-	for _, s := range seqs {
-		if len(s) == 0 {
-			continue
+	for _, s := range scores {
+		if s.ok {
+			total += s.ll
+			n++
 		}
-		ll, err := sc.LogProb(s)
-		if err != nil {
-			continue
-		}
-		total += ll
-		n++
 	}
 	if n == 0 {
 		return math.Inf(-1)
@@ -174,7 +187,75 @@ func (m *Model) avgLogProb(seqs [][]int) float64 {
 	return total / float64(n)
 }
 
-// reestimate performs one scaled Baum–Welch E+M step over all sequences and
+// latticeBudget bounds the lattice memory of one E-step chunk: the forward
+// and backward rows (np entries each) and the three per-step scalars of every
+// step the chunk holds. Only a sequence that exceeds it alone gets a chunk
+// larger than this, sized to that sequence.
+const latticeBudget = 4 << 20
+
+// estep is the working memory of the Baum–Welch E-step for one TrainContext
+// run: the crew, the training sequences cut into chunks, and lattice buffers
+// sized for the largest chunk, allocated once and reused by every iteration.
+//
+// Chunk c holds seqs[chunks[c]:chunks[c+1]], and sequence k's steps occupy
+// rows off[k] to off[k]+len(seqs[k])−1 of the chunk buffers. With one
+// worker every chunk is one sequence, the lattice the serial recurrences
+// need; with more, a chunk takes sequences in order while their steps fit
+// chunkSteps.
+type estep struct {
+	crew   *crew
+	seqs   [][]int
+	chunks []int
+	off    []int
+
+	// Per step t of the chunk: α_t and β_t (np-strided rows), the forward
+	// scale factor (replaced by its log once the backward pass has used it),
+	// the ξ normaliser and the γ normaliser Σ_i α_t[i]·β_t[i].
+	alpha, beta          []float64
+	scale, xiNorm, gNorm []float64
+	// xiBlocks holds each worker's transposed ξ-normaliser blocks.
+	xiBlocks [][]float64
+}
+
+// chunkSteps is how many lattice steps of an n-state model fit latticeBudget.
+func chunkSteps(n int) int {
+	np := (n + 15) &^ 15
+	return latticeBudget / (8 * (2*np + 3))
+}
+
+// newEStep plans the chunks of seqs (all non-empty) for an n-state model on
+// c's workers and allocates their buffers.
+func newEStep(seqs [][]int, n int, c *crew) *estep {
+	limit := chunkSteps(n)
+	if c.workers == 1 {
+		limit = 0
+	}
+	e := &estep{crew: c, seqs: seqs, chunks: []int{0}, off: make([]int, len(seqs))}
+	steps, most := 0, 0
+	for k, s := range seqs {
+		if steps > 0 && steps+len(s) > limit {
+			e.chunks = append(e.chunks, k)
+			steps = 0
+		}
+		e.off[k] = steps
+		steps += len(s)
+		most = max(most, steps)
+	}
+	e.chunks = append(e.chunks, len(seqs))
+	np := (n + 15) &^ 15
+	e.alpha = make([]float64, most*np)
+	e.beta = make([]float64, most*np)
+	e.scale = make([]float64, most)
+	e.xiNorm = make([]float64, most)
+	e.gNorm = make([]float64, most)
+	e.xiBlocks = make([][]float64, c.workers)
+	for w := range e.xiBlocks {
+		e.xiBlocks[w] = make([]float64, 3*xiLanes*n)
+	}
+	return e
+}
+
+// reestimate performs one scaled Baum–Welch E+M step over e's sequences and
 // returns the average log-likelihood under the pre-update parameters. A
 // non-nil prior contributes priorW pseudo-counts per row (MAP estimation).
 //
@@ -186,151 +267,202 @@ func (m *Model) avgLogProb(seqs [][]int) float64 {
 // one contiguous row. Every sum keeps the order of the textbook recurrences
 // (reestimateRef in the tests), so the estimate is bit-identical to them at
 // every kernel level.
-func (m *Model) reestimate(seqs [][]int, prior *Model, priorW float64) float64 {
+//
+// Each chunk runs in two phases on the crew. Phase 1 takes the sequences in
+// parallel: each one's forward and backward lattices, scale factors and ξ
+// and γ normalisers land in its own slots, and the log scale factors are
+// then folded into the log-likelihood in sequence order. Phase 2 takes the
+// source states in parallel: the owner of a block of rows walks the chunk's
+// sequences and steps in order and adds their γ terms to its rows of the
+// initial-state, emission and transition-denominator counts and their ξ
+// terms to its rows of the transition numerators. Every accumulator cell so
+// receives its terms in the serial order, whatever the worker count.
+func (m *Model) reestimate(e *estep, prior *Model, priorW float64) float64 {
 	n, mm := m.N, m.M
 	sc := m.NewScorer()
 	np := sc.np
-	piAcc := make([]float64, n)
-	// aNum is one n×np slab padded like the scorer's, so the ξ kernel runs
-	// unmasked full-width blocks; the padded columns are never read.
-	aNum := make([]float64, n*np)
-	aDen := make([]float64, n)
-	bNum := alloc(n, mm)
-	bDen := make([]float64, n)
+	acc := &counts{
+		pi: make([]float64, n),
+		// aNum is one n×np slab padded like the scorer's, so the ξ kernel
+		// runs unmasked full-width blocks; the padded columns are never read.
+		aNum: make([]float64, n*np),
+		aDen: make([]float64, n),
+		bNum: alloc(n, mm),
+		bDen: make([]float64, n),
+	}
 	if prior != nil && priorW > 0 {
 		for i := 0; i < n; i++ {
-			piAcc[i] = priorW * prior.Pi[i]
-			aDen[i] = priorW
-			bDen[i] = priorW
+			acc.pi[i] = priorW * prior.Pi[i]
+			acc.aDen[i] = priorW
+			acc.bDen[i] = priorW
 			for j := 0; j < n; j++ {
-				aNum[i*np+j] = priorW * prior.A[i][j]
+				acc.aNum[i*np+j] = priorW * prior.A[i][j]
 			}
 			for k := 0; k < mm; k++ {
-				bNum[i][k] = priorW * prior.B[i][k]
+				acc.bNum[i][k] = priorW * prior.B[i][k]
 			}
 		}
 	}
+
+	// Phase 2's row blocks: one per worker, of as near equal size as rows
+	// allow, and none under 8 rows on average, so a block's walk over the
+	// steps pays for itself.
+	blocks := min(e.crew.workers, (n+7)/8)
 	var totalLL float64
-
-	// Forward and backward lattices, one np-strided row per step (the vector
-	// kernels store into all np padded lanes), reused across sequences, with
-	// each sequence's scale factors and ξ normalisers, and the ξ kernels'
-	// transposed blocks.
-	var alphaBuf, betaBuf, scale, xiNorm []float64
-	xiBlocks := make([]float64, 3*xiLanes*n)
-	gamma := make([]float64, n)
-	for _, obs := range seqs {
-		T := len(obs)
-		if len(scale) < T {
-			alphaBuf = make([]float64, T*np)
-			betaBuf = make([]float64, T*np)
-			scale = make([]float64, T)
-			xiNorm = make([]float64, T)
-		}
-		alpha := func(t int) []float64 { return alphaBuf[t*np : t*np+np : t*np+np] }
-		beta := func(t int) []float64 { return betaBuf[t*np : t*np+np : t*np+np] }
-
-		// Scaled forward.
-		var s float64
-		a0, bc := alpha(0), sc.bcol(obs[0])
-		for i := 0; i < n; i++ {
-			a0[i] = m.Pi[i] * bc[i]
-			s += a0[i]
-		}
-		if s == 0 {
-			s = math.SmallestNonzeroFloat64
-		}
-		scale[0] = s
-		for i := 0; i < n; i++ {
-			a0[i] /= s
-		}
-		for t := 1; t < T; t++ {
-			cur := alpha(t)
-			// cur[j] = (Σ_i alpha[t-1][i]·A[i][j])·B[j][obs[t]]; the kernel's
-			// laned scale sum is not this recurrence's, so it is discarded.
-			// (The vector kernels need at least one state.)
-			if n > 0 {
-				sc.step(alpha(t-1), sc.bcol(obs[t]), cur)
-			}
-			s = 0
-			for j := 0; j < n; j++ {
-				s += cur[j]
-			}
-			if s == 0 {
-				s = math.SmallestNonzeroFloat64
-			}
-			scale[t] = s
-			for j := 0; j < n; j++ {
-				cur[j] /= s
+	for c := 0; c+1 < len(e.chunks); c++ {
+		lo, hi := e.chunks[c], e.chunks[c+1]
+		e.crew.run(hi-lo, func(w, k int) {
+			e.lattice(m, sc, lo+k, e.xiBlocks[w])
+		})
+		for k := lo; k < hi; k++ {
+			for _, l := range e.scale[e.off[k] : e.off[k]+len(e.seqs[k])] {
+				totalLL += l
 			}
 		}
-		for t := 0; t < T; t++ {
-			totalLL += math.Log(scale[t])
-		}
-
-		// Scaled backward with the forward scale factors.
-		last := beta(T - 1)
-		for i := 0; i < n; i++ {
-			last[i] = 1 / scale[T-1]
-		}
-		if n > 0 {
-			for t := T - 2; t >= 0; t-- {
-				sc.backward(beta(t+1), sc.bcol(obs[t+1]), beta(t), scale[t])
-			}
-			sc.xiNorms(alphaBuf, betaBuf, obs, xiNorm, xiBlocks)
-		}
-
-		// Accumulate γ and ξ.
-		for t := 0; t < T; t++ {
-			at, bt := alpha(t), beta(t)
-			var norm float64
-			for i := 0; i < n; i++ {
-				gamma[i] = at[i] * bt[i]
-				norm += gamma[i]
-			}
-			if norm == 0 {
-				continue
-			}
-			for i := 0; i < n; i++ {
-				g := gamma[i] / norm
-				if t == 0 {
-					piAcc[i] += g
-				}
-				bNum[i][obs[t]] += g
-				bDen[i] += g
-				if t < T-1 {
-					aDen[i] += g
-				}
-			}
-			if t < T-1 && xiNorm[t] != 0 {
-				sc.xiAccum(at, beta(t+1), sc.bcol(obs[t+1]), aNum, xiNorm[t])
-			}
-		}
+		e.crew.run(blocks, func(_, b int) {
+			e.accumulate(sc, acc, lo, hi, b*n/blocks, (b+1)*n/blocks)
+		})
 	}
 
 	// M step. Rows with no evidence keep their previous values.
 	var piSum float64
 	for i := 0; i < n; i++ {
-		piSum += piAcc[i]
+		piSum += acc.pi[i]
 	}
 	if piSum > 0 {
 		for i := 0; i < n; i++ {
-			m.Pi[i] = piAcc[i] / piSum
+			m.Pi[i] = acc.pi[i] / piSum
 		}
 	}
 	for i := 0; i < n; i++ {
-		if aDen[i] > 0 {
+		if acc.aDen[i] > 0 {
 			for j := 0; j < n; j++ {
-				m.A[i][j] = aNum[i*np+j] / aDen[i]
+				m.A[i][j] = acc.aNum[i*np+j] / acc.aDen[i]
 			}
 		}
-		if bDen[i] > 0 {
+		if acc.bDen[i] > 0 {
 			for k := 0; k < mm; k++ {
-				m.B[i][k] = bNum[i][k] / bDen[i]
+				m.B[i][k] = acc.bNum[i][k] / acc.bDen[i]
 			}
 		}
 	}
-	return totalLL / float64(len(seqs))
+	return totalLL / float64(len(e.seqs))
+}
+
+// counts are the E-step's expected-count accumulators, indexed by source
+// state: the initial-state mass, the padded n×np transition numerators with
+// their per-row denominators, and the emission numerators with theirs.
+type counts struct {
+	pi, aNum, aDen []float64
+	bNum           [][]float64
+	bDen           []float64
+}
+
+// lattice runs phase 1 for sequence k: the scaled forward and backward passes
+// into its chunk rows, its ξ normalisers (with the worker's transposed
+// blocks), its γ normalisers, and finally the logs of its scale factors.
+func (e *estep) lattice(m *Model, sc *Scorer, k int, xiBlocks []float64) {
+	n, np := m.N, sc.np
+	obs := e.seqs[k]
+	T, off := len(obs), e.off[k]
+	alphaBuf := e.alpha[off*np : (off+T)*np]
+	betaBuf := e.beta[off*np : (off+T)*np]
+	scale, xiNorm, gNorm := e.scale[off:off+T], e.xiNorm[off:off+T], e.gNorm[off:off+T]
+	alpha := func(t int) []float64 { return alphaBuf[t*np : t*np+np : t*np+np] }
+	beta := func(t int) []float64 { return betaBuf[t*np : t*np+np : t*np+np] }
+
+	// Scaled forward.
+	var s float64
+	a0, bc := alpha(0), sc.bcol(obs[0])
+	for i := 0; i < n; i++ {
+		a0[i] = m.Pi[i] * bc[i]
+		s += a0[i]
+	}
+	if s == 0 {
+		s = math.SmallestNonzeroFloat64
+	}
+	scale[0] = s
+	for i := 0; i < n; i++ {
+		a0[i] /= s
+	}
+	for t := 1; t < T; t++ {
+		cur := alpha(t)
+		// cur[j] = (Σ_i alpha[t-1][i]·A[i][j])·B[j][obs[t]]; the kernel's
+		// laned scale sum is not this recurrence's, so it is discarded.
+		// (The vector kernels need at least one state.)
+		if n > 0 {
+			sc.step(alpha(t-1), sc.bcol(obs[t]), cur)
+		}
+		s = 0
+		for j := 0; j < n; j++ {
+			s += cur[j]
+		}
+		if s == 0 {
+			s = math.SmallestNonzeroFloat64
+		}
+		scale[t] = s
+		for j := 0; j < n; j++ {
+			cur[j] /= s
+		}
+	}
+
+	// Scaled backward with the forward scale factors.
+	last := beta(T - 1)
+	for i := 0; i < n; i++ {
+		last[i] = 1 / scale[T-1]
+	}
+	if n > 0 {
+		for t := T - 2; t >= 0; t-- {
+			sc.backward(beta(t+1), sc.bcol(obs[t+1]), beta(t), scale[t])
+		}
+		sc.xiNorms(alphaBuf, betaBuf, obs, xiNorm, xiBlocks)
+	}
+
+	for t := 0; t < T; t++ {
+		at, bt := alpha(t), beta(t)
+		var norm float64
+		for i := 0; i < n; i++ {
+			norm += at[i] * bt[i]
+		}
+		gNorm[t] = norm
+		scale[t] = math.Log(scale[t])
+	}
+}
+
+// accumulate runs phase 2 for the source states [r0, r1): it walks the
+// sequences seqs[lo:hi] of the current chunk and their steps in order, adding
+// each step's γ terms to those rows of acc.pi, acc.bNum, acc.bDen and
+// acc.aDen and its ξ terms to those rows of acc.aNum.
+func (e *estep) accumulate(sc *Scorer, acc *counts, lo, hi, r0, r1 int) {
+	np := sc.np
+	pi, aDen, bNum, bDen := acc.pi[r0:r1], acc.aDen[r0:r1], acc.bNum[r0:r1], acc.bDen[r0:r1]
+	for k := lo; k < hi; k++ {
+		obs := e.seqs[k]
+		T, off := len(obs), e.off[k]
+		for t := 0; t < T; t++ {
+			norm := e.gNorm[off+t]
+			if norm == 0 {
+				continue
+			}
+			row := (off + t) * np
+			at, bt := e.alpha[row+r0:row+r1], e.beta[row+r0:row+r1]
+			o := obs[t]
+			for i := range bNum {
+				g := at[i] * bt[i] / norm
+				if t == 0 {
+					pi[i] += g
+				}
+				bNum[i][o] += g
+				bDen[i] += g
+				if t < T-1 {
+					aDen[i] += g
+				}
+			}
+			if t < T-1 && e.xiNorm[off+t] != 0 {
+				sc.xiAccum(e.alpha[row:row+np], e.beta[row+np:row+2*np], sc.bcol(obs[t+1]), acc.aNum, e.xiNorm[off+t], r0, r1)
+			}
+		}
+	}
 }
 
 // xiLanes is the number of steps one ξ-normaliser kernel call covers: one
@@ -424,18 +556,21 @@ func (s *Scorer) xiNorms(alphaBuf, betaBuf []float64, obs []int, norms, blocks [
 
 // xiAccum adds ξ_t(i, j) = (((α_t[i]·A[i][j])·bcol[j])·next[j]) / xiNorm,
 // with a true division, to row i of the padded n×np slab aNum for every row
-// with α_t[i] ≠ 0, where next = β_{t+1} and bcol is the emission column of
-// o_{t+1}. The vector kernels run one lane per destination state over all np
-// lanes of each row; the padded lanes stay in the padded columns.
-func (s *Scorer) xiAccum(alpha, next, bcol, aNum []float64, xiNorm float64) {
+// i ∈ [r0, r1) with α_t[i] ≠ 0 (r0 < r1 ≤ n), where next = β_{t+1} and bcol is the
+// emission column of o_{t+1}. The vector kernels run one lane per destination
+// state over all np lanes of each row; the padded lanes stay in the padded
+// columns.
+func (s *Scorer) xiAccum(alpha, next, bcol, aNum []float64, xiNorm float64, r0, r1 int) {
+	np := s.np
 	switch kernelLevel {
 	case kernelAVX512:
-		xiAccumAVX512(&alpha[0], &s.a[0], &bcol[0], &next[0], &aNum[0], xiNorm, s.n, s.np)
+		xiAccumAVX512(&alpha[r0], &s.a[r0*np], &bcol[0], &next[0], &aNum[r0*np], xiNorm, r1-r0, np)
 	case kernelAVX2:
-		xiAccumAVX2(&alpha[0], &s.a[0], &bcol[0], &next[0], &aNum[0], xiNorm, s.n, s.np)
+		xiAccumAVX2(&alpha[r0], &s.a[r0*np], &bcol[0], &next[0], &aNum[r0*np], xiNorm, r1-r0, np)
 	default:
-		n, np := s.n, s.np
-		for i, ai := range alpha[:n] {
+		n := s.n
+		for i := r0; i < r1; i++ {
+			ai := alpha[i]
 			if ai == 0 {
 				continue
 			}

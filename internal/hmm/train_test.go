@@ -1,6 +1,7 @@
 package hmm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -180,82 +181,174 @@ func checkSameModel(t *testing.T, tag string, got, want *Model) {
 }
 
 // TestReestimateMatchesReference pins the Baum–Welch step to the textbook
-// recurrences bit for bit, under every kernel level the CPU offers, for state
-// counts around the kernels' block boundaries and the bundled apps' 46, 53
-// and 62, with and without a MAP prior, over windows of assorted lengths
-// (single symbols, and every residue of T−1 mod 8 for the ξ-normaliser
-// blocks) and a dead-state model whose zero rows exercise the skipped-row
-// paths. A second sequence set uses a symbol no state emits, so the
-// zero-scale, zero-normaliser and α_t[i] = 0 paths run, and their NaNs must
-// match bit for bit too.
+// recurrences bit for bit, under every kernel level the CPU offers and on
+// one to four workers, for state counts around the kernels' block boundaries
+// and the bundled apps' 46, 53 and 62, with and without a MAP prior, over
+// windows of assorted lengths (single symbols, and every residue of T−1 mod 8
+// for the ξ-normaliser blocks) and a dead-state model whose zero rows
+// exercise the skipped-row paths. A second sequence set uses a symbol no
+// state emits, so the zero-scale, zero-normaliser and α_t[i] = 0 paths run,
+// and their NaNs must match bit for bit too. At 7 and 9 states, further sets
+// put the step total one below, at and one above a chunk's capacity, and one
+// holds a sequence longer than a whole chunk; they run without a prior on
+// two to four workers, the worker counts that fill chunks to capacity.
 func TestReestimateMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	for _, lvl := range []struct {
+	levels := []struct {
 		name  string
 		level int
-	}{{"go", KernelGo}, {"avx2", KernelAVX2}, {"avx512", KernelAVX512}} {
-		restore, ok := ForceKernel(lvl.level)
-		if !ok {
-			continue
+	}{{"go", KernelGo}, {"avx2", KernelAVX2}, {"avx512", KernelAVX512}}
+	for _, n := range []int{0, 1, 2, 7, 8, 15, 16, 17, 33, 46, 53, 62, 64, 97} {
+		// Symbol syms is in the model's alphabet but no state emits it.
+		const syms = 9
+		base := NewRandom(n, syms+1, r.Int63())
+		for i := 0; i < n; i++ {
+			base.B[i][syms] = 0
 		}
-		for _, n := range []int{0, 1, 2, 7, 8, 15, 16, 17, 33, 46, 53, 62, 64, 97} {
-			// Symbol syms is in the model's alphabet but no state emits it.
-			const syms = 9
-			base := NewRandom(n, syms+1, r.Int63())
+		if n > 2 {
+			// A state nothing reaches and that emits nothing observed.
 			for i := 0; i < n; i++ {
-				base.B[i][syms] = 0
+				base.A[i][n-1] = 0
 			}
-			if n > 2 {
-				// A state nothing reaches and that emits nothing observed.
-				for i := 0; i < n; i++ {
-					base.A[i][n-1] = 0
+			base.Pi[n-1] = 0
+			clear(base.B[n-1])
+		}
+		seqs := make([][]int, 12, 12+2*xiLanes)
+		for i := range seqs {
+			seqs[i] = make([]int, 1+r.Intn(20))
+		}
+		for k := 1; k <= 2*xiLanes; k++ {
+			seqs = append(seqs, make([]int, k+1))
+		}
+		fill(r, seqs, syms)
+		unemitted := [][]int{{syms}, {0, syms}, {syms, 3, 4}, {1, 2, syms, 5, 6, 7, 8, 0, 1, 2, 3}}
+		sets := [][][]int{seqs, unemitted}
+		small := len(sets)
+		if n == 7 || n == 9 {
+			c := chunkSteps(n)
+			for _, total := range []int{c - 1, c, c + 1} {
+				sets = append(sets, fill(r, stepTotal(r, total), syms))
+			}
+			over := stepTotal(r, 40)
+			over = append(over[:1:1], append([][]int{make([]int, c+3)}, over[1:]...)...)
+			sets = append(sets, fill(r, over, syms))
+		}
+		for set, seqs := range sets {
+			priors, workers0 := []float64{0, 2}, 1
+			if set >= small {
+				priors, workers0 = priors[:1], 2
+			}
+			for _, priorW := range priors {
+				var prior *Model
+				if priorW > 0 {
+					prior = base.Clone()
 				}
-				base.Pi[n-1] = 0
-				clear(base.B[n-1])
-			}
-			seqs := make([][]int, 12, 12+2*xiLanes)
-			for i := range seqs {
-				seqs[i] = make([]int, 1+r.Intn(20))
-			}
-			for k := 1; k <= 2*xiLanes; k++ {
-				seqs = append(seqs, make([]int, k+1))
-			}
-			for _, s := range seqs {
-				for k := range s {
-					s[k] = r.Intn(syms)
+				const iters = 2
+				var wantLL [iters]float64
+				var want [iters]*Model
+				ref := base.Clone()
+				for iter := range iters {
+					wantLL[iter] = reestimateRef(ref, seqs, prior, priorW)
+					want[iter] = ref.Clone()
 				}
-			}
-			unemitted := [][]int{{syms}, {0, syms}, {syms, 3, 4}, {1, 2, syms, 5, 6, 7, 8, 0, 1, 2, 3}}
-			for set, seqs := range [][][]int{seqs, unemitted} {
-				for _, priorW := range []float64{0, 2} {
-					var prior *Model
-					if priorW > 0 {
-						prior = base.Clone()
+				for _, lvl := range levels {
+					restore, ok := ForceKernel(lvl.level)
+					if !ok {
+						continue
 					}
-					got, want := base.Clone(), base.Clone()
-					for iter := 0; iter < 2; iter++ {
-						gotLL := got.reestimate(seqs, prior, priorW)
-						wantLL := reestimateRef(want, seqs, prior, priorW)
-						tag := lvl.name + "/n=" + itoa(n) + "/set=" + itoa(set) + "/prior=" + itoa(int(priorW)) + "/iter=" + itoa(iter)
-						if math.Float64bits(gotLL) != math.Float64bits(wantLL) {
-							t.Fatalf("%s: log-likelihood %v, want %v", tag, gotLL, wantLL)
+					for workers := workers0; workers <= 4; workers++ {
+						got := base.Clone()
+						cr := newCrew(workers)
+						e := newEStep(seqs, n, cr)
+						for iter := range iters {
+							gotLL := got.reestimate(e, prior, priorW)
+							tag := lvl.name + "/n=" + itoa(n) + "/set=" + itoa(set) + "/prior=" + itoa(int(priorW)) +
+								"/workers=" + itoa(workers) + "/iter=" + itoa(iter)
+							if math.Float64bits(gotLL) != math.Float64bits(wantLL[iter]) {
+								restore()
+								t.Fatalf("%s: log-likelihood %v, want %v", tag, gotLL, wantLL[iter])
+							}
+							checkSameModel(t, tag, got, want[iter])
 						}
-						checkSameModel(t, tag, got, want)
+						cr.stop()
 					}
+					restore()
 				}
 			}
 		}
-		restore()
+	}
+}
+
+// stepTotal returns sequences of 1 to 40 steps whose lengths sum to total.
+func stepTotal(r *rand.Rand, total int) [][]int {
+	var seqs [][]int
+	for total > 0 {
+		k := min(total, 1+r.Intn(40))
+		seqs = append(seqs, make([]int, k))
+		total -= k
+	}
+	return seqs
+}
+
+// fill draws every symbol of seqs uniformly from [0, syms) and returns seqs.
+func fill(r *rand.Rand, seqs [][]int, syms int) [][]int {
+	for _, s := range seqs {
+		for k := range s {
+			s[k] = r.Intn(syms)
+		}
+	}
+	return seqs
+}
+
+// TestEStepChunks pins the chunk plan: one sequence per chunk on one worker;
+// on more, sequences in order while their steps fit chunkSteps, and a
+// sequence longer than that alone in a chunk of its own size.
+func TestEStepChunks(t *testing.T) {
+	const n = 46
+	c := chunkSteps(n)
+	if np := 48; c < 2 || 8*(2*np+3)*c > latticeBudget {
+		t.Fatalf("chunkSteps(%d) = %d", n, c)
+	}
+	seq := func(k int) []int { return make([]int, k) }
+	for _, tc := range []struct {
+		name    string
+		seqs    [][]int
+		workers int
+		chunks  []int
+		steps   int
+	}{
+		{"one worker", [][]int{seq(3), seq(5), seq(2)}, 1, []int{0, 1, 2, 3}, 5},
+		{"below", [][]int{seq(c - 3), seq(2)}, 2, []int{0, 2}, c - 1},
+		{"full", [][]int{seq(c - 3), seq(3), seq(1)}, 2, []int{0, 2, 3}, c},
+		{"above", [][]int{seq(c - 3), seq(4)}, 3, []int{0, 1, 2}, c - 3},
+		{"over budget", [][]int{seq(2), seq(c + 1), seq(2)}, 4, []int{0, 1, 2, 3}, c + 1},
+	} {
+		cr := newCrew(tc.workers)
+		e := newEStep(tc.seqs, n, cr)
+		cr.stop()
+		if fmt.Sprint(e.chunks) != fmt.Sprint(tc.chunks) {
+			t.Errorf("%s: chunks %v, want %v", tc.name, e.chunks, tc.chunks)
+		}
+		if len(e.scale) != tc.steps || len(e.alpha) != tc.steps*48 {
+			t.Errorf("%s: buffers hold %d steps (%d lattice entries), want %d", tc.name, len(e.scale), len(e.alpha), tc.steps)
+		}
 	}
 }
 
 // TestAvgLogProbMatchesModelLogProb pins the holdout score to the mean of
-// Model.LogProb over the non-empty sequences, bit for bit.
+// Model.LogProb over the non-empty sequences, bit for bit, on one to four
+// workers.
 func TestAvgLogProbMatchesModelLogProb(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 9, 40} {
 		m := NewRandom(n, 6, r.Int63())
 		seqs := [][]int{{}, {1}, {0, 5, 2, 2, 4}, {3, 3, 3, 1, 0, 2, 5, 4, 1}}
+		// Enough windows that summing them in any other order would
+		// change the mean's low bits.
+		for range 40 {
+			seqs = append(seqs, make([]int, 1+r.Intn(15)))
+		}
+		fill(r, seqs[4:], 6)
 		var total float64
 		for _, s := range seqs[1:] {
 			ll, err := m.LogProb(s)
@@ -265,11 +358,18 @@ func TestAvgLogProbMatchesModelLogProb(t *testing.T) {
 			total += ll
 		}
 		want := total / float64(len(seqs)-1)
-		if got := m.avgLogProb(seqs); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d: avgLogProb = %v, want %v", n, got, want)
+		for workers := 1; workers <= 4; workers++ {
+			cr := newCrew(workers)
+			got := m.avgLogProb(seqs, cr)
+			cr.stop()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d workers=%d: avgLogProb = %v, want %v", n, workers, got, want)
+			}
 		}
 	}
-	if got := New(3, 2).avgLogProb([][]int{{}}); !math.IsInf(got, -1) {
+	cr := newCrew(2)
+	defer cr.stop()
+	if got := New(3, 2).avgLogProb([][]int{{}}, cr); !math.IsInf(got, -1) {
 		t.Fatalf("no scorable sequence: avgLogProb = %v, want -Inf", got)
 	}
 }
@@ -310,6 +410,7 @@ func TestTrainKernelParity(t *testing.T) {
 				aNum0[k] = r.Float64()
 			}
 			scale, xiNorm := 0.5+r.Float64(), 0.1+r.Float64()
+			split := r.Intn(n + 1)
 
 			type result struct{ beta, norms, aNum []float64 }
 			run := func() result {
@@ -317,8 +418,14 @@ func TestTrainKernelParity(t *testing.T) {
 				s.backward(betaBuf[np:2*np], s.bcol(obs[1]), cur, scale)
 				norms := make([]float64, T-1)
 				s.xiNorms(alphaBuf, betaBuf, obs, norms, make([]float64, 3*xiLanes*n))
+				// Two row ranges split at an arbitrary row cover every
+				// row once, as phase 2's blocks do.
 				aNum := append([]float64(nil), aNum0...)
-				s.xiAccum(alphaBuf[:np], betaBuf[np:2*np], s.bcol(obs[1]), aNum, xiNorm)
+				for _, rows := range [][2]int{{0, split}, {split, n}} {
+					if rows[0] < rows[1] {
+						s.xiAccum(alphaBuf[:np], betaBuf[np:2*np], s.bcol(obs[1]), aNum, xiNorm, rows[0], rows[1])
+					}
+				}
 				live := make([]float64, 0, n*n)
 				for i := 0; i < n; i++ {
 					live = append(live, aNum[i*np:i*np+n]...)

@@ -93,17 +93,10 @@ func Cluster(points [][]float64, k int, seed int64, maxIters int) (*Result, erro
 				centroids[c][j] += v
 			}
 		}
+		empty := false
 		for c := range centroids {
 			if counts[c] == 0 {
-				// Re-seed an empty cluster at the point farthest from its
-				// centroid, the standard fix for collapse.
-				far, fi := -1.0, 0
-				for i, p := range points {
-					if dd := sqDist(p, centroids[assign[i]]); dd > far {
-						far, fi = dd, i
-					}
-				}
-				copy(centroids[c], points[fi])
+				empty = true
 				continue
 			}
 			inv := 1 / float64(counts[c])
@@ -111,29 +104,63 @@ func Cluster(points [][]float64, k int, seed int64, maxIters int) (*Result, erro
 				centroids[c][j] *= inv
 			}
 		}
+		if empty {
+			reseed(points, assign, centroids, counts)
+		}
 	}
 	return res, nil
+}
+
+// reseed moves every empty cluster (counts[c] == 0) to the point farthest
+// from the centroid of its own cluster, the standard fix for collapse. The
+// other centroids must already be means; a point re-seeds at most one
+// cluster.
+func reseed(points [][]float64, assign []int, centroids [][]float64, counts []int) {
+	taken := make([]bool, len(points))
+	for c := range centroids {
+		if counts[c] != 0 {
+			continue
+		}
+		far, fi := -1.0, -1
+		for i, p := range points {
+			if taken[i] {
+				continue
+			}
+			if fi < 0 {
+				fi = i // kept only if every distance is NaN
+			}
+			if dd := sqDist(p, centroids[assign[i]]); dd > far {
+				far, fi = dd, i
+			}
+		}
+		taken[fi] = true
+		copy(centroids[c], points[fi])
+	}
 }
 
 // seedPlusPlus picks initial centroids by k-means++: each subsequent seed is
 // drawn with probability proportional to its squared distance from the
 // nearest existing seed. Duplicate points can yield fewer than k seeds.
+//
+// dists[i] keeps point i's distance to its nearest seed so far, and each
+// round folds in only the newest seed, with the strict < that a scan over
+// every seed in order would apply, so the draws are the same.
 func seedPlusPlus(points [][]float64, k int, r *rand.Rand) [][]float64 {
 	n := len(points)
 	centroids := make([][]float64, 0, k)
 	centroids = append(centroids, clonePoint(points[r.Intn(n)]))
 	dists := make([]float64, n)
+	for i := range dists {
+		dists[i] = math.Inf(1)
+	}
 	for len(centroids) < k {
+		newest := centroids[len(centroids)-1]
 		var total float64
 		for i, p := range points {
-			best := math.Inf(1)
-			for _, c := range centroids {
-				if dd := sqDist(p, c); dd < best {
-					best = dd
-				}
+			if dd := sqDist(p, newest); dd < dists[i] {
+				dists[i] = dd
 			}
-			dists[i] = best
-			total += best
+			total += dists[i]
 		}
 		if total == 0 {
 			break // all remaining points coincide with existing seeds

@@ -15,6 +15,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // ErrBadInput reports degenerate input.
@@ -34,8 +37,13 @@ type Result struct {
 func (r *Result) K() int { return len(r.Components) }
 
 // Fit computes the top-k principal components of data (rows are samples).
-// k is clamped to min(d, samples).
+// k is clamped to min(d, samples). Each iteration's k covariance products
+// run on up to GOMAXPROCS goroutines.
 func Fit(data [][]float64, k int) (*Result, error) {
+	return fit(data, k, runtime.GOMAXPROCS(0))
+}
+
+func fit(data [][]float64, k, workers int) (*Result, error) {
 	m := len(data)
 	if m == 0 {
 		return nil, fmt.Errorf("%w: no samples", ErrBadInput)
@@ -69,13 +77,30 @@ func Fit(data [][]float64, k int) (*Result, error) {
 		mean[j] /= float64(m)
 	}
 
+	// nz[r] lists the columns where row r is non-zero: CTVs are sparse.
+	nz := make([][]int, m)
+	for r, row := range data {
+		for j, v := range row {
+			if v != 0 {
+				nz[r] = append(nz[r], j)
+			}
+		}
+	}
+
 	// covTimes computes (1/m)·Xcᵀ·(Xc·q) for one column q without forming
-	// the covariance.
+	// the covariance. Each row's dot with q runs over the row's non-zero
+	// entries only, in ascending order. That is the dense dot bit for bit
+	// when q is finite: a zero entry adds ±0, and the running sum, which
+	// starts at +0, is never −0, so adding ±0 leaves it unchanged.
 	covTimes := func(q []float64) []float64 {
 		out := make([]float64, d)
 		mq := dot(mean, q)
-		for _, row := range data {
-			c := dot(row, q) - mq
+		for r, row := range data {
+			var rq float64
+			for _, j := range nz[r] {
+				rq += row[j] * q[j]
+			}
+			c := rq - mq
 			if c == 0 {
 				continue
 			}
@@ -105,10 +130,10 @@ func Fit(data [][]float64, k int) (*Result, error) {
 	prev := math.Inf(1)
 	var eig []float64
 	for it := 0; it < iters; it++ {
+		// The k products are independent: each is computed whole by one
+		// goroutine, which walks the rows in order.
 		z := make([][]float64, k)
-		for i := range q {
-			z[i] = covTimes(q[i])
-		}
+		each(workers, k, func(i int) { z[i] = covTimes(q[i]) })
 		eig = make([]float64, k)
 		for i := range z {
 			eig[i] = dot(q[i], z[i])
@@ -160,6 +185,23 @@ func (r *Result) Transform(data [][]float64) [][]float64 {
 		out[i] = p
 	}
 	return out
+}
+
+// each calls fn(i) for every i in [0, count), handing the indices out to up
+// to workers goroutines and returning once all calls have.
+func each(workers, count int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, count) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < count; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func dot(a, b []float64) float64 {

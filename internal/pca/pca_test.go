@@ -2,6 +2,7 @@ package pca
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -148,6 +149,177 @@ func TestConstantDataDoesNotExplode(t *testing.T) {
 	for _, p := range proj {
 		if math.Abs(p[0]) > 1e-9 {
 			t.Errorf("constant data projected to %v, want 0", p[0])
+		}
+	}
+}
+
+// fitRef is Fit with dense row dots and the products computed one after
+// another, kept as the reference fit must match bit for bit.
+func fitRef(data [][]float64, k int) (*Result, error) {
+	m := len(data)
+	if m == 0 {
+		return nil, fmt.Errorf("%w: no samples", ErrBadInput)
+	}
+	d := len(data[0])
+	if d == 0 {
+		return nil, fmt.Errorf("%w: zero-dimensional samples", ErrBadInput)
+	}
+	for i, row := range data {
+		if len(row) != d {
+			return nil, fmt.Errorf("%w: row %d has dim %d, want %d", ErrBadInput, i, len(row), d)
+		}
+	}
+	if k <= 0 {
+		return nil, fmt.Errorf("%w: k = %d", ErrBadInput, k)
+	}
+	if k > d {
+		k = d
+	}
+	if k > m {
+		k = m
+	}
+
+	mean := make([]float64, d)
+	for _, row := range data {
+		for j, v := range row {
+			mean[j] += v
+		}
+	}
+	for j := range mean {
+		mean[j] /= float64(m)
+	}
+
+	// covTimes computes (1/m)·Xcᵀ·(Xc·q) for one column q without forming
+	// the covariance.
+	covTimes := func(q []float64) []float64 {
+		out := make([]float64, d)
+		mq := dot(mean, q)
+		for _, row := range data {
+			c := dot(row, q) - mq
+			if c == 0 {
+				continue
+			}
+			for j, v := range row {
+				out[j] += c * (v - mean[j])
+			}
+		}
+		inv := 1 / float64(m)
+		for j := range out {
+			out[j] *= inv
+		}
+		return out
+	}
+
+	// Orthogonal iteration from a deterministic random basis.
+	r := rand.New(rand.NewSource(1))
+	q := make([][]float64, k)
+	for i := range q {
+		q[i] = make([]float64, d)
+		for j := range q[i] {
+			q[i][j] = r.NormFloat64()
+		}
+	}
+	orthonormalize(q)
+
+	const iters = 50
+	prev := math.Inf(1)
+	var eig []float64
+	for it := 0; it < iters; it++ {
+		z := make([][]float64, k)
+		for i := range q {
+			z[i] = covTimes(q[i])
+		}
+		eig = make([]float64, k)
+		for i := range z {
+			eig[i] = dot(q[i], z[i])
+		}
+		orthonormalize(z)
+		q = z
+		var sum float64
+		for _, e := range eig {
+			sum += e
+		}
+		if math.Abs(sum-prev) < 1e-12*(1+math.Abs(sum)) {
+			break
+		}
+		prev = sum
+	}
+
+	// Order by eigenvalue, descending.
+	order := make([]int, k)
+	for i := range order {
+		order[i] = i
+	}
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			if eig[order[j]] > eig[order[i]] {
+				order[i], order[j] = order[j], order[i]
+			}
+		}
+	}
+	res := &Result{Mean: mean, Components: make([][]float64, k), Eigenvalues: make([]float64, k)}
+	for i, o := range order {
+		res.Components[i] = q[o]
+		res.Eigenvalues[i] = eig[o]
+	}
+	return res, nil
+}
+
+// TestFitMatchesDenseReference pins fit, with its sparse row dots and its
+// products spread over one to four workers, to the dense serial reference
+// bit for bit: components and eigenvalues. The inputs are CTV-like sparse
+// rows (mostly zeros, some −0, some all-zero rows), dense rows, and k at and
+// beyond the clamps.
+func TestFitMatchesDenseReference(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	type input struct {
+		data [][]float64
+		k    int
+	}
+	var inputs []input
+	for _, shape := range []struct{ m, d, k int }{{40, 60, 5}, {120, 30, 16}, {25, 8, 8}, {9, 12, 20}, {1, 5, 3}} {
+		for _, density := range []float64{0.05, 0.3, 1} {
+			data := make([][]float64, shape.m)
+			for i := range data {
+				row := make([]float64, shape.d)
+				if i%7 != 3 {
+					for j := range row {
+						switch u := r.Float64(); {
+						case u < density:
+							row[j] = r.NormFloat64()
+						case u < density+0.05:
+							row[j] = math.Copysign(0, -1)
+						}
+					}
+				}
+				data[i] = row
+			}
+			inputs = append(inputs, input{data, shape.k})
+		}
+	}
+	for n, in := range inputs {
+		want, err := fitRef(in.data, in.k)
+		if err != nil {
+			t.Fatalf("input %d: fitRef: %v", n, err)
+		}
+		for workers := 1; workers <= 4; workers++ {
+			got, err := fit(in.data, in.k, workers)
+			if err != nil {
+				t.Fatalf("input %d workers %d: fit: %v", n, workers, err)
+			}
+			if len(got.Components) != len(want.Components) {
+				t.Fatalf("input %d workers %d: %d components, want %d", n, workers, len(got.Components), len(want.Components))
+			}
+			for c := range want.Components {
+				if math.Float64bits(got.Eigenvalues[c]) != math.Float64bits(want.Eigenvalues[c]) {
+					t.Fatalf("input %d workers %d: eigenvalue %d = %v, want %v", n, workers, c, got.Eigenvalues[c], want.Eigenvalues[c])
+				}
+				for j := range want.Components[c] {
+					if math.Float64bits(got.Components[c][j]) != math.Float64bits(want.Components[c][j]) {
+						t.Fatalf("input %d workers %d: component %d[%d] = %v, want %v", n, workers, c, j, got.Components[c][j], want.Components[c][j])
+					}
+				}
+			}
 		}
 	}
 }
