@@ -37,12 +37,13 @@ vet:
 
 # The runtime package is the concurrency-critical surface; -race across the
 # whole module also covers the facade's Runtime tests. tenant and ingest
-# carry the fleet chaos suite and the network front door. Training runs its
-# E-step, holdout scoring and PCA products on every core: the second line
-# races the training tests only, since all of internal/hmm under -race takes
-# close to a minute.
+# carry the fleet chaos suite and the network front door; retain and trace
+# hold the bounded logs every worker records decisions and traces into.
+# Training runs its E-step, holdout scoring and PCA products on every core:
+# the second line races the training tests only, since all of internal/hmm
+# under -race takes close to a minute.
 race:
-	$(GO) test -race ./internal/runtime/... ./internal/lifecycle/... ./internal/tenant/... ./internal/ingest/... .
+	$(GO) test -race ./internal/runtime/... ./internal/lifecycle/... ./internal/tenant/... ./internal/ingest/... ./internal/retain ./internal/trace .
 	$(GO) test -race -run '$(TRAIN_TESTS)' ./internal/hmm
 	$(GO) test -race ./internal/pca ./internal/kmeans
 

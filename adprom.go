@@ -538,12 +538,13 @@ func WithJudgeHook(fn JudgeHook) RuntimeOption { return runtimeOptionWrap{runtim
 // off; the hot path is never logged.
 func WithLogger(l *slog.Logger) RuntimeOption { return runtimeOptionWrap{runtime.WithLogger(l)} }
 
-// WithDecisionLog sizes the runtime's decision-provenance ring: the last
-// capacity judgement records are retained (default 1024; negative disables
-// provenance entirely), with unflagged judgements sampled one-in-sampleEvery
-// (default 16; 1 records every judgement). Alerts are always recorded.
-// Retrieve records with Runtime.Decisions or the introspection endpoint's
-// /decisions.
+// WithDecisionLog sizes the runtime's decision-provenance log. Capacity
+// applies per class: the newest capacity sampled unflagged judgements and
+// the newest capacity alerts are retained (default 1024 each; negative
+// disables provenance entirely), with unflagged judgements sampled
+// one-in-sampleEvery (default 16; 1 records every judgement). Alerts are
+// always recorded and only newer alerts evict them. Retrieve records with
+// Runtime.Decisions or the introspection endpoint's /decisions.
 func WithDecisionLog(capacity, sampleEvery int) RuntimeOption {
 	return runtimeOptionWrap{runtime.WithDecisionLog(capacity, sampleEvery)}
 }

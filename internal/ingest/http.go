@@ -6,10 +6,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
-	"time"
-
-	"adprom/internal/trace"
 )
 
 // Handler returns an http.Handler ingesting batches over POST: the request
@@ -36,9 +32,6 @@ type httpIngest struct {
 	sink    Sink
 	ts      TraceSink // non-nil when sink supports traced observes
 	maxBody int64
-
-	events  atomic.Uint64
-	rejects atomic.Uint64
 }
 
 func (h *httpIngest) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -76,31 +69,13 @@ func (h *httpIngest) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		events++
-		var serr error
-		switch e.Kind {
-		case KindObserve:
+		if e.Kind == KindObserve {
 			calls += len(e.Calls)
-			if h.ts != nil {
-				serr = h.ts.ObserveTraced(trace.Context{
-					ID:     e.Trace,
-					Start:  time.Now(),
-					Remote: r.RemoteAddr,
-					Codec:  codec,
-				}, e.Tenant, e.Session, e.Calls)
-				break
-			}
-			serr = h.sink.Observe(e.Tenant, e.Session, e.Calls)
-		case KindFlush:
-			serr = h.sink.Flush(e.Tenant, e.Session)
-		case KindClose:
-			serr = h.sink.CloseSession(e.Tenant, e.Session)
 		}
-		if serr != nil {
+		if deliver(h.sink, h.ts, e, r.RemoteAddr, codec) != nil {
 			rejects++
 		}
 	}
-	h.events.Add(uint64(events))
-	h.rejects.Add(uint64(rejects))
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusAccepted)
 	fmt.Fprintf(w, "accepted events=%d calls=%d rejected=%d\n", events, calls, rejects)

@@ -313,35 +313,41 @@ func (s *Server) newDecoder(br *bufio.Reader) (decoder, Codec, error) {
 
 // dispatch hands one event to the sink, counting refusals without breaking
 // the stream — risk-aware shedding and quota pushback degrade a
-// connection's throughput, they do not sever it. Observe events go through
-// the TraceSink seam when the sink offers one, carrying the wire trace
-// context so the decision trace opens at decode time.
+// connection's throughput, they do not sever it.
 func (s *Server) dispatch(e Event, remote string, codec Codec, ts TraceSink) {
 	s.events.Add(1)
-	var err error
-	switch e.Kind {
-	case KindObserve:
+	if e.Kind == KindObserve {
 		s.calls.Add(uint64(len(e.Calls)))
-		if ts != nil {
-			err = ts.ObserveTraced(trace.Context{
-				ID:     e.Trace,
-				Start:  time.Now(),
-				Remote: remote,
-				Codec:  codec.String(),
-			}, e.Tenant, e.Session, e.Calls)
-			break
-		}
-		err = s.cfg.Sink.Observe(e.Tenant, e.Session, e.Calls)
-	case KindFlush:
-		err = s.cfg.Sink.Flush(e.Tenant, e.Session)
-	case KindClose:
-		err = s.cfg.Sink.CloseSession(e.Tenant, e.Session)
 	}
-	if err != nil {
+	if err := deliver(s.cfg.Sink, ts, e, remote, codec.String()); err != nil {
 		s.sinkRejects.Add(1)
 		s.log.Debug("ingest event rejected", "remote", remote,
 			"tenant", e.Tenant, "session", e.Session, "kind", e.Kind.String(), "err", err)
 	}
+}
+
+// deliver hands one event to the sink and returns the sink's error; the TCP
+// server and the HTTP handler both ingest through it. Observe events go
+// through the TraceSink seam when the sink offers one (ts non-nil), carrying
+// the wire trace context so the decision trace opens at decode time.
+func deliver(sink Sink, ts TraceSink, e Event, remote, codec string) error {
+	switch e.Kind {
+	case KindObserve:
+		if ts != nil {
+			return ts.ObserveTraced(trace.Context{
+				ID:     e.Trace,
+				Start:  time.Now(),
+				Remote: remote,
+				Codec:  codec,
+			}, e.Tenant, e.Session, e.Calls)
+		}
+		return sink.Observe(e.Tenant, e.Session, e.Calls)
+	case KindFlush:
+		return sink.Flush(e.Tenant, e.Session)
+	case KindClose:
+		return sink.CloseSession(e.Tenant, e.Session)
+	}
+	return nil
 }
 
 // WritePrometheus renders the server counters in the Prometheus text

@@ -7,13 +7,15 @@
 // downtime, recording every published generation in a persistent registry.
 //
 // The pieces compose but stand alone: Detector is the sampled drift
-// estimator, TraceRing the bounded retraining corpus, Registry the versioned
-// on-disk store, and Manager wires them to a runtime.Runtime.
+// estimator, Registry the versioned on-disk store, and Manager wires them to
+// a runtime.Runtime and keeps the bounded retraining corpus (a retain.Ring).
 package lifecycle
 
 import (
 	"sync"
 	"time"
+
+	"adprom/internal/retain"
 )
 
 // DriftConfig tunes the Detector. The zero value applies the defaults noted
@@ -75,11 +77,8 @@ func (c DriftConfig) withDefaults() DriftConfig {
 // Observe is safe for concurrent use from many detection workers; the
 // sampling gate keeps the skipped judgements lock-free.
 type Detector struct {
-	cfg DriftConfig
-
-	// gate counts every judgement; only multiples of SampleEvery take mu.
-	gateMu sync.Mutex
-	gate   uint64
+	cfg  DriftConfig
+	gate *retain.Gate // passes every SampleEvery-th judgement on to mu
 
 	mu sync.Mutex
 	st driftState
@@ -96,11 +95,8 @@ type driftState struct {
 	baselineRate float64
 	warm         bool
 
-	// Sliding window of folded samples.
-	scores  []float64
-	flags   []bool
-	idx     int
-	filled  bool
+	// Sliding window of folded samples and its running sums.
+	win     *retain.Ring[sample]
 	winSum  float64
 	winFlag int
 
@@ -114,13 +110,20 @@ type driftState struct {
 	lastSample time.Time
 }
 
+// sample is one folded judgement in the sliding window.
+type sample struct {
+	score   float64
+	flagged bool
+}
+
 // NewDetector builds a detector; see DriftConfig for the defaults.
 func NewDetector(cfg DriftConfig) *Detector {
 	cfg = cfg.withDefaults()
-	return &Detector{cfg: cfg, st: driftState{
-		scores: make([]float64, cfg.Window),
-		flags:  make([]bool, cfg.Window),
-	}}
+	return &Detector{
+		cfg:  cfg,
+		gate: retain.NewGate(cfg.SampleEvery),
+		st:   driftState{win: retain.NewRing[sample](cfg.Window)},
+	}
 }
 
 // Observe folds one judgement (the per-symbol window log-probability and
@@ -137,11 +140,7 @@ func (d *Detector) Observe(score float64, flagged bool) (sampled, confirmed bool
 // every observer, so the drift sampler never re-reads the clock on the hot
 // path. The newest sampled timestamp surfaces in DriftState.LastSample.
 func (d *Detector) ObserveAt(at time.Time, score float64, flagged bool) (sampled, confirmed bool) {
-	d.gateMu.Lock()
-	d.gate++
-	take := d.gate%uint64(d.cfg.SampleEvery) == 0
-	d.gateMu.Unlock()
-	if !take {
+	if !d.gate.Take() {
 		return false, false
 	}
 
@@ -165,23 +164,15 @@ func (d *Detector) ObserveAt(at time.Time, score float64, flagged bool) (sampled
 		return true, false
 	}
 
-	// Sliding window update.
-	if st.filled {
-		st.winSum -= st.scores[st.idx]
-		if st.flags[st.idx] {
+	if old, evicted := st.win.Push(sample{score, flagged}); evicted {
+		st.winSum -= old.score
+		if old.flagged {
 			st.winFlag--
 		}
 	}
-	st.scores[st.idx] = score
-	st.flags[st.idx] = flagged
 	st.winSum += score
 	if flagged {
 		st.winFlag++
-	}
-	st.idx++
-	if st.idx == len(st.scores) {
-		st.idx = 0
-		st.filled = true
 	}
 
 	// Page–Hinkley one-sided test for a decrease of the mean score: evidence
@@ -199,8 +190,8 @@ func (d *Detector) ObserveAt(at time.Time, score float64, flagged bool) (sampled
 		st.drifted, st.cause = true, "score-mean"
 		return true, true
 	}
-	if st.filled {
-		rate := float64(st.winFlag) / float64(len(st.flags))
+	if st.win.Len() == d.cfg.Window {
+		rate := float64(st.winFlag) / float64(d.cfg.Window)
 		if rate >= st.baselineRate+d.cfg.RateMargin {
 			st.drifted, st.cause = true, "anomaly-rate"
 			return true, true
@@ -214,8 +205,7 @@ func (d *Detector) ObserveAt(at time.Time, score float64, flagged bool) (sampled
 func (d *Detector) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	w := len(d.st.scores)
-	d.st = driftState{scores: make([]float64, w), flags: make([]bool, w)}
+	d.st = driftState{win: retain.NewRing[sample](d.cfg.Window)}
 }
 
 // DriftState is a point-in-time view of the detector for monitoring.
@@ -256,11 +246,7 @@ func (d *Detector) State() DriftState {
 		Cause:        st.cause,
 		LastSample:   st.lastSample,
 	}
-	n := st.idx
-	if st.filled {
-		n = len(st.scores)
-	}
-	if n > 0 {
+	if n := st.win.Len(); n > 0 {
 		out.WindowMean = st.winSum / float64(n)
 		out.WindowRate = float64(st.winFlag) / float64(n)
 	}

@@ -9,6 +9,7 @@ import (
 	"adprom/internal/collector"
 	"adprom/internal/metrics"
 	"adprom/internal/profile"
+	"adprom/internal/retain"
 	"adprom/internal/runtime"
 )
 
@@ -53,15 +54,15 @@ type Config struct {
 // runtime.WithAttach(m.Bind), then Start it. All methods are safe for
 // concurrent use.
 type Manager struct {
-	cfg  Config
-	det  *Detector
-	ring *TraceRing
-	lc   metrics.Lifecycle
+	cfg Config
+	det *Detector
+	lc  metrics.Lifecycle
 
 	mu      sync.Mutex
 	rt      *runtime.Runtime
-	last    time.Time // end of the previous retraining run
-	pending bool      // a drift verdict deferred on a thin corpus
+	corpus  *retain.Ring[collector.Trace] // judged-Normal traces, oldest evicted
+	last    time.Time                     // end of the previous retraining run
+	pending bool                          // a drift verdict deferred on a thin corpus
 
 	trigger   chan struct{}
 	ctx       context.Context
@@ -86,7 +87,7 @@ func NewManager(cfg Config) *Manager {
 	return &Manager{
 		cfg:     cfg,
 		det:     NewDetector(cfg.Drift),
-		ring:    NewTraceRing(cfg.RingCapacity),
+		corpus:  retain.NewRing[collector.Trace](cfg.RingCapacity),
 		trigger: make(chan struct{}, 1),
 		ctx:     ctx,
 		cancel:  cancel,
@@ -147,23 +148,25 @@ func (m *Manager) Observe(_ string, _ int, at time.Time, score float64, flagged 
 // traces vetted as legitimate (by the administrator, or by a policy that
 // checked their replay raised no alerts) belong here: the next generation is
 // trained on them. If a drift verdict was deferred because the corpus was too
-// thin, reaching MinTraces revives it.
+// thin, reaching MinTraces revives it. The corpus keeps tr by reference.
 func (m *Manager) RecordTrace(tr collector.Trace) {
 	if len(tr) == 0 {
 		return
 	}
-	if m.ring.Add(tr) {
-		m.lc.AddTraceEvicted()
-	}
-	m.lc.AddTraceRecorded()
 	m.mu.Lock()
-	revive := m.pending && m.ring.Len() >= m.cfg.MinTraces
+	_, evicted := m.corpus.Push(tr)
+	n := m.corpus.Len()
+	revive := m.pending && n >= m.cfg.MinTraces
 	if revive {
 		m.pending = false
 	}
 	m.mu.Unlock()
+	if evicted {
+		m.lc.AddTraceEvicted()
+	}
+	m.lc.AddTraceRecorded()
 	if revive {
-		m.logf("lifecycle: corpus reached %d traces; reviving deferred retrain", m.ring.Len())
+		m.logf("lifecycle: corpus reached %d traces; reviving deferred retrain", n)
 		m.kick()
 	}
 }
@@ -242,14 +245,13 @@ func (m *Manager) cooldownLeft() time.Duration {
 // manager goroutine only (single-flight by construction).
 func (m *Manager) retrainOnce() {
 	m.mu.Lock()
-	rt := m.rt
+	rt, traces := m.rt, m.corpus.Snapshot()
 	m.mu.Unlock()
 	if rt == nil {
 		m.logf("lifecycle: retrain requested before Bind; dropping")
 		m.det.Reset()
 		return
 	}
-	traces := m.ring.Snapshot()
 	if len(traces) < m.cfg.MinTraces {
 		m.logf("lifecycle: drift confirmed but corpus has %d/%d traces; deferring retrain",
 			len(traces), m.cfg.MinTraces)

@@ -44,29 +44,6 @@ func trainAppH(t *testing.T) (*profile.Profile, []collector.Trace) {
 	return appHOnce.p, appHOnce.traces
 }
 
-func TestRingEvictsOldestFirst(t *testing.T) {
-	r := NewTraceRing(3)
-	mk := func(label string) collector.Trace { return collector.Trace{{Label: label}} }
-	for _, l := range []string{"a", "b", "c"} {
-		if r.Add(mk(l)) {
-			t.Fatalf("eviction before the ring was full (adding %s)", l)
-		}
-	}
-	if !r.Add(mk("d")) {
-		t.Fatal("full ring did not evict")
-	}
-	got := r.Snapshot()
-	want := []string{"b", "c", "d"}
-	if len(got) != len(want) || r.Len() != 3 {
-		t.Fatalf("snapshot has %d traces (len %d), want 3", len(got), r.Len())
-	}
-	for i, tr := range got {
-		if tr[0].Label != want[i] {
-			t.Fatalf("snapshot[%d] = %s, want %s (oldest-first order)", i, tr[0].Label, want[i])
-		}
-	}
-}
-
 func TestRegistryRoundTrip(t *testing.T) {
 	p, _ := trainAppH(t)
 	dir := t.TempDir()

@@ -1,20 +1,14 @@
-// Package obsv is the observability layer of the detection runtime: decision
-// provenance (a compact, bounded record of per-window judgements answering
-// "why did window W on session S flag under generation G?"), a Prometheus
-// text-format renderer for the runtime's counters and latency histograms, and
-// the live introspection HTTP handler (/metrics, /decisions, /healthz,
-// /readyz, pprof).
+// Package obsv is the observability layer of the detection runtime: the
+// decision-provenance record (Decision, a compact per-window judgement
+// answering "why did window W on session S flag under generation G?"), a
+// Prometheus text-format renderer for the runtime's counters and latency
+// histograms, and the live introspection HTTP handler (/metrics, /decisions,
+// /healthz, /readyz, pprof).
 //
 // The package is deliberately free of runtime dependencies: the runtime
-// records decisions into a Recorder it owns, and the HTTP handler is wired
+// keeps its decisions in a retain.Log it owns, and the HTTP handler is wired
 // with plain functions, so obsv never imports the packages it observes.
 package obsv
-
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
 
 // Decision is the provenance record of one completed-window judgement: who
 // (session), where (window-end sequence number in the stream), when (the
@@ -22,8 +16,8 @@ import (
 // computed (per-symbol window log-probability against the threshold), the
 // verdict, and which profile generation scored it. For alerts, Label and
 // Caller identify the triggering call — the caller context that explains an
-// OutOfContext flag. The struct is flat and pointer-free (its strings alias
-// interned call metadata), so recording one never allocates.
+// OutOfContext flag. The struct is flat (its strings alias interned call
+// metadata), so building one never allocates.
 type Decision struct {
 	Session    string  `json:"session"`
 	Seq        int     `json:"seq"`
@@ -69,146 +63,4 @@ type Decision struct {
 	// /traces/{id}. Empty (and omitted, keeping the decision log bit-identical
 	// to a trace-free build) when tracing is off.
 	Trace string `json:"trace,omitempty"`
-}
-
-// Recorder samples judgement decisions into a bounded ring. The sampling
-// policy is 1-in-N for unflagged (Normal) judgements — gated by one atomic
-// add, so skipped judgements never touch the ring's mutex — plus
-// always-sample for alerts, so the evidence for every flagged window
-// survives.
-//
-// Eviction keeps alerts: a full ring always overwrites its oldest unflagged
-// decision while one exists (an O(1) pop off the unflagged-slot queue), so a
-// flagged decision is only ever evicted by newer flagged decisions once the
-// whole ring is alerts. Record never allocates.
-type Recorder struct {
-	every uint64
-	gate  atomic.Uint64
-
-	recorded atomic.Uint64 // decisions written into the ring
-	skipped  atomic.Uint64 // unflagged judgements the sampler passed over
-
-	mu   sync.Mutex
-	buf  []Decision
-	seqs []uint64 // per-slot commit index: the newest-first sort key
-	seq  uint64   // monotonic commit counter
-	n    int      // live entries
-	next int      // ring cursor used once every slot holds an alert
-
-	// unflagged is a FIFO queue (ring over a fixed slice) of the slot indices
-	// currently holding unflagged decisions, in write order. Eviction pops
-	// the front — the oldest unflagged decision — in O(1) instead of sweeping
-	// the ring, which costs O(capacity) per write once alerts accumulate.
-	unflagged []int
-	ufHead    int
-	ufLen     int
-}
-
-// NewRecorder builds a recorder keeping the last capacity decisions and
-// sampling one in sampleEvery unflagged judgements (alerts are always
-// recorded). capacity ≤ 0 disables recording entirely (Record becomes a
-// no-op); sampleEvery ≤ 1 records every judgement.
-func NewRecorder(capacity, sampleEvery int) *Recorder {
-	r := &Recorder{}
-	if sampleEvery > 1 {
-		r.every = uint64(sampleEvery)
-	}
-	if capacity > 0 {
-		r.buf = make([]Decision, capacity)
-		r.seqs = make([]uint64, capacity)
-		r.unflagged = make([]int, capacity)
-	}
-	return r
-}
-
-// Enabled reports whether the recorder keeps any decisions.
-func (r *Recorder) Enabled() bool { return r != nil && r.buf != nil }
-
-// Record applies the sampling policy to one decision and reports whether it
-// was kept. Safe for concurrent use from many workers.
-func (r *Recorder) Record(d Decision) bool {
-	if !r.Enabled() {
-		return false
-	}
-	if !d.Flagged && r.every > 1 && r.gate.Add(1)%r.every != 0 {
-		r.skipped.Add(1)
-		return false
-	}
-	r.write(d)
-	return true
-}
-
-// write commits one decision under the keep-alerts eviction policy: a full
-// ring evicts its oldest unflagged decision while one exists; only an
-// all-alert ring evicts a flagged decision (round-robin at the cursor). The
-// unflagged-slot queue makes both cases O(1) per write.
-func (r *Recorder) write(d Decision) {
-	r.recorded.Add(1)
-	r.mu.Lock()
-	var slot int
-	switch {
-	case r.n < len(r.buf):
-		slot = r.n
-		r.n++
-	case r.ufLen > 0:
-		slot = r.unflagged[r.ufHead]
-		r.ufHead = (r.ufHead + 1) % len(r.unflagged)
-		r.ufLen--
-	default:
-		slot = r.next
-		r.next = (slot + 1) % len(r.buf)
-	}
-	r.buf[slot] = d
-	r.seqs[slot] = r.seq
-	r.seq++
-	if !d.Flagged {
-		r.unflagged[(r.ufHead+r.ufLen)%len(r.unflagged)] = slot
-		r.ufLen++
-	}
-	r.mu.Unlock()
-}
-
-// RecordAlways writes one decision into the ring, bypassing the 1-in-N
-// sampling gate. Used for decisions that must survive regardless of volume:
-// the first shed on a session, like an alert, is evidence an operator needs.
-func (r *Recorder) RecordAlways(d Decision) bool {
-	if !r.Enabled() {
-		return false
-	}
-	r.write(d)
-	return true
-}
-
-// Recorded returns the number of decisions written into the ring since
-// creation; Skipped the unflagged judgements the 1-in-N gate passed over.
-func (r *Recorder) Recorded() uint64 { return r.recorded.Load() }
-func (r *Recorder) Skipped() uint64  { return r.skipped.Load() }
-
-// Decisions returns up to limit of the most recent decisions, newest first.
-// limit ≤ 0 returns everything retained.
-func (r *Recorder) Decisions(limit int) []Decision {
-	if !r.Enabled() {
-		return nil
-	}
-	r.mu.Lock()
-	type entry struct {
-		seq uint64
-		idx int
-	}
-	live := make([]entry, r.n)
-	for i := 0; i < r.n; i++ {
-		live[i] = entry{r.seqs[i], i}
-	}
-	// Keep-alerts eviction writes out of ring order, so newest-first comes
-	// from the per-slot commit index, not slot position.
-	sort.Slice(live, func(i, j int) bool { return live[i].seq > live[j].seq })
-	if limit <= 0 || limit > len(live) {
-		limit = len(live)
-	}
-	out := make([]Decision, limit)
-	for i := 0; i < limit; i++ {
-		out[i] = r.buf[live[i].idx]
-	}
-	r.mu.Unlock()
-	return out
 }

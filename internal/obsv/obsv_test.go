@@ -1,43 +1,54 @@
 package obsv
 
 import (
-	"fmt"
-	"sync"
 	"testing"
+
+	"adprom/internal/retain"
 )
 
-func TestRecorderDisabled(t *testing.T) {
-	var nilRec *Recorder
-	if nilRec.Enabled() {
-		t.Error("nil recorder must report disabled")
+// The decision log is a retain.Log of Decisions. These tests pin the policy
+// the runtime relies on for Decision records; the log's concurrency and
+// eviction properties are tested in internal/retain.
+
+// record applies the decision log's policy to one decision the way the
+// runtime does, and reports whether it was kept.
+func record(l *retain.Log[Decision], d Decision) bool {
+	if !l.Admit(d.Flagged) {
+		return false
 	}
-	if nilRec.Decisions(10) != nil {
-		t.Error("nil recorder must return no decisions")
+	l.Add(d, d.Flagged)
+	return true
+}
+
+func TestRecorderDisabled(t *testing.T) {
+	var nilLog *retain.Log[Decision]
+	if nilLog.Newest(10) != nil {
+		t.Error("nil log must return no decisions")
 	}
 
-	r := NewRecorder(0, 1)
-	if r.Enabled() {
+	r := retain.NewLog[Decision](0, 1)
+	if r != nil {
 		t.Error("capacity 0 must disable recording")
 	}
-	if r.Record(Decision{Flagged: true}) {
-		t.Error("disabled recorder must not keep decisions")
+	if record(r, Decision{Flagged: true}) {
+		t.Error("disabled log must not keep decisions")
 	}
-	if r.Recorded() != 0 {
-		t.Error("disabled recorder must count nothing")
+	if r.Kept() != 0 {
+		t.Error("disabled log must count nothing")
 	}
 }
 
 func TestRecorderKeepsEveryAlert(t *testing.T) {
-	r := NewRecorder(8, 100) // aggressive sampling, but alerts bypass the gate
+	r := retain.NewLog[Decision](8, 100) // aggressive sampling, but alerts bypass the gate
 	for i := 0; i < 5; i++ {
-		if !r.Record(Decision{Session: "s", Seq: i, Flagged: true, Flag: "DL"}) {
+		if !record(r, Decision{Session: "s", Seq: i, Flagged: true, Flag: "DL"}) {
 			t.Fatalf("alert %d was sampled out", i)
 		}
 	}
-	if got := r.Recorded(); got != 5 {
+	if got := r.Kept(); got != 5 {
 		t.Errorf("recorded = %d, want 5", got)
 	}
-	ds := r.Decisions(0)
+	ds := r.Newest(0)
 	if len(ds) != 5 {
 		t.Fatalf("retained %d decisions, want 5", len(ds))
 	}
@@ -51,32 +62,32 @@ func TestRecorderKeepsEveryAlert(t *testing.T) {
 
 func TestRecorderSamplesUnflagged(t *testing.T) {
 	const every = 16
-	r := NewRecorder(1024, every)
+	r := retain.NewLog[Decision](1024, every)
 	for i := 0; i < 160; i++ {
-		r.Record(Decision{Seq: i})
+		record(r, Decision{Seq: i})
 	}
-	if got := r.Recorded(); got != 160/every {
+	if got := r.Kept(); got != 160/every {
 		t.Errorf("recorded = %d, want %d", got, 160/every)
 	}
-	if got := r.Skipped(); got != 160-160/every {
+	if got := r.SampledOut(); got != 160-160/every {
 		t.Errorf("skipped = %d, want %d", got, 160-160/every)
 	}
 
 	// sampleEvery ≤ 1 keeps everything.
-	all := NewRecorder(1024, 1)
+	all := retain.NewLog[Decision](1024, 1)
 	for i := 0; i < 10; i++ {
-		if !all.Record(Decision{Seq: i}) {
+		if !record(all, Decision{Seq: i}) {
 			t.Fatalf("sampleEvery=1 dropped decision %d", i)
 		}
 	}
 }
 
 func TestRecorderRingOverwritesOldest(t *testing.T) {
-	r := NewRecorder(4, 1)
+	r := retain.NewLog[Decision](4, 1)
 	for i := 0; i < 10; i++ {
-		r.Record(Decision{Seq: i})
+		record(r, Decision{Seq: i})
 	}
-	ds := r.Decisions(0)
+	ds := r.Newest(0)
 	if len(ds) != 4 {
 		t.Fatalf("retained %d decisions, want capacity 4", len(ds))
 	}
@@ -86,151 +97,11 @@ func TestRecorderRingOverwritesOldest(t *testing.T) {
 		}
 	}
 	// A limit below retention truncates from the newest end.
-	if got := r.Decisions(2); len(got) != 2 || got[0].Seq != 9 || got[1].Seq != 8 {
-		t.Errorf("Decisions(2) = %+v, want seqs [9 8]", got)
+	if got := r.Newest(2); len(got) != 2 || got[0].Seq != 9 || got[1].Seq != 8 {
+		t.Errorf("Newest(2) = %+v, want seqs [9 8]", got)
 	}
 	// A limit above retention returns what exists.
-	if got := r.Decisions(100); len(got) != 4 {
-		t.Errorf("Decisions(100) returned %d, want 4", len(got))
-	}
-}
-
-// TestRecorderKeepAlertsPropertyConcurrent drives the ring with concurrent
-// writers and checks the two documented properties hold under contention
-// (run it with -race):
-//
-//  1. Keep-alerts eviction: while the ring holds any unflagged decision, a
-//     flagged one is never evicted. The workload writes fewer alerts than
-//     the ring's capacity, so every single alert — from every session —
-//     must survive, even though an order of magnitude more unflagged
-//     decisions were committed after them and churned through the ring.
-//  2. Sampling ratio: the 1-in-N gate is one shared atomic counter, so
-//     across any interleaving exactly ⌊U/N⌋±1 of U unflagged judgements
-//     are kept and the rest are counted as skipped.
-//
-// A second, deterministic phase then floods the ring with alerts alone to
-// pin down the only legal flagged-eviction mode: once the whole ring is
-// alerts, the cursor round-robins and older alerts yield to newer ones.
-func TestRecorderKeepAlertsPropertyConcurrent(t *testing.T) {
-	const (
-		capacity  = 128
-		every     = 4
-		writers   = 8
-		perWriter = 512
-		flagEvery = 64 // writers*perWriter/flagEvery = 64 alerts < capacity
-	)
-	r := NewRecorder(capacity, every)
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				r.Record(Decision{
-					Session: fmt.Sprintf("w%d", g),
-					Seq:     i,
-					Flagged: i%flagEvery == flagEvery-1,
-				})
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	const (
-		total        = writers * perWriter
-		flaggedTotal = writers * (perWriter / flagEvery)
-		unflagged    = total - flaggedTotal
-	)
-
-	// Every judgement was either committed or counted as sampled out.
-	recorded, skipped := int(r.Recorded()), int(r.Skipped())
-	if recorded+skipped != total {
-		t.Errorf("recorded %d + skipped %d = %d, want %d", recorded, skipped, recorded+skipped, total)
-	}
-
-	// Property 2 — the shared gate keeps exactly one in `every` unflagged
-	// judgements, ±1 for where the counter started relative to the modulus.
-	keptUnflagged := recorded - flaggedTotal
-	if want := unflagged / every; keptUnflagged < want-1 || keptUnflagged > want+1 {
-		t.Errorf("kept %d unflagged decisions, want %d±1 (gate is exact under contention)", keptUnflagged, want)
-	}
-
-	// Property 1 — with flaggedTotal < capacity the ring is never all-alerts,
-	// so no alert may ever have been evicted: all 64 must be retained, while
-	// the ~900 kept unflagged decisions fought over the remaining slots.
-	ds := r.Decisions(0)
-	if len(ds) != capacity {
-		t.Fatalf("ring retained %d decisions, want full capacity %d", len(ds), capacity)
-	}
-	surviving := map[string]bool{}
-	unflaggedSurvivors := 0
-	for _, d := range ds {
-		if d.Flagged {
-			surviving[fmt.Sprintf("%s/%d", d.Session, d.Seq)] = true
-		} else {
-			unflaggedSurvivors++
-		}
-	}
-	for g := 0; g < writers; g++ {
-		for i := flagEvery - 1; i < perWriter; i += flagEvery {
-			if key := fmt.Sprintf("w%d/%d", g, i); !surviving[key] {
-				t.Errorf("alert %s was evicted while %d same-run unflagged decisions survive", key, unflaggedSurvivors)
-			}
-		}
-	}
-	if unflaggedSurvivors != capacity-flaggedTotal {
-		t.Errorf("%d unflagged survivors, want %d (capacity minus the retained alerts)", unflaggedSurvivors, capacity-flaggedTotal)
-	}
-
-	// Phase 2 — the only way to evict an alert: newer alerts once the ring is
-	// all-flagged. 2×capacity alert-only writes first displace the unflagged
-	// survivors, then cycle every slot, so the final ring is exactly the
-	// newest `capacity` flood alerts.
-	for i := 0; i < 2*capacity; i++ {
-		r.Record(Decision{Session: "flood", Seq: 1_000_000 + i, Flagged: true})
-	}
-	ds = r.Decisions(0)
-	if len(ds) != capacity {
-		t.Fatalf("post-flood ring retained %d, want %d", len(ds), capacity)
-	}
-	for _, d := range ds {
-		if !d.Flagged || d.Session != "flood" {
-			t.Fatalf("post-flood ring kept %s/%d flagged=%v; an all-alert flood must leave only flood alerts", d.Session, d.Seq, d.Flagged)
-		}
-		if d.Seq < 1_000_000+capacity {
-			t.Errorf("flood alert seq %d survived; the round-robin cursor should keep only the newest %d", d.Seq, capacity)
-		}
-	}
-}
-
-func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(256, 4)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				r.Record(Decision{
-					Session: fmt.Sprintf("s%d", g),
-					Seq:     i,
-					Flagged: i%10 == 0,
-				})
-			}
-		}(g)
-	}
-	wg.Wait()
-	// 8000 decisions: 800 alerts always kept; 7200 unflagged through a 1-in-4
-	// gate. The gate is a shared counter, so exactly a quarter of the
-	// unflagged adds fire.
-	recorded, skipped := r.Recorded(), r.Skipped()
-	if recorded+skipped != 8000 {
-		t.Errorf("recorded %d + skipped %d = %d, want 8000", recorded, skipped, recorded+skipped)
-	}
-	if recorded < 800 {
-		t.Errorf("recorded %d < 800 alerts that must all be kept", recorded)
-	}
-	if len(r.Decisions(0)) != 256 {
-		t.Errorf("ring retained %d, want full capacity 256", len(r.Decisions(0)))
+	if got := r.Newest(100); len(got) != 4 {
+		t.Errorf("Newest(100) returned %d, want 4", len(got))
 	}
 }

@@ -162,9 +162,9 @@ func WritePrometheusSet(w io.Writer, rts ...Labelled) error {
 		}
 		return float64(depth)
 	})
-	counter("adprom_decisions_recorded_total", "Provenance decisions written into the ring.", func(s *promSnap) uint64 { return s.rt.rec.Recorded() })
+	counter("adprom_decisions_recorded_total", "Provenance decisions written into the decision log.", func(s *promSnap) uint64 { return s.rt.decisions.Kept() })
 	counter("adprom_decisions_sampled_out_total", "Unflagged judgements passed over by the 1-in-N sampler.",
-		func(s *promSnap) uint64 { return s.rt.rec.Skipped() })
+		func(s *promSnap) uint64 { return s.rt.decisions.SampledOut() })
 	counter("adprom_traces_stored_total", "Decision traces committed into the trace store (alerts plus sampled healthy traces).",
 		func(s *promSnap) uint64 { return s.rt.traces.Stored() })
 	counter("adprom_traces_sampled_out_total", "Healthy decision traces passed over by the trace sampling gate.",

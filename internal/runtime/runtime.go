@@ -92,6 +92,7 @@ import (
 	"adprom/internal/metrics"
 	"adprom/internal/obsv"
 	"adprom/internal/profile"
+	"adprom/internal/retain"
 	"adprom/internal/shed"
 	"adprom/internal/sqlchan"
 	"adprom/internal/trace"
@@ -356,12 +357,12 @@ func WithLogger(l *slog.Logger) Option {
 	return func(c *config) { c.logger = l }
 }
 
-// WithDecisionLog sizes the decision-provenance ring: the runtime retains the
-// last capacity judgement records (default 1024), sampling one in sampleEvery
-// unflagged judgements (default 16) while always recording alerts. capacity
-// < 0 disables provenance entirely, 0 keeps the default; sampleEvery 1
-// records every judgement, ≤ 0 keeps the default. Read the ring with
-// Runtime.Decisions.
+// WithDecisionLog sizes the decision-provenance log, per class: the runtime
+// retains the newest capacity sampled unflagged judgements and the newest
+// capacity alerts (default 1024 each), sampling one in sampleEvery
+// unflagged judgements (default 16). capacity < 0 disables provenance
+// entirely, 0 keeps the default; sampleEvery 1 records every judgement,
+// ≤ 0 keeps the default. Read the log with Runtime.Decisions.
 func WithDecisionLog(capacity, sampleEvery int) Option {
 	return func(c *config) {
 		if capacity != 0 {
@@ -378,7 +379,7 @@ func WithDecisionLog(capacity, sampleEvery int) Option {
 // and fusion spans, async sink delivery) and the runtime retains up to
 // capacity healthy traces plus up to capacity alert traces, sampling one in
 // sampleEvery healthy traces at commit while always keeping alert-bearing
-// ones — the same retention bias as the decision ring. capacity ≤ 0 (the
+// ones — the same retention policy as the decision log. capacity ≤ 0 (the
 // default) disables tracing entirely: no trace is ever built, the hot path
 // only pays a nil check, and the decision log stays bit-identical to a
 // trace-free build. sampleEvery ≤ 1 keeps every healthy trace. Read traces
@@ -493,10 +494,10 @@ type Runtime struct {
 	handoff chan alertMsg
 	sinkWG  sync.WaitGroup
 
-	pool   sync.Pool // *pooledEngine, each tagged with its generation
-	ctr    metrics.Counters
-	rec    *obsv.Recorder // decision provenance; nil-safe, Enabled gates use
-	traces *trace.Store   // decision traces; nil when tracing is disabled
+	pool      sync.Pool // *pooledEngine, each tagged with its generation
+	ctr       metrics.Counters
+	decisions *retain.Log[obsv.Decision] // decision provenance; nil when disabled
+	traces    *trace.Store               // decision traces; nil when tracing is disabled
 }
 
 type alertMsg struct {
@@ -655,14 +656,14 @@ func New(p *profile.Profile, opts ...Option) *Runtime {
 		}
 	}
 	rt := &Runtime{
-		cfg:      cfg,
-		seed:     maphash.MakeSeed(),
-		queues:   make([]chan op, cfg.workers),
-		pending:  make([]atomic.Int64, cfg.workers),
-		sessions: make(map[string]*Session),
-		stopped:  make(chan struct{}),
-		rec:      obsv.NewRecorder(cfg.decisionCap, cfg.decisionEvery),
-		traces:   trace.NewStore(cfg.traceCap, cfg.traceEvery),
+		cfg:       cfg,
+		seed:      maphash.MakeSeed(),
+		queues:    make([]chan op, cfg.workers),
+		pending:   make([]atomic.Int64, cfg.workers),
+		sessions:  make(map[string]*Session),
+		stopped:   make(chan struct{}),
+		decisions: retain.NewLog[obsv.Decision](cfg.decisionCap, cfg.decisionEvery),
+		traces:    trace.NewStore(cfg.traceCap, cfg.traceEvery),
 	}
 	if cfg.policy == ShedByRisk {
 		var sc shed.Config
@@ -1236,11 +1237,14 @@ func (rt *Runtime) noteShed(s *Session, d shed.Decision, calls int, traceID stri
 // (like an alert, it is evidence that must survive); later ones are sampled
 // 1-in-N with the cumulative per-session count carried on each record.
 func (rt *Runtime) recordShed(s *Session, d shed.Decision, calls int, traceID string) {
-	if !rt.rec.Enabled() {
+	if rt.decisions == nil {
 		return
 	}
 	total := s.risk.ShedCalls()
-	dec := obsv.Decision{
+	if total != uint64(calls) && !rt.decisions.Admit(false) {
+		return
+	}
+	rt.decisions.Add(obsv.Decision{
 		Session:     s.id,
 		UnixNanos:   time.Now().UnixNano(),
 		Flag:        "Shed",
@@ -1251,12 +1255,7 @@ func (rt *Runtime) recordShed(s *Session, d shed.Decision, calls int, traceID st
 		Risk:        d.Risk,
 		Occupancy:   d.Occupancy,
 		Trace:       traceID,
-	}
-	if total == uint64(calls) {
-		rt.rec.RecordAlways(dec)
-		return
-	}
-	rt.rec.Record(dec)
+	}, false)
 }
 
 // supervise owns one worker slot: it runs the worker loop and restarts it
@@ -1576,18 +1575,18 @@ func (rt *Runtime) installEngine(s *Session) {
 			}
 		})
 	}
-	if rt.cfg.judgeHook != nil || rt.cfg.observer != nil || rt.rec.Enabled() || s.risk != nil {
-		id, hook, obs, rec, risk := s.id, rt.cfg.judgeHook, rt.cfg.observer, rt.rec, s.risk
+	if rt.cfg.judgeHook != nil || rt.cfg.observer != nil || rt.decisions != nil || s.risk != nil {
+		id, hook, obs, decisions, risk := s.id, rt.cfg.judgeHook, rt.cfg.observer, rt.decisions, s.risk
 		e.SetJudgeHook(func(seq int, score float64, flagged bool) error {
 			// The shed tier's per-session risk signals come from the same
 			// judgement stream the observers tap.
 			if risk != nil {
 				risk.NoteJudgement(score, flagged)
 			}
-			// Unflagged judgements are sampled here (1-in-N); flagged ones
-			// are recorded with their full alert context in recordAlerts.
-			if !flagged && rec.Enabled() {
-				rec.Record(obsv.Decision{
+			// Unflagged judgements are sampled (1-in-N) before one is built;
+			// flagged ones are recorded with alert context in recordAlerts.
+			if !flagged && decisions.Admit(false) {
+				decisions.Add(obsv.Decision{
 					Session:    id,
 					Seq:        seq,
 					UnixNanos:  s.opTime.UnixNano(),
@@ -1596,7 +1595,7 @@ func (rt *Runtime) installEngine(s *Session) {
 					Flag:       detect.FlagNormal.String(),
 					Generation: s.gen,
 					Trace:      s.curTrace.ID(),
-				})
+				}, false)
 			}
 			if obs != nil {
 				obs(id, seq, s.opTime, score, flagged)
@@ -1613,11 +1612,11 @@ func (rt *Runtime) installEngine(s *Session) {
 }
 
 // recordAlerts writes one provenance Decision per raised alert — alerts are
-// always sampled, so the evidence behind every flag survives in the ring.
+// always kept and only newer alerts evict them, so the evidence survives.
 // traceID correlates each record with the op's decision trace ("" when
 // untraced). Runs on the session's worker goroutine.
 func (rt *Runtime) recordAlerts(s *Session, alerts []detect.Alert, traceID string) {
-	if !rt.rec.Enabled() {
+	if rt.decisions == nil {
 		return
 	}
 	for i := range alerts {
@@ -1626,7 +1625,7 @@ func (rt *Runtime) recordAlerts(s *Session, alerts []detect.Alert, traceID strin
 		if math.IsInf(bound, 1) {
 			bound = math.MaxFloat64
 		}
-		rt.rec.Record(obsv.Decision{
+		rt.decisions.Add(obsv.Decision{
 			Session:         s.id,
 			Seq:             a.Seq,
 			UnixNanos:       s.opTime.UnixNano(),
@@ -1643,7 +1642,7 @@ func (rt *Runtime) recordAlerts(s *Session, alerts []detect.Alert, traceID strin
 			SQLThreshold:    a.SQLThreshold,
 			FusedScore:      a.FusedScore,
 			Trace:           traceID,
-		})
+		}, true)
 	}
 }
 
@@ -1859,7 +1858,7 @@ type Stats struct {
 	Swaps          uint64
 	EnginesRetired uint64
 	// DecisionsRecorded counts provenance records written into the decision
-	// ring (alerts plus 1-in-N sampled Normal judgements).
+	// log (alerts plus 1-in-N sampled Normal judgements).
 	DecisionsRecorded uint64
 	// TracesStored counts decision traces committed into the trace store
 	// (alert traces plus 1-in-N sampled healthy traces); TracesSampledOut
@@ -1933,7 +1932,7 @@ func (rt *Runtime) Stats() Stats {
 		Swaps:          snap.Swaps,
 		EnginesRetired: snap.EnginesRetired,
 	}
-	st.DecisionsRecorded = rt.rec.Recorded()
+	st.DecisionsRecorded = rt.decisions.Kept()
 	st.TracesStored = rt.traces.Stored()
 	st.TracesSampledOut = rt.traces.SampledOut()
 	st.Shed = snap.Shed
@@ -1995,7 +1994,7 @@ func (rt *Runtime) Histograms() Histograms {
 // Decisions returns up to limit of the most recent provenance records,
 // newest first (limit ≤ 0 returns everything retained). Empty when the
 // decision log was disabled with WithDecisionLog(-1, 0).
-func (rt *Runtime) Decisions(limit int) []obsv.Decision { return rt.rec.Decisions(limit) }
+func (rt *Runtime) Decisions(limit int) []obsv.Decision { return rt.decisions.Newest(limit) }
 
 // TracingEnabled reports whether the runtime was built with WithTracing.
 func (rt *Runtime) TracingEnabled() bool { return rt.traces.Enabled() }

@@ -372,11 +372,16 @@ func (r *Router) TraceByID(id string) (trace.Trace, bool) {
 }
 
 // Flush judges (tenant, session)'s pending short window and resets it for
-// the next trace.
+// the next trace. An unknown session has nothing to judge: Flush returns nil
+// without registering it or charging the tenant's session quota.
 func (r *Router) Flush(tenant, session string) error {
-	s, err := r.Session(tenant, session)
+	sh, err := r.Shard(tenant)
 	if err != nil {
 		return err
+	}
+	s, ok := sh.rt.LookupSession(session)
+	if !ok {
+		return nil
 	}
 	_, err = s.Flush()
 	return err

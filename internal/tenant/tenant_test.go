@@ -342,6 +342,38 @@ func TestRouterSessionQuota(t *testing.T) {
 	}
 }
 
+// TestRouterFlushUnknownSession checks that flushing a session the router
+// has never seen — a collector flushing stale session IDs after a reconnect
+// — neither registers it nor charges it to the tenant's quota.
+func TestRouterFlushUnknownSession(t *testing.T) {
+	p, traces := trainAppH(t)
+	r, err := NewRouter(Config{
+		Static:               map[string]*profile.Profile{"t": p},
+		MaxSessionsPerTenant: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	if err := r.Flush("t", "ghost"); err != nil {
+		t.Fatalf("flushing an unknown session: %v", err)
+	}
+	sh, err := r.Shard("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sh.Runtime().ActiveSessions(); n != 0 {
+		t.Fatalf("flushing an unknown session registered %d session(s)", n)
+	}
+	if err := r.Observe("t", "real", traces[0]); err != nil {
+		t.Fatalf("first real session refused after a ghost flush: %v", err)
+	}
+	if err := r.Flush("unknown-tenant", "s"); !errors.Is(err, ErrUnknownTenant) {
+		t.Fatalf("flush on an unknown tenant: %v, want ErrUnknownTenant", err)
+	}
+}
+
 func TestRouterSwapProfile(t *testing.T) {
 	p, _ := trainAppH(t)
 	r, err := NewRouter(Config{Static: map[string]*profile.Profile{"alpha": p}})

@@ -1,9 +1,8 @@
 // Package trace is the zero-dependency distributed-tracing layer of the
 // detection pipeline: a span model (trace ID, span ID, parent, monotonic
-// start/duration, stage name, typed attributes) plus a lock-light bounded
-// store of completed traces with the same retention bias as the decision
-// ring — healthy traces are sampled 1-in-N, alert-bearing traces are always
-// kept.
+// start/duration, stage name, typed attributes) plus a bounded store of
+// completed traces, a retain.Log like the runtime's decision log — healthy
+// traces are sampled 1-in-N, alert-bearing traces are always kept.
 //
 // One trace covers one ingest event / observe op end to end: a root span
 // ("ingest" on the network path, "observe" on the direct Session API)
@@ -20,10 +19,11 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"adprom/internal/retain"
 )
 
 // Kind discriminates the live value field of an Attr.
@@ -318,33 +318,17 @@ func (a *Active) Release() {
 	}
 }
 
-// Store is a bounded store of completed traces with keep-alerts retention:
-// healthy traces pass a 1-in-N sampling gate and live in a FIFO ring of
-// their own, alert traces are always committed and evicted only by newer
-// alert traces. Hot-path cost while a trace is open is one mutex-guarded
-// append per span; the commit path touches the store mutex once per op.
+// Store is a bounded store of completed traces with keep-alerts retention
+// (a retain.Log): healthy traces pass a 1-in-N sampling gate at commit,
+// alert traces are always kept and evicted only by newer alert traces.
+// Hot-path cost while a trace is open is one mutex-guarded append per span;
+// a sampled-out trace commits without copying its spans.
 type Store struct {
-	every uint64
-	gate  atomic.Uint64
-	seed  uint64
-	ctr   atomic.Uint64
-
-	stored     atomic.Uint64 // traces committed into the rings
-	sampledOut atomic.Uint64 // healthy traces the 1-in-N gate discarded
-
-	mu      sync.Mutex
-	seq     uint64 // monotonic commit index, newest-first merge key
-	healthy []stored
-	alerts  []stored
-	hNext   int
-	aNext   int
+	log  *retain.Log[Trace]
+	seed uint64
+	ctr  atomic.Uint64
 
 	pool sync.Pool // *Active
-}
-
-type stored struct {
-	seq uint64
-	tr  Trace
 }
 
 // NewStore builds a trace store retaining up to capacity healthy traces and
@@ -355,15 +339,10 @@ func NewStore(capacity, sampleEvery int) *Store {
 	if capacity <= 0 {
 		return nil
 	}
-	s := &Store{
-		healthy: make([]stored, 0, capacity),
-		alerts:  make([]stored, 0, capacity),
-		seed:    mix(uint64(time.Now().UnixNano())),
+	return &Store{
+		log:  retain.NewLog[Trace](capacity, sampleEvery),
+		seed: mix(uint64(time.Now().UnixNano())),
 	}
-	if sampleEvery > 1 {
-		s.every = uint64(sampleEvery)
-	}
-	return s
 }
 
 // Enabled reports whether the store retains traces.
@@ -375,14 +354,14 @@ func (s *Store) Stored() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.stored.Load()
+	return s.log.Kept()
 }
 
 func (s *Store) SampledOut() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.sampledOut.Load()
+	return s.log.SampledOut()
 }
 
 // Begin opens a trace for one op, creating its root span. The trace ID is
@@ -425,36 +404,14 @@ func (s *Store) Begin(tc Context, session, stage string) *Active {
 // Active.
 func (s *Store) commit(a *Active) {
 	alert := a.alert.Load()
-	if !alert && s.every > 1 && s.gate.Add(1)%s.every != 0 {
-		s.sampledOut.Add(1)
-		s.pool.Put(a)
-		return
+	if s.log.Admit(alert) {
+		// The stored trace owns a copy of the span slice so the Active (and
+		// its span backing array) can be pooled.
+		tr := a.tr
+		tr.Alert = alert
+		tr.Spans = append([]Span(nil), a.tr.Spans...)
+		s.log.Add(tr, alert)
 	}
-	// The stored trace owns a copy of the span slice so the Active (and its
-	// span backing array) can be pooled.
-	tr := a.tr
-	tr.Alert = alert
-	tr.Spans = append([]Span(nil), a.tr.Spans...)
-	s.stored.Add(1)
-	s.mu.Lock()
-	s.seq++
-	e := stored{seq: s.seq, tr: tr}
-	if alert {
-		if len(s.alerts) < cap(s.alerts) {
-			s.alerts = append(s.alerts, e)
-		} else {
-			s.alerts[s.aNext] = e
-			s.aNext = (s.aNext + 1) % cap(s.alerts)
-		}
-	} else {
-		if len(s.healthy) < cap(s.healthy) {
-			s.healthy = append(s.healthy, e)
-		} else {
-			s.healthy[s.hNext] = e
-			s.hNext = (s.hNext + 1) % cap(s.healthy)
-		}
-	}
-	s.mu.Unlock()
 	s.pool.Put(a)
 }
 
@@ -464,40 +421,15 @@ func (s *Store) Traces(limit int) []Trace {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	all := make([]stored, 0, len(s.healthy)+len(s.alerts))
-	all = append(all, s.healthy...)
-	all = append(all, s.alerts...)
-	s.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].seq > all[j].seq })
-	if limit > 0 && limit < len(all) {
-		all = all[:limit]
-	}
-	out := make([]Trace, len(all))
-	for i, e := range all {
-		out[i] = e.tr
-	}
-	return out
+	return s.log.Newest(limit)
 }
 
-// TraceByID returns the retained trace with the given ID.
+// TraceByID returns the newest retained trace with the given ID.
 func (s *Store) TraceByID(id string) (Trace, bool) {
 	if s == nil {
 		return Trace{}, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.alerts {
-		if s.alerts[i].tr.ID == id {
-			return s.alerts[i].tr, true
-		}
-	}
-	for i := range s.healthy {
-		if s.healthy[i].tr.ID == id {
-			return s.healthy[i].tr, true
-		}
-	}
-	return Trace{}, false
+	return s.log.Find(func(tr *Trace) bool { return tr.ID == id })
 }
 
 // mix is the splitmix64 finalizer: cheap, well-distributed trace IDs from a
