@@ -1,6 +1,9 @@
 package runtime
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // raceEnabled is set under -race (race_test.go), whose instrumentation
 // allocates on its own.
@@ -48,5 +51,38 @@ func TestObservePerCallAllocFree(t *testing.T) {
 	t.Logf("flush alone %v allocs, %d observes + flush %v allocs", flushAllocs, len(tr), runAllocs)
 	if runAllocs > flushAllocs {
 		t.Fatalf("%d per-call observes + flush allocate %v times, flush alone %v", len(tr), runAllocs, flushAllocs)
+	}
+}
+
+// TestTracedObserveSampledOutAllocFree is the traced counterpart: with every
+// healthy trace sampled out, a run observed as one batch and flushed records
+// its admit and score spans in two traces and costs no more allocations
+// than the same run untraced. The decision log is off in both runs: a
+// sampled Normal decision reads its op's trace ID, which formats it.
+func TestTracedObserveSampledOutAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	p, traces := trainAppH(t)
+	allocs := func(opts ...Option) float64 {
+		rt := New(p, append([]Option{WithWorkers(1), WithDecisionLog(-1, 0)}, opts...)...)
+		defer rt.Close()
+		s := rt.Session("allocs")
+		run := func() {
+			if err := s.ObserveBatch(traces[0]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the engine and the trace pool
+		return testing.AllocsPerRun(200, run)
+	}
+	plain := allocs()
+	traced := allocs(WithTracing(16, math.MaxInt))
+	t.Logf("a %d-call batch + flush: %v allocs untraced, %v traced", len(traces[0]), plain, traced)
+	if traced > plain {
+		t.Fatalf("sampled-out tracing adds %v allocations to a batch and its flush", traced-plain)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"adprom/internal/metrics"
 	"adprom/internal/obsv"
 	"adprom/internal/shed"
+	"adprom/internal/trace"
 )
 
 // countersMetric maps every metrics.CountersSnapshot field to the Prometheus
@@ -169,6 +170,8 @@ func WritePrometheusSet(w io.Writer, rts ...Labelled) error {
 		func(s *promSnap) uint64 { return s.rt.traces.Stored() })
 	counter("adprom_traces_sampled_out_total", "Healthy decision traces passed over by the trace sampling gate.",
 		func(s *promSnap) uint64 { return s.rt.traces.SampledOut() })
+	counter("adprom_trace_ids_replaced_total", "Client-supplied trace IDs over "+strconv.Itoa(trace.MaxIDLen)+" bytes that the trace store replaced with its own.",
+		func(s *promSnap) uint64 { return s.rt.traces.IDsReplaced() })
 
 	// Risk-aware shedding gauges: rendered whether or not ShedByRisk is
 	// active, so dashboards keyed on them never see the family disappear.

@@ -1038,22 +1038,25 @@ func (rt *Runtime) enqueue(ctx context.Context, worker int, o op, control bool) 
 	err := rt.enqueueOp(ctx, worker, o, control)
 	verdict, shedCalls := "admitted", 0
 	enqueued := err == nil
-	var bse *BatchShedError
-	switch {
-	case err == nil:
-	case errors.As(err, &bse):
-		shedCalls = bse.Shed
-		verdict = "shed"
-		if bse.Shed < bse.Batch {
-			verdict = "partial"
-			enqueued = true // the admitted prefix is queued; the worker owns the trace
+	if err != nil {
+		// Declared here, bse (which errors.As moves to the heap) costs an
+		// allocation only on a refused op.
+		var bse *BatchShedError
+		switch {
+		case errors.As(err, &bse):
+			shedCalls = bse.Shed
+			verdict = "shed"
+			if bse.Shed < bse.Batch {
+				verdict = "partial"
+				enqueued = true // the admitted prefix is queued; the worker owns the trace
+			}
+		case errors.Is(err, ErrShed):
+			verdict, shedCalls = "shed", 1
+		case errors.Is(err, ErrDropped):
+			verdict, shedCalls = "dropped", 1
+		default:
+			verdict = "rejected" // closed runtime or expired context
 		}
-	case errors.Is(err, ErrShed):
-		verdict, shedCalls = "shed", 1
-	case errors.Is(err, ErrDropped):
-		verdict, shedCalls = "dropped", 1
-	default:
-		verdict = "rejected" // closed runtime or expired context
 	}
 	o.ta.Event(trace.RootSpan, "admit", start,
 		trace.Int("queue_depth", depth),
@@ -1424,7 +1427,7 @@ func (rt *Runtime) process(o *op) {
 		rt.ctr.AddCalls(len(calls), time.Since(start).Nanoseconds())
 		rt.noteSensitive(s)
 		rt.finishScore(s, o, scoreSpan, len(calls), alerts)
-		rt.recordAlerts(s, alerts, o.ta.ID())
+		rt.recordAlerts(s, alerts, o.ta)
 		rt.deliver(s, alerts, o.ta)
 		if err := s.engine.Err(); err != nil {
 			// Error-propagating judge hook: quarantine without a panic.
@@ -1438,7 +1441,7 @@ func (rt *Runtime) process(o *op) {
 		// fused verdicts surface here: the flush op's own trace carries
 		// their judgement spans and the alert correlation.
 		rt.finishScore(s, o, scoreSpan, 0, history[before:])
-		rt.recordAlerts(s, history[before:], o.ta.ID())
+		rt.recordAlerts(s, history[before:], o.ta)
 		rt.deliver(s, history[before:], o.ta)
 		// Windows never straddle traces: the next stream starts clean.
 		s.engine.ResetWindow()
@@ -1483,13 +1486,15 @@ func (rt *Runtime) finishScore(s *Session, o *op, h trace.SpanHandle, calls int,
 		return
 	}
 	sum := s.engine.TakeTraceSummary()
-	attrs := []trace.Attr{
+	// The span copies its attributes, so the list lives on this stack.
+	var buf [10]trace.Attr
+	attrs := append(buf[:0],
 		trace.Int("calls", int64(calls)),
 		trace.Int("windows", int64(sum.Windows)),
 		trace.Int("alerts", int64(len(alerts))),
 		trace.String("scorer", rt.cfg.scorerMode.String()),
 		trace.Int("generation", int64(s.gen)),
-	}
+	)
 	if sum.HMMSeen {
 		attrs = append(attrs,
 			trace.Float("hmm_score", sum.HMMScore),
@@ -1507,6 +1512,18 @@ func (rt *Runtime) finishScore(s *Session, o *op, h trace.SpanHandle, calls int,
 		rt.ctr.NoteObserveExemplar(o.ta.ID())
 	}
 	s.curTrace, s.scoreSpan = nil, 0
+}
+
+// judgementStage names the span of a flagged judgement on channel ch, a
+// constant for the channels the engine has.
+func judgementStage(ch string) string {
+	switch ch {
+	case detect.ChannelHMM:
+		return "score.hmm"
+	case detect.ChannelSQL:
+		return "score.sql"
+	}
+	return "score." + ch
 }
 
 // noteSensitive feeds the engine's sensitive-touch delta into the session's
@@ -1559,7 +1576,7 @@ func (rt *Runtime) installEngine(s *Session) {
 			}
 			s.judgeSpans++
 			now := time.Now()
-			a.Event(s.scoreSpan, "score."+ev.Channel, now,
+			a.Event(s.scoreSpan, judgementStage(ev.Channel), now,
 				trace.Int("seq", int64(ev.Seq)),
 				trace.Float("score", ev.Score),
 				trace.Float("threshold", ev.Threshold),
@@ -1613,12 +1630,14 @@ func (rt *Runtime) installEngine(s *Session) {
 
 // recordAlerts writes one provenance Decision per raised alert — alerts are
 // always kept and only newer alerts evict them, so the evidence survives.
-// traceID correlates each record with the op's decision trace ("" when
-// untraced). Runs on the session's worker goroutine.
-func (rt *Runtime) recordAlerts(s *Session, alerts []detect.Alert, traceID string) {
-	if rt.decisions == nil {
+// The op's trace ID ("" when untraced) correlates each record with its
+// decision trace; it is read only when there is an alert to record. Runs on
+// the session's worker goroutine.
+func (rt *Runtime) recordAlerts(s *Session, alerts []detect.Alert, ta *trace.Active) {
+	if rt.decisions == nil || len(alerts) == 0 {
 		return
 	}
+	traceID := ta.ID()
 	for i := range alerts {
 		a := &alerts[i]
 		bound := a.ScoreErrorBound

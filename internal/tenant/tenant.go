@@ -373,33 +373,48 @@ func (r *Router) TraceByID(id string) (trace.Trace, bool) {
 
 // Flush judges (tenant, session)'s pending short window and resets it for
 // the next trace. An unknown session has nothing to judge: Flush returns nil
-// without registering it or charging the tenant's session quota.
+// without registering it or charging the tenant's session quota. Nor does a
+// tenant that is not resident: its sessions were flushed and closed when its
+// shard was evicted, so Flush loads nothing and evicts nothing.
 func (r *Router) Flush(tenant, session string) error {
-	sh, err := r.Shard(tenant)
-	if err != nil {
+	s, err := r.residentSession(tenant, session)
+	if s == nil {
 		return err
-	}
-	s, ok := sh.rt.LookupSession(session)
-	if !ok {
-		return nil
 	}
 	_, err = s.Flush()
 	return err
 }
 
 // CloseSession flushes and deregisters one session, releasing its quota
-// slot.
+// slot. Like Flush, it never loads a tenant.
 func (r *Router) CloseSession(tenant, session string) error {
-	sh, err := r.Shard(tenant)
-	if err != nil {
+	s, err := r.residentSession(tenant, session)
+	if s == nil {
 		return err
-	}
-	s, ok := sh.rt.LookupSession(session)
-	if !ok {
-		return nil
 	}
 	_, err = s.Close()
 	return err
+}
+
+// residentSession finds an existing session on a resident shard, nil when
+// there is none. It refuses a tenant no profile source names and a closed
+// router as routing does, but never loads a shard.
+func (r *Router) residentSession(tenant, session string) (*runtime.Session, error) {
+	r.mu.RLock()
+	sh, closed := r.shards[tenant], r.closed
+	r.mu.RUnlock()
+	switch {
+	case sh != nil:
+		sh.touched.Store(r.clock.Add(1))
+		s, _ := sh.rt.LookupSession(session)
+		return s, nil
+	case closed:
+		return nil, ErrClosed
+	case r.cfg.Static[tenant] == nil && r.cfg.Loader == nil:
+		r.unknown.Add(1)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
+	}
+	return nil, nil
 }
 
 // SwapProfile hot-swaps tenant's serving profile with zero downtime,

@@ -3,6 +3,7 @@ package tenant
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -131,6 +132,87 @@ func TestRouterObserveTraced(t *testing.T) {
 	}
 	if got := r2.Traces("apph", 0); got != nil {
 		t.Errorf("untraced shard retained %d traces", len(got))
+	}
+}
+
+// TestRouterReplacesOversizedTraceID checks that a client-supplied trace ID
+// past trace.MaxIDLen is treated as absent: the store assigns its own, so a
+// 64 KiB ID is retained neither in the trace store nor in the decision log,
+// and the fleet's /metrics counts the replacement under the tenant's label.
+// An ID of exactly MaxIDLen bytes is honoured.
+func TestRouterReplacesOversizedTraceID(t *testing.T) {
+	p, traces := trainAppH(t)
+	r, err := NewRouter(Config{
+		Static: map[string]*profile.Profile{"apph": p},
+		RuntimeOptions: []runtime.Option{
+			runtime.WithWorkers(1),
+			runtime.WithTracing(64, 1),
+			runtime.WithDecisionLog(64, 1),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	huge := strings.Repeat("x", 64<<10)
+	if err := r.ObserveTraced(trace.Context{ID: huge}, "apph", "s1", attacked(traces[0])); err != nil {
+		t.Fatal(err)
+	}
+	atCap := strings.Repeat("y", trace.MaxIDLen)
+	if err := r.ObserveTraced(trace.Context{ID: atCap}, "apph", "s2", traces[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"s1", "s2"} {
+		if err := r.Flush("apph", s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var alertID string
+	deadline := time.Now().Add(5 * time.Second)
+	for alertID == "" {
+		for _, tr := range r.Traces("apph", 0) {
+			if tr.Alert && tr.Session == "s1" {
+				alertID = tr.ID
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the attacked op's trace never committed")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if len(alertID) > trace.MaxIDLen {
+		t.Fatalf("alert trace kept a %d-byte client ID", len(alertID))
+	}
+	if _, ok := r.TraceByID(atCap); !ok {
+		t.Errorf("a %d-byte client ID was not honoured", trace.MaxIDLen)
+	}
+	for _, tr := range r.Traces("apph", 0) {
+		if len(tr.ID) > trace.MaxIDLen {
+			t.Errorf("trace store holds a %d-byte ID", len(tr.ID))
+		}
+	}
+	flagged := 0
+	for _, d := range r.Decisions("apph", 0) {
+		if len(d.Trace) > trace.MaxIDLen {
+			t.Errorf("decision %d holds a %d-byte trace ID", d.Seq, len(d.Trace))
+		}
+		if d.Flagged && d.Session == "s1" {
+			flagged++
+			if d.Trace != alertID {
+				t.Errorf("flagged decision trace = %q, want the assigned ID %q", d.Trace, alertID)
+			}
+		}
+	}
+	if flagged == 0 {
+		t.Error("no flagged decision recorded for the attacked op")
+	}
+	var metrics strings.Builder
+	if err := r.WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if want := `adprom_trace_ids_replaced_total{tenant="apph"} 1` + "\n"; !strings.Contains(metrics.String(), want) {
+		t.Errorf("/metrics lacks %q", want)
 	}
 }
 
@@ -371,6 +453,48 @@ func TestRouterFlushUnknownSession(t *testing.T) {
 	}
 	if err := r.Flush("unknown-tenant", "s"); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("flush on an unknown tenant: %v, want ErrUnknownTenant", err)
+	}
+}
+
+// TestRouterStaleFlushLoadsNothing checks that a flush or close addressed to
+// a tenant the LRU cap evicted neither reloads its profile nor evicts the
+// live tenant in its place: the evicted shard's sessions were drained when
+// it went, so there is nothing to judge.
+func TestRouterStaleFlushLoadsNothing(t *testing.T) {
+	p, traces := trainAppH(t)
+	r, err := NewRouter(Config{
+		Static:         map[string]*profile.Profile{"a": p, "b": p},
+		MaxActive:      1,
+		RuntimeOptions: []runtime.Option{runtime.WithWorkers(1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Observe("a", "s", traces[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Observe("b", "s", traces[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := r.Stats()
+	if before.Loads != 2 || before.Evictions != 1 {
+		t.Fatalf("router stats after a then b: %+v", before)
+	}
+	if err := r.Flush("a", "stale"); err != nil {
+		t.Fatalf("stale flush: %v", err)
+	}
+	if err := r.CloseSession("a", "s"); err != nil {
+		t.Fatalf("stale close: %v", err)
+	}
+	if after := r.Stats(); after.Loads != before.Loads || after.Evictions != before.Evictions {
+		t.Fatalf("stale flush and close moved the router from %+v to %+v", before, after)
+	}
+	if got := r.Tenants(); len(got) != 1 || got[0] != "b" {
+		t.Fatalf("resident after stale flush: %v, want [b]", got)
+	}
+	if err := r.Flush("b", "s"); err != nil {
+		t.Fatalf("flush of the live tenant: %v", err)
 	}
 }
 

@@ -12,11 +12,17 @@
 // so the sink dispatcher can append its span after the worker finished the
 // op; the trace commits to the store when the last reference is released.
 //
+// Tracing pays only for the traces it keeps. The builder is pooled and
+// records spans and attributes into storage it owns, so a trace the
+// sampling gate passes over allocates nothing; a kept trace is encoded once
+// into one compact byte slice (codec.go), which reads decode.
+//
 // Like obsv, the package never imports what it observes: ingest, tenant,
 // runtime, and detect all speak to it through values and callbacks.
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -38,8 +44,8 @@ const (
 )
 
 // Attr is one typed span attribute. The struct is flat (no interface boxing)
-// so building attributes on the hot path costs no allocation beyond the
-// attrs slice itself.
+// and recording copies it into the trace's arena, so building attributes on
+// the hot path allocates nothing.
 type Attr struct {
 	Key   string
 	Kind  Kind
@@ -160,7 +166,8 @@ func (t *Trace) Span(stage string) *Span {
 // the runtime that opens the trace. The zero value is valid: an empty ID
 // asks the store to assign one, a zero Start means "now".
 type Context struct {
-	// ID is the client-supplied trace ID ("" = server-assigned).
+	// ID is the client-supplied trace ID ("" = server-assigned). An ID longer
+	// than MaxIDLen bytes is treated as absent.
 	ID string
 	// Start is when the event entered the process (the ingest decode time),
 	// so the root span covers queueing ahead of the worker.
@@ -173,38 +180,63 @@ type Context struct {
 	Tenant string
 }
 
+// MaxIDLen bounds a client-supplied trace ID. Ingest accepts IDs as long as
+// a frame string or an NDJSON line, and every retained trace and decision
+// holds its ID, so Begin replaces a longer ID with a store-assigned one and
+// counts the replacement (Store.IDsReplaced).
+const MaxIDLen = 128
+
 // maxSpans bounds one trace's span count; a runaway op drops further spans
 // and counts them in Trace.Dropped instead of growing without bound.
 const maxSpans = 256
+
+// now is the package's clock; tests pin it to render fixed timelines.
+var now = time.Now
 
 // Active is a live trace being built while its op flows through the
 // pipeline. It is refcounted: the worker that finishes the op holds the
 // initial reference and every async alert delivery holds one more, so the
 // sink span lands before the trace commits. All methods are safe on a nil
 // receiver (tracing disabled) and safe for concurrent use.
+//
+// An Active is pooled by its store and owns its span slice and an attribute
+// arena: StartSpan, Event and SpanHandle.End copy their attributes into the
+// arena, so a call site's variadic attribute list stays on its stack and a
+// trace the retention gate samples out allocates nothing.
 type Active struct {
 	store *Store
 	refs  atomic.Int32
 	alert atomic.Bool
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// tr is the trace under construction. tr.ID is the client-supplied ID,
+	// or "" for a store-assigned ID (num) until ID first formats it.
 	tr     Trace
-	closed bool // root span duration stamped
+	num    uint64
+	attrs  []Attr // the arena every span's Attrs slice points into
+	closed bool   // root span duration stamped
 	start  time.Time
+	enc    []byte // commit's encoding scratch, reused by the pooled Active
 }
 
 // SpanHandle is an open span returned by StartSpan; End completes it.
 type SpanHandle struct {
 	a     *Active
-	idx   int
 	id    uint64
 	start time.Time
 }
 
-// ID returns the trace ID, "" on a nil Active.
+// ID returns the trace ID, "" on a nil Active. A store-assigned ID is
+// formatted by the first call.
 func (a *Active) ID() string {
 	if a == nil {
 		return ""
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.tr.ID == "" {
+		var buf [16]byte
+		a.tr.ID = string(appendHexID(buf[:0], a.num))
 	}
 	return a.tr.ID
 }
@@ -234,56 +266,74 @@ func (a *Active) StartSpan(parent uint64, stage string) SpanHandle {
 	if a == nil {
 		return SpanHandle{}
 	}
-	now := time.Now()
+	t := now()
 	a.mu.Lock()
-	if len(a.tr.Spans) >= maxSpans {
-		a.tr.Dropped++
-		a.mu.Unlock()
+	id := a.add(parent, stage, t.UnixNano(), 0, nil)
+	a.mu.Unlock()
+	if id == 0 {
 		return SpanHandle{}
 	}
-	id := uint64(len(a.tr.Spans) + 1)
-	a.tr.Spans = append(a.tr.Spans, Span{ID: id, Parent: parent, Stage: stage, Start: now.UnixNano()})
-	idx := len(a.tr.Spans) - 1
-	a.mu.Unlock()
-	return SpanHandle{a: a, idx: idx, id: id, start: now}
+	return SpanHandle{a: a, id: id, start: t}
 }
 
 // ID returns the open span's ID, 0 when inert.
 func (h SpanHandle) ID() uint64 { return h.id }
 
-// End completes the span, stamping its monotonic duration and attributes.
+// End completes the span, stamping its monotonic duration and copying attrs
+// into the trace's arena.
 func (h SpanHandle) End(attrs ...Attr) {
-	if h.a == nil {
+	a := h.a
+	if a == nil {
 		return
 	}
-	d := time.Since(h.start).Nanoseconds()
-	h.a.mu.Lock()
-	sp := &h.a.tr.Spans[h.idx]
+	d := now().Sub(h.start).Nanoseconds()
+	a.mu.Lock()
+	sp := &a.tr.Spans[h.id-1]
 	sp.Duration = d
-	sp.Attrs = attrs
-	h.a.mu.Unlock()
+	sp.Attrs = a.arena(attrs)
+	a.mu.Unlock()
 }
 
 // Event records one already-completed span whose work ran from start to
-// now, returning its span ID (0 when dropped or nil).
+// now, returning its span ID (0 when dropped or nil). attrs are copied into
+// the trace's arena.
 func (a *Active) Event(parent uint64, stage string, start time.Time, attrs ...Attr) uint64 {
 	if a == nil {
 		return 0
 	}
-	d := time.Since(start).Nanoseconds()
+	d := now().Sub(start).Nanoseconds()
 	a.mu.Lock()
+	id := a.add(parent, stage, start.UnixNano(), d, attrs)
+	a.mu.Unlock()
+	return id
+}
+
+// add appends one span with a copy of attrs and returns its ID, or counts
+// it dropped and returns 0 at the span cap. The caller holds mu.
+func (a *Active) add(parent uint64, stage string, start, dur int64, attrs []Attr) uint64 {
 	if len(a.tr.Spans) >= maxSpans {
 		a.tr.Dropped++
-		a.mu.Unlock()
 		return 0
 	}
 	id := uint64(len(a.tr.Spans) + 1)
 	a.tr.Spans = append(a.tr.Spans, Span{
 		ID: id, Parent: parent, Stage: stage,
-		Start: start.UnixNano(), Duration: d, Attrs: attrs,
+		Start: start, Duration: dur, Attrs: a.arena(attrs),
 	})
-	a.mu.Unlock()
 	return id
+}
+
+// arena copies attrs onto the end of the attribute arena and returns the
+// copy, nil for none. A span keeps the slice it got even when a later append
+// moves the arena: the old array is never written again. The caller holds
+// mu.
+func (a *Active) arena(attrs []Attr) []Attr {
+	if len(attrs) == 0 {
+		return nil
+	}
+	n := len(a.attrs)
+	a.attrs = append(a.attrs, attrs...)
+	return a.attrs[n:len(a.attrs):len(a.attrs)]
 }
 
 // RootSpan is the span ID of the root span every Begin creates.
@@ -299,9 +349,7 @@ func (a *Active) Finish() {
 	a.mu.Lock()
 	if !a.closed {
 		a.closed = true
-		if len(a.tr.Spans) > 0 {
-			a.tr.Spans[0].Duration = time.Since(a.start).Nanoseconds()
-		}
+		a.tr.Spans[0].Duration = now().Sub(a.start).Nanoseconds()
 	}
 	a.mu.Unlock()
 	a.Release()
@@ -321,12 +369,14 @@ func (a *Active) Release() {
 // Store is a bounded store of completed traces with keep-alerts retention
 // (a retain.Log): healthy traces pass a 1-in-N sampling gate at commit,
 // alert traces are always kept and evicted only by newer alert traces.
-// Hot-path cost while a trace is open is one mutex-guarded append per span;
-// a sampled-out trace commits without copying its spans.
+// Hot-path cost while a trace is open is one mutex-guarded append per span
+// into the pooled Active; a kept trace is encoded once into one compact
+// byte slice (see encode), and Traces and TraceByID decode on read.
 type Store struct {
-	log  *retain.Log[Trace]
-	seed uint64
-	ctr  atomic.Uint64
+	log         *retain.Log[[]byte]
+	seed        uint64
+	ctr         atomic.Uint64
+	idsReplaced atomic.Uint64
 
 	pool sync.Pool // *Active
 }
@@ -340,8 +390,8 @@ func NewStore(capacity, sampleEvery int) *Store {
 		return nil
 	}
 	return &Store{
-		log:  retain.NewLog[Trace](capacity, sampleEvery),
-		seed: mix(uint64(time.Now().UnixNano())),
+		log:  retain.NewLog[[]byte](capacity, sampleEvery),
+		seed: mix(uint64(now().UnixNano())),
 	}
 }
 
@@ -349,7 +399,8 @@ func NewStore(capacity, sampleEvery int) *Store {
 func (s *Store) Enabled() bool { return s != nil }
 
 // Stored returns the number of traces committed; SampledOut the healthy
-// traces the retention gate discarded.
+// traces the retention gate discarded; IDsReplaced the client-supplied IDs
+// longer than MaxIDLen that Begin replaced with store-assigned ones.
 func (s *Store) Stored() uint64 {
 	if s == nil {
 		return 0
@@ -364,53 +415,67 @@ func (s *Store) SampledOut() uint64 {
 	return s.log.SampledOut()
 }
 
+func (s *Store) IDsReplaced() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.idsReplaced.Load()
+}
+
 // Begin opens a trace for one op, creating its root span. The trace ID is
-// tc.ID when the client supplied one, otherwise store-assigned. Returns nil
-// (tracing off) on a nil store.
+// tc.ID when the client supplied one of at most MaxIDLen bytes, otherwise
+// store-assigned. Returns nil (tracing off) on a nil store.
 func (s *Store) Begin(tc Context, session, stage string) *Active {
 	if s == nil {
 		return nil
 	}
 	a, _ := s.pool.Get().(*Active)
 	if a == nil {
-		a = &Active{}
+		a = &Active{store: s}
 	}
-	a.store = s
 	a.refs.Store(1)
 	a.alert.Store(false)
-	a.closed = false
 	start := tc.Start
 	if start.IsZero() {
-		start = time.Now()
+		start = now()
 	}
 	a.start = start
+	a.num = 0
 	id := tc.ID
-	if id == "" {
-		id = fmt.Sprintf("%016x", mix(s.seed+s.ctr.Add(1)))
+	if len(id) > MaxIDLen {
+		id = ""
+		s.idsReplaced.Add(1)
 	}
-	a.tr = Trace{ID: id, Tenant: tc.Tenant, Session: session, Spans: a.tr.Spans[:0]}
-	root := Span{ID: RootSpan, Stage: stage, Start: start.UnixNano()}
+	if id == "" {
+		a.num = mix(s.seed + s.ctr.Add(1))
+	}
+	a.closed = false
+	a.attrs = a.attrs[:0]
+	var root [2]Attr
+	n := 0
 	if tc.Remote != "" {
-		root.Attrs = append(root.Attrs, String("remote", tc.Remote))
+		root[n] = String("remote", tc.Remote)
+		n++
 	}
 	if tc.Codec != "" {
-		root.Attrs = append(root.Attrs, String("codec", tc.Codec))
+		root[n] = String("codec", tc.Codec)
+		n++
 	}
-	a.tr.Spans = append(a.tr.Spans, root)
+	a.tr = Trace{ID: id, Tenant: tc.Tenant, Session: session, Spans: append(a.tr.Spans[:0], Span{
+		ID: RootSpan, Stage: stage, Start: start.UnixNano(), Attrs: a.arena(root[:n]),
+	})}
 	return a
 }
 
 // commit applies the retention policy to a finished trace and recycles the
-// Active.
+// Active: a kept trace is encoded into one exactly sized byte slice, a
+// sampled-out one costs nothing.
 func (s *Store) commit(a *Active) {
 	alert := a.alert.Load()
 	if s.log.Admit(alert) {
-		// The stored trace owns a copy of the span slice so the Active (and
-		// its span backing array) can be pooled.
-		tr := a.tr
-		tr.Alert = alert
-		tr.Spans = append([]Span(nil), a.tr.Spans...)
-		s.log.Add(tr, alert)
+		a.tr.Alert = alert
+		a.enc = a.encode(a.enc[:0])
+		s.log.Add(bytes.Clone(a.enc), alert)
 	}
 	s.pool.Put(a)
 }
@@ -421,15 +486,25 @@ func (s *Store) Traces(limit int) []Trace {
 	if s == nil {
 		return nil
 	}
-	return s.log.Newest(limit)
+	encs := s.log.Newest(limit)
+	out := make([]Trace, len(encs))
+	for i, b := range encs {
+		out[i] = decode(b)
+	}
+	return out
 }
 
-// TraceByID returns the newest retained trace with the given ID.
+// TraceByID returns the newest retained trace with the given ID. The match
+// reads only the ID that leads each encoding.
 func (s *Store) TraceByID(id string) (Trace, bool) {
 	if s == nil {
 		return Trace{}, false
 	}
-	return s.log.Find(func(tr *Trace) bool { return tr.ID == id })
+	b, ok := s.log.Find(func(b *[]byte) bool { return encodedIDIs(*b, id) })
+	if !ok {
+		return Trace{}, false
+	}
+	return decode(b), true
 }
 
 // mix is the splitmix64 finalizer: cheap, well-distributed trace IDs from a
@@ -439,4 +514,14 @@ func mix(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
+}
+
+// appendHexID appends x as 16 lowercase hex digits, the store-assigned ID
+// form.
+func appendHexID(dst []byte, x uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[x>>uint(shift)&0xf])
+	}
+	return dst
 }
