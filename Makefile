@@ -29,11 +29,14 @@ build:
 test:
 	$(GO) test -timeout 30m ./...
 
-# vet also fails on any file gofmt would rewrite.
+# vet also fails on any file gofmt would rewrite, and when the shipped
+# binary links the fault injectors, which belong to the tests.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l: files need formatting:"; echo "$$unformatted"; exit 1; fi
+	@if $(GO) list -deps ./cmd/adprom | grep -qx 'adprom/internal/faultinject'; then \
+		echo "cmd/adprom links adprom/internal/faultinject; fault injection belongs in tests"; exit 1; fi
 
 # The runtime package is the concurrency-critical surface; -race across the
 # whole module also covers the facade's Runtime tests. tenant and ingest

@@ -116,13 +116,10 @@ type (
 	Session = runtime.Session
 	// RuntimeStats is a point-in-time snapshot of a Runtime's counters.
 	RuntimeStats = runtime.Stats
-	// DropPolicy selects a Runtime's full-queue behaviour (Block or
-	// DropNewest).
-	DropPolicy = runtime.DropPolicy
 	// JudgeHook observes (or vetoes) every completed window judgement; a
 	// non-nil error quarantines the session. See WithJudgeHook.
 	JudgeHook = runtime.JudgeHook
-	// ShedConfig tunes the ShedByRisk admission controller: occupancy
+	// ShedConfig tunes the risk-aware admission controller: occupancy
 	// watermarks, the guarantee band, risk-signal memories, and the seed
 	// that makes shed decisions reproducible. See WithShedConfig.
 	ShedConfig = shed.Config
@@ -131,11 +128,10 @@ type (
 	// miss probability. See Runtime.ShedSnapshot.
 	ShedSnapshot = shed.Snapshot
 	// BatchShedError reports a partially or fully rejected multi-call
-	// ObserveBatch under DropNewest or ShedByRisk (a single call gets the
-	// plain sentinel): Shed of Batch calls were rejected, the rest were
-	// admitted in order. It wraps ErrDropped (and ErrShed when risk-aware
-	// admission did the shedding); match with errors.As for exact counts
-	// or errors.Is(err, ErrDropped) for the class.
+	// ObserveBatch under risk-aware shedding (a single call gets the plain
+	// ErrShed): Shed of Batch calls were rejected, the rest were admitted in
+	// order. It wraps ErrShed; match with errors.As for exact counts or
+	// errors.Is(err, ErrShed) for the class.
 	BatchShedError = runtime.BatchShedError
 )
 
@@ -190,28 +186,12 @@ var (
 	ErrIncompatibleProfile = profile.ErrIncompatible
 )
 
-// Runtime drop policies.
-const (
-	// Block applies backpressure: Observe waits for queue space.
-	Block = runtime.Block
-	// DropNewest sheds the incoming call and returns ErrDropped.
-	DropNewest = runtime.DropNewest
-	// ShedByRisk sheds by session risk under pressure: high-risk sessions
-	// (recent alerts, drifting scores, sensitive-table touches) are always
-	// scored, low-risk ones are thinned probabilistically as queues fill.
-	// Shed calls return ErrShed. Configure with WithShedConfig.
-	ShedByRisk = runtime.ShedByRisk
-)
-
 // Runtime ingest errors.
 var (
 	// ErrClosed reports an operation on a closed Runtime or Session.
 	ErrClosed = runtime.ErrClosed
-	// ErrDropped reports a call shed by the DropNewest policy.
-	ErrDropped = runtime.ErrDropped
-	// ErrShed reports a call rejected by the ShedByRisk admission
-	// controller. errors.Is(ErrShed, ErrDropped) is true, so callers that
-	// only distinguish "not scored" from "scored" need one check.
+	// ErrShed reports a call rejected by the risk-aware admission
+	// controller (see WithShedConfig); every queue-full rejection wraps it.
 	ErrShed = runtime.ErrShed
 	// ErrSessionFailed reports a session quarantined after a detection
 	// failure (engine panic or judge-hook error); other sessions are
@@ -486,19 +466,15 @@ func WithWorkers(n int) RuntimeOption { return runtimeOptionWrap{runtime.WithWor
 // WithQueueDepth bounds each runtime worker's ingest queue (default 256).
 func WithQueueDepth(d int) RuntimeOption { return runtimeOptionWrap{runtime.WithQueueDepth(d)} }
 
-// WithDropPolicy selects the runtime's full-queue behaviour: Block
-// (backpressure, the default), DropNewest (indiscriminate load shedding),
-// or ShedByRisk (risk-aware admission; WithShedConfig selects it with
-// explicit tuning).
-func WithDropPolicy(p DropPolicy) RuntimeOption {
-	return runtimeOptionWrap{runtime.WithDropPolicy(p)}
-}
-
-// WithShedConfig selects the ShedByRisk drop policy with explicit tuning:
-// occupancy watermarks, guarantee band, risk memories, deterministic seed,
-// and administrator-marked sensitive call labels (see NewSensitiveTables /
-// SensitiveLabelsFor for deriving those from query signatures). The zero
-// ShedConfig applies the documented defaults:
+// WithShedConfig replaces the runtime's default backpressure (Observe waits
+// for queue space) with risk-aware shedding: under pressure, high-risk
+// sessions (recent alerts, drifting scores, sensitive-table touches) are
+// always scored and low-risk ones are thinned probabilistically as queues
+// fill; shed calls return ErrShed. sc tunes occupancy watermarks, guarantee
+// band, risk memories, deterministic seed, and administrator-marked
+// sensitive call labels (see NewSensitiveTables / SensitiveLabelsFor for
+// deriving those from query signatures). The zero ShedConfig applies the
+// documented defaults:
 //
 //	rt := adprom.NewRuntime(prof, adprom.WithShedConfig(adprom.ShedConfig{Seed: 1}))
 func WithShedConfig(sc ShedConfig) RuntimeOption {
@@ -670,7 +646,7 @@ type QueryAuditor = qsig.Auditor
 func NewQueryAuditor() *QueryAuditor { return qsig.NewAuditor() }
 
 // SensitiveTables is a set of table names whose queries mark a session as
-// touching sensitive data; the ShedByRisk admission controller keeps such
+// touching sensitive data; the risk-aware admission controller keeps such
 // sessions out of the shed pool.
 type SensitiveTables = qsig.SensitiveTables
 

@@ -129,7 +129,7 @@ func TestFacadeOptions(t *testing.T) {
 	var mu sync.Mutex
 	perSession := map[string]int{}
 	rt := NewRuntime(prof,
-		WithWorkers(2), WithQueueDepth(16), WithDropPolicy(Block),
+		WithWorkers(2), WithQueueDepth(16),
 		WithSessionSink(func(id string, a Alert) {
 			mu.Lock()
 			perSession[id]++

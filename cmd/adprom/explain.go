@@ -229,9 +229,10 @@ func renderTrace(w io.Writer, tr trace.Trace) {
 }
 
 // renderDecisions prints the judgement evidence correlated with a trace:
-// per-channel scores against their thresholds (with the margin that made
-// the call), the fused score when channels were combined, and the profile
-// generation that judged the window.
+// the scores against their thresholds (with the margin that made the call)
+// of each channel the decision carries a judgement from, the fused score
+// when channels were combined, and the profile generation that judged the
+// window.
 func renderDecisions(w io.Writer, ds []obsv.Decision) {
 	if len(ds) == 0 {
 		fmt.Fprintln(w, "no correlated judgements in the decision log (healthy windows are sampled)")
@@ -252,11 +253,13 @@ func renderDecisions(w io.Writer, ds []obsv.Decision) {
 				d.ShedCalls, d.SessionShed, d.Risk, d.Occupancy)
 			continue
 		}
-		fmt.Fprintf(w, "  hmm:   score=%.6f threshold=%.6f margin=%.6f", d.Score, d.Threshold, d.Threshold-d.Score)
-		if d.ScoreErrorBound != 0 {
-			fmt.Fprintf(w, " error_bound=%.3g", d.ScoreErrorBound)
+		if d.Threshold != 0 || d.Score != 0 {
+			fmt.Fprintf(w, "  hmm:   score=%.6f threshold=%.6f margin=%.6f", d.Score, d.Threshold, d.Threshold-d.Score)
+			if d.ScoreErrorBound != 0 {
+				fmt.Fprintf(w, " error_bound=%.3g", d.ScoreErrorBound)
+			}
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
 		if d.SQLThreshold != 0 || d.SQLScore != 0 {
 			fmt.Fprintf(w, "  sql:   score=%.6f threshold=%.6f margin=%.6f\n",
 				d.SQLScore, d.SQLThreshold, d.SQLThreshold-d.SQLScore)

@@ -115,7 +115,6 @@ func TestExplainFusedAlert(t *testing.T) {
 		"sql_margin=",   // fusion evidence: SQL channel margin
 		"sink",          // alert delivery stage
 		"generation=",   // the profile generation that judged the window
-		"hmm:   score=", // judgement block: HMM margin vs threshold
 		"sql:   score=", // judgement block: SQL margin vs threshold
 		"margin=",       // explicit score/threshold margins
 		"verdict=",      // the decision's flag
@@ -123,6 +122,11 @@ func TestExplainFusedAlert(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("explain output missing %q:\n%s", want, text)
 		}
+	}
+	// The SQL channel alone raised the alert, so its decision carries no
+	// HMM judgement to print.
+	if strings.Contains(text, "hmm:   score=") {
+		t.Errorf("explain output prints an HMM judgement for an SQL-only alert:\n%s", text)
 	}
 
 	// The same alert resolved by trace ID renders the same timeline.
@@ -158,5 +162,30 @@ func TestExplainFusedAlert(t *testing.T) {
 	// An unknown key fails with a diagnosable error, not an empty render.
 	if err := explainLive(&out, addr, "", "no-such-trace"); err == nil {
 		t.Error("explain of an unknown trace ID succeeded")
+	}
+}
+
+// TestExplainRendersOnlyJudgedChannels pins the judgement block to the
+// channels a decision carries: an alert the SQL channel raised alone prints
+// no HMM line (its HMM fields are empty, not a zero score), while an HMM
+// judgement still prints its score against the threshold.
+func TestExplainRendersOnlyJudgedChannels(t *testing.T) {
+	var out bytes.Buffer
+	renderDecisions(&out, []obsv.Decision{{
+		Session: "mimic-1", Seq: 31, Flag: "Anomalous", Flagged: true, Generation: 1,
+		Channels: []string{"sql", "fusion"}, SQLScore: -6.3, SQLThreshold: -4.6, FusedScore: 0.73,
+	}})
+	if text := out.String(); strings.Contains(text, "hmm:") || !strings.Contains(text, "sql:   score=") {
+		t.Errorf("SQL-only decision rendered:\n%s", text)
+	}
+
+	out.Reset()
+	renderDecisions(&out, []obsv.Decision{{
+		Session: "s", Seq: 12, Flag: "Anomalous", Flagged: true, Generation: 1,
+		Score: -9.5, Threshold: -7.25, Channels: []string{"hmm"},
+	}})
+	if text := out.String(); !strings.Contains(text, "hmm:   score=-9.500000 threshold=-7.250000 margin=2.250000") ||
+		strings.Contains(text, "sql:") {
+		t.Errorf("HMM decision rendered:\n%s", text)
 	}
 }

@@ -7,16 +7,15 @@
 //	adprom analyze    -app <name>
 //	adprom train      -app <name> -out <profile.gob>
 //	adprom detect     -app <name> [-profile <profile.gob>] [-attack <1..5|mitm>]
-//	adprom serve      -app <name> [-profile <file>] [-profile-dir <dir>] [-streams <n>] [-repeat <n>] [-batch <n>] [-ingest-codec auto|ndjson|binary] [-chaos] [shard and daemon flags]
+//	adprom serve      -app <name> [-profile <file>] [-profile-dir <dir>] [-streams <n>] [-repeat <n>] [-batch <n>] [-ingest-codec auto|ndjson|binary] [shard and daemon flags]
 //	adprom serve      -tenants <a,b,...> -ingest-addr <addr> [-ingest-codec auto|ndjson|binary] [-tenant-dir <dir>] [-tenant-quota <n>] [shard and daemon flags]
 //	adprom explain    [-http <addr>] [-tenant <id>] [-log <decisions.json>] <alert-seq|trace-id>
 //	adprom profile    inspect <file>...
 //	adprom experiment <table3|table4|table5|table6|table7|table8|fig10|clustering|ablation|corpus|all> [-full]
 //
-// Shard flags: -workers, -queue, -drop block|newest, -shed, -shed-seed,
-// -overload, -scorer exact|topk:<k>, -sql-channel (and its -sql-*/-fusion-*
-// tuning), -trace, -trace-sample. Daemon flags: -http, -watch-interval,
-// -log, -log-format.
+// Shard flags: -workers, -queue, -shed, -scorer exact|topk:<k>,
+// -sql-channel (and its -sql-*/-fusion-* tuning), -trace, -trace-sample.
+// Daemon flags: -http, -watch-interval, -log, -log-format.
 //
 // App names: apph, appb, apps (CA-dataset), app1..app4 (SIR-style).
 //
@@ -30,16 +29,12 @@
 // flush after each trace. Every replay therefore crosses the real wire
 // path: codec, ingest server, tenant routing, runtime.
 //
-// With -shed, each shard runs the risk-aware ShedByRisk admission
-// controller instead of a blanket full-queue policy: sessions with recent
+// Full shard queues apply backpressure by default. With -shed, each shard
+// runs the risk-aware admission controller instead: sessions with recent
 // alerts, drifting scores, or sensitive-table touches are always scored,
-// while low-risk streams are thinned probabilistically (deterministically
-// under -shed-seed) as queues fill. -overload slows the detection workers so
-// the replay's offered load exceeds capacity, demonstrating the measured
-// degradation curve; the run ends with a shed summary (shed rate, estimated
-// miss probability, queue high water). -chaos injects a crashing, slow alert
-// sink, an engine panic on the first stream and a worker crash on the last,
-// and fails unless a healthy stream survives.
+// while low-risk streams are thinned probabilistically (and
+// deterministically) as queues fill; the replay ends with a shed summary
+// (shed rate, estimated miss probability, queue high water).
 //
 // With -profile-dir, the replayed tenant starts from the newest .adprof file
 // in the directory (when one exists), and every profile file written there
@@ -112,13 +107,13 @@ func usage() {
   adprom analyze    -app <name>
   adprom train      -app <name> -out <profile.gob>
   adprom detect     -app <name> [-profile <file>] [-attack <1..5|mitm>]
-  adprom serve      -app <name> [-profile <file>] [-profile-dir <dir>] [-streams <n>] [-repeat <n>] [-batch <n>] [-ingest-codec auto|ndjson|binary] [-chaos] [shard and daemon flags]
+  adprom serve      -app <name> [-profile <file>] [-profile-dir <dir>] [-streams <n>] [-repeat <n>] [-batch <n>] [-ingest-codec auto|ndjson|binary] [shard and daemon flags]
   adprom serve      -tenants <a,b,...> -ingest-addr <addr> [-ingest-codec auto|ndjson|binary] [-tenant-dir <dir>] [-tenant-quota <n>] [-tenant-max-active <n>] [shard and daemon flags]
   adprom explain    [-http <addr>] [-tenant <id>] [-log <decisions.json>] <alert-seq|trace-id>
   adprom profile    inspect <file>...
   adprom experiment <table3|table4|table5|table6|table7|table8|fig10|clustering|ablation|corpus|all> [-full]
 
-shard flags: [-workers <n>] [-queue <n>] [-drop block|newest] [-shed] [-shed-seed <n>] [-overload] [-scorer exact|topk:<k>] [-sql-channel] [-trace <n>] [-trace-sample <n>]
+shard flags: [-workers <n>] [-queue <n>] [-shed] [-scorer exact|topk:<k>] [-sql-channel] [-trace <n>] [-trace-sample <n>]
 daemon flags: [-http <addr>] [-watch-interval <d>] [-log] [-log-format text|json]
 
 apps: apph, appb, apps (CA-dataset), app1, app2, app3, app4 (SIR-style)
@@ -135,10 +130,8 @@ serve -http: expose /metrics, /tenants, /decisions, /traces, /traces/{id},
 /healthz, /readyz, /debug/pprof/ on <addr>; the replay then stays alive until
 SIGINT/SIGTERM. /decisions and /traces take ?tenant=ID, optional on a
 one-tenant fleet
-serve -shed: risk-aware admission (ShedByRisk) — high-risk sessions always
-scored, low-risk ones thinned as queues fill; -overload slows the workers so
-the replay overruns capacity and exercises the degradation curve; -chaos
-injects sink, engine and worker faults into the replay
+serve -shed: risk-aware admission instead of backpressure — high-risk
+sessions always scored, low-risk ones thinned as queues fill
 serve -sql-channel: two-channel detection — an SQL-behaviour scorer (query
 signatures, result cardinalities, sensitive columns) runs beside the HMM and
 the fused judge escalates when the weighted margins agree; tune with

@@ -22,7 +22,6 @@ import (
 	"adprom/internal/collector"
 	"adprom/internal/dataset"
 	"adprom/internal/detect"
-	"adprom/internal/faultinject"
 	"adprom/internal/hmm"
 	"adprom/internal/ingest"
 	"adprom/internal/lifecycle"
@@ -42,9 +41,8 @@ type serveConfig struct {
 
 	// Runtime options applied to every tenant shard.
 	workers, queue        int
-	drop, scorer          string
-	shed, overload, chaos bool
-	shedSeed              uint64
+	scorer                string
+	shed                  bool
 	traceCap, traceSample int
 
 	// The fleet daemon.
@@ -62,6 +60,11 @@ type serveConfig struct {
 	// alert receives every alert the daemon raises; parseServe sets it to
 	// the event log (or stdout).
 	alert func(session string, a detect.Alert)
+
+	// faults are runtime options applied after the flags' — the tests'
+	// fault and latency injectors. No flag sets them, so the shipped binary
+	// carries no injector.
+	faults []runtime.Option
 }
 
 // replay reports whether serve runs the built-in replay client instead of
@@ -76,14 +79,10 @@ func parseServe(args []string) (*serveConfig, error) {
 	fs.IntVar(&sc.streams, "streams", 64, "concurrent replay connections, one session each")
 	fs.IntVar(&sc.workers, "workers", 0, "detection workers per tenant shard (0 = GOMAXPROCS)")
 	fs.IntVar(&sc.queue, "queue", 256, "per-worker ingest queue depth")
-	fs.StringVar(&sc.drop, "drop", "block", "full-queue policy: block (backpressure) or newest (shed)")
-	fs.BoolVar(&sc.shed, "shed", false, "risk-aware admission (ShedByRisk): always score high-risk sessions, thin low-risk ones under pressure")
-	fs.Uint64Var(&sc.shedSeed, "shed-seed", 1, "deterministic admission seed for -shed")
-	fs.BoolVar(&sc.overload, "overload", false, "slow the workers so the offered load exceeds capacity (pairs with -shed or -drop newest)")
+	fs.BoolVar(&sc.shed, "shed", false, "risk-aware admission instead of backpressure: always score high-risk sessions, thin low-risk ones under pressure")
 	fs.IntVar(&sc.repeat, "repeat", 8, "replay passes per stream")
 	fs.IntVar(&sc.batch, "batch", 64, "calls per replayed observe event (0 = one event per call)")
 	fs.StringVar(&sc.scorer, "scorer", "exact", "scoring kernel: exact or topk:<k> (approximate, with reported error bound)")
-	fs.BoolVar(&sc.chaos, "chaos", false, "inject sink, engine, and worker faults during the replay")
 	fs.StringVar(&sc.profileDir, "profile-dir", "", "load the replayed app's newest .adprof here and hot-swap profiles published while serving")
 	fs.DurationVar(&sc.watchEvery, "watch-interval", 500*time.Millisecond, "poll interval for -profile-dir and -tenant-dir")
 	fs.StringVar(&sc.httpAddr, "http", "", "serve the introspection endpoint (/metrics /tenants /decisions /traces /healthz /readyz /debug/pprof/) on this address; the replay lingers until SIGINT/SIGTERM")
@@ -105,11 +104,6 @@ func parseServe(args []string) (*serveConfig, error) {
 		return nil, errors.New("-tenants needs -ingest-addr (the TCP address collectors stream to)")
 	}
 	sc.streams = max(sc.streams, 1)
-	if sc.chaos {
-		// Chaos mode quarantines two victim streams; keep at least one
-		// healthy stream to demonstrate isolation.
-		sc.streams = max(sc.streams, 2)
-	}
 	var err error
 	if sc.log, err = sc.logger(); err != nil {
 		return nil, err
@@ -216,20 +210,11 @@ func (sf *sqlChannelFlags) options(app *dataset.App, traces []collector.Trace) (
 	}, nil
 }
 
-// chaosFaults are the faults -chaos injects: a crashing, slow alert sink;
-// an engine panic on the first stream; a worker crash on the last.
-type chaosFaults struct {
-	sink                       *faultinject.Sink
-	engine                     *faultinject.EngineFault
-	worker                     *faultinject.WorkerFault
-	engineVictim, workerVictim string
-}
-
 // runtimeOptions maps the flags to the options every tenant shard runs with.
-func (sc *serveConfig) runtimeOptions() ([]runtime.Option, *chaosFaults, error) {
+func (sc *serveConfig) runtimeOptions() ([]runtime.Option, error) {
 	mode, err := parseScorerMode(sc.scorer)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	opts := []runtime.Option{
 		runtime.WithWorkers(sc.workers),
@@ -245,47 +230,10 @@ func (sc *serveConfig) runtimeOptions() ([]runtime.Option, *chaosFaults, error) 
 		// searches them all.
 		opts = append(opts, runtime.WithTracing(sc.traceCap, sc.traceSample))
 	}
-	switch sc.drop {
-	case "block":
-	case "newest":
-		if sc.shed {
-			return nil, nil, errors.New("-shed replaces -drop newest; pick one")
-		}
-		opts = append(opts, runtime.WithDropPolicy(runtime.DropNewest))
-	default:
-		return nil, nil, fmt.Errorf("bad -drop %q (want block or newest)", sc.drop)
-	}
 	if sc.shed {
-		opts = append(opts, runtime.WithShedConfig(shed.Config{Seed: sc.shedSeed}))
+		opts = append(opts, runtime.WithShedConfig(shed.Config{Seed: 1}))
 	}
-	if sc.overload {
-		if sc.chaos {
-			return nil, nil, errors.New("-overload and -chaos both own the worker hook; pick one")
-		}
-		// A per-op stall puts worker capacity far below the replay's offered
-		// rate, so queues saturate and the configured policy must degrade.
-		opts = append(opts, runtime.WithWorkerHook(faultinject.WorkerLatency(500*time.Microsecond)))
-		fmt.Println("overload: workers stalled 500µs/op; offered load will exceed drain capacity")
-	}
-	if !sc.chaos {
-		return opts, nil, nil
-	}
-	cf := &chaosFaults{
-		sink:         faultinject.NewSink(nil, faultinject.PanicEvery(5), faultinject.Latency(time.Millisecond)),
-		engineVictim: streamSession(0),
-		workerVictim: streamSession(sc.streams - 1),
-	}
-	cf.engine = faultinject.NewEngineFault(faultinject.FaultPanic, 1, func(id string) bool { return id == cf.engineVictim })
-	cf.worker = faultinject.NewWorkerFault(cf.workerVictim, 3)
-	fmt.Printf("chaos: sink panics every 5th delivery; engine panic on %s; worker crash on op 3 of %s\n",
-		cf.engineVictim, cf.workerVictim)
-	return append(opts,
-		runtime.WithAlertFunc(cf.sink.Deliver),
-		runtime.WithSinkBuffer(16),
-		runtime.WithSinkTimeout(50*time.Millisecond),
-		runtime.WithJudgeHook(cf.engine.Hook),
-		runtime.WithWorkerHook(cf.worker.Hook),
-	), cf, nil
+	return append(opts, sc.faults...), nil
 }
 
 // streamSession names replay stream i's session.
@@ -302,7 +250,6 @@ type daemon struct {
 	addr     string
 	serveErr chan error
 	http     *http.Server
-	chaos    *chaosFaults
 	tenants  []string          // the tenants named at startup
 	traces   []collector.Trace // the replayed app's traces
 
@@ -319,7 +266,7 @@ func startDaemon(sc *serveConfig) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts, cf, err := sc.runtimeOptions()
+	opts, err := sc.runtimeOptions()
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +290,7 @@ func startDaemon(sc *serveConfig) (*daemon, error) {
 		}
 	}
 
-	d := &daemon{sc: sc, codec: codec, chaos: cf, tenants: names, serveErr: make(chan error, 1)}
+	d := &daemon{sc: sc, codec: codec, tenants: names, serveErr: make(chan error, 1)}
 	watch := map[string]string{} // tenant → profile directory to hot-swap from
 	if reg != nil {
 		known, _ := reg.Tenants()
@@ -553,14 +500,6 @@ func (d *daemon) run() error {
 	if d.sc.shed {
 		fmt.Printf("shedding: %d calls shed over %d rejecting decisions (rate %.4f); estimated miss probability %.4f; queue high water %d calls\n",
 			st.Shed, rt.ShedSnapshot().ShedDecisions, st.ShedRate, st.EstimatedMissProb, st.QueueHighWater)
-	}
-	if cf := d.chaos; cf != nil {
-		fmt.Printf("chaos outcome: %d/%d streams quarantined; sink deliveries=%d panics=%d; engine fault fired=%v; worker fault fired=%v\n",
-			st.Quarantined, d.sc.streams, cf.sink.Calls(), cf.sink.Panics(),
-			cf.engine.Fired(cf.engineVictim), cf.worker.Fired())
-		if uint64(d.sc.streams) <= st.Quarantined {
-			return errors.New("chaos replay: no healthy streams survived")
-		}
 	}
 	return nil
 }

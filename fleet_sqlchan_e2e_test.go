@@ -11,6 +11,9 @@ import (
 	"time"
 
 	"adprom/internal/detect"
+	"adprom/internal/ingest"
+	"adprom/internal/runtime"
+	"adprom/internal/tenant"
 )
 
 // TestFleetSQLChannelEndToEnd drives the full two-channel serving path over
@@ -55,17 +58,18 @@ func TestFleetSQLChannelEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fleet, err := NewFleet(
-		WithTenant("bank-a", prof),
-		WithTenant("bank-b", prof),
-		WithTenantOverride("bank-a", WithSQLChannel(sqlProf), WithFusion(FusionConfig{})),
-	)
+	fleet, err := tenant.NewRouter(tenant.Config{
+		Static: map[string]*Profile{"bank-a": prof, "bank-b": prof},
+		PerTenant: map[string][]runtime.Option{
+			"bank-a": {runtime.WithSQLChannel(sqlProf), runtime.WithFusion(FusionConfig{})},
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
 
-	srv, err := NewIngestServer(fleet, IngestNDJSON, nil)
+	srv, err := ingest.NewServer(ingest.ServerConfig{Sink: fleet, Codec: ingest.CodecNDJSON})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@
 // Every injector exposes a narrow function that matches one of the runtime's
 // extension points (runtime.AlertFunc, runtime.JudgeHook,
 // runtime.WorkerHook), plus atomic counters so tests can assert exactly
-// which faults fired. Nothing in the serving path imports this package; it
-// exists for the chaos test suite and the CLI's `serve -chaos` replay mode.
+// which faults fired. Only tests import this package: the runtime, tenant
+// and daemon chaos suites. `make vet` fails if the adprom binary links it.
 package faultinject
 
 import (

@@ -42,11 +42,11 @@
 // # Backpressure
 //
 // Connections feed the sink synchronously: while the router's shard queues
-// are full under the Block policy, the reader goroutine blocks and the
-// kernel's TCP window closes toward the remote collector — per-connection
-// backpressure for free. Under ShedByRisk the sink returns shed errors
-// instead; the server counts them per connection and keeps reading, so the
-// degradation curve composes with the runtime's risk-aware admission.
+// are full, the reader goroutine blocks and the kernel's TCP window closes
+// toward the remote collector — per-connection backpressure for free. Under
+// risk-aware shedding the sink returns shed errors instead; the server
+// counts them per connection and keeps reading, so the degradation curve
+// composes with the runtime's risk-aware admission.
 package ingest
 
 import (

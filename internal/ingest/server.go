@@ -17,7 +17,7 @@ import (
 )
 
 // Sink receives decoded events; tenant.Router satisfies it. Observe may
-// block (queue backpressure under the Block policy) or return a shed/quota
+// block (queue backpressure, the runtime default) or return a shed/quota
 // error — both compose with the server's per-connection handling: blocking
 // stalls that connection's read loop (closing its TCP window), errors are
 // counted and the stream continues.

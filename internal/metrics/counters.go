@@ -72,12 +72,13 @@ func (c *Counters) AddFlush(latencyNanos int64) { c.flush.Observe(latencyNanos) 
 // sink (including deliveries that ended in a recovered panic).
 func (c *Counters) AddSinkDelivery(latencyNanos int64) { c.sinkDeliver.Observe(latencyNanos) }
 
-// AddDropped records calls shed by the ingest queue's drop policy.
+// AddDropped records calls discarded unscored: queued for a dead or
+// quarantined session, or still queued at shutdown.
 func (c *Counters) AddDropped(n uint64) { c.dropped.Add(n) }
 
-// AddShed records calls rejected by the risk-aware admission controller
-// (ShedByRisk). Kept separate from Dropped so operators can distinguish a
-// deliberate, risk-ranked degradation from blind queue-full drops.
+// AddShed records calls rejected by the risk-aware admission controller.
+// Kept separate from Dropped so operators can distinguish a deliberate,
+// risk-ranked degradation from calls lost to a failed session or shutdown.
 func (c *Counters) AddShed(n uint64) { c.shed.Add(n) }
 
 // NoteQueueDepth folds one observed per-worker pending-call depth into the
@@ -146,10 +147,11 @@ func (c *Counters) AddEngineRetired() { c.enginesRetired.Add(1) }
 type CountersSnapshot struct {
 	// Calls is the number of calls processed by detection workers.
 	Calls uint64
-	// Dropped is the number of calls shed under queue pressure.
+	// Dropped is the number of calls discarded unscored (dead or
+	// quarantined session, shutdown).
 	Dropped uint64
-	// Shed is the number of calls rejected by risk-aware admission
-	// (ShedByRisk); disjoint from Dropped.
+	// Shed is the number of calls rejected by risk-aware admission;
+	// disjoint from Dropped.
 	Shed uint64
 	// QueueHighWater is the lifetime maximum pending-call depth observed on
 	// any single worker queue.

@@ -44,7 +44,7 @@ type Decision struct {
 	SQLThreshold float64  `json:"sql_threshold,omitempty"`
 	FusedScore   float64  `json:"fused_score,omitempty"`
 
-	// Shed provenance: when risk-aware admission (ShedByRisk) rejects calls
+	// Shed provenance: when risk-aware admission rejects calls
 	// instead of scoring them, the runtime records a Decision with Shed=true
 	// so an operator can see exactly what was not scored and why. ShedCalls
 	// is the number of calls rejected by this decision, SessionShed the
@@ -58,9 +58,12 @@ type Decision struct {
 	Risk        float64 `json:"risk,omitempty"`
 	Occupancy   float64 `json:"occupancy,omitempty"`
 
-	// Trace is the ID of the decision trace covering the op that produced
-	// this judgement, when tracing is enabled — the correlation key into
-	// /traces/{id}. Empty (and omitted, keeping the decision log bit-identical
-	// to a trace-free build) when tracing is off.
+	// Trace is the ID of the decision trace covering the op that raised
+	// this alert, when tracing is enabled — the correlation key into
+	// /traces/{id}. Only alerts carry one, because only alert traces are
+	// pinned: a healthy op's trace may be sampled out of the store, so
+	// sampled Normal and shed records leave it empty. Empty (and omitted,
+	// keeping the decision log bit-identical to a trace-free build) when
+	// tracing is off.
 	Trace string `json:"trace,omitempty"`
 }

@@ -1,10 +1,11 @@
 package runtime
 
 // Overload suite: the faultinject burst generator drives the runtime past
-// queue capacity under every drop policy (run under -race; `make race`
-// does), proving the degradation contract — Block never loses a call,
-// DropNewest accounts for every shed call exactly, and ShedByRisk never
-// sheds a session that has already alerted — with goroutine-leak checks.
+// queue capacity under backpressure and under risk-aware shedding (run under
+// -race; `make race` does), proving the degradation contract — backpressure
+// never loses a call, and shedding accounts for every shed call exactly and
+// never sheds a session that has already alerted — with goroutine-leak
+// checks.
 
 import (
 	"errors"
@@ -26,14 +27,14 @@ import (
 // error aborts the generator run and fails the test.
 func neverOverload(err error, n int) (int, bool) { return 0, false }
 
-// countRejections classifies drop/shed errors, extracting exact counts from
+// countRejections classifies shed errors, extracting exact counts from
 // BatchShedError for batch ops and charging the whole op otherwise.
 func countRejections(err error, n int) (int, bool) {
 	var bse *BatchShedError
 	if errors.As(err, &bse) {
 		return bse.Shed, true
 	}
-	if errors.Is(err, ErrDropped) { // ErrShed matches too
+	if errors.Is(err, ErrShed) {
 		return n, true
 	}
 	return 0, false
@@ -112,17 +113,17 @@ func TestOverloadBlockNeverDrops(t *testing.T) {
 	checkGoroutines(t, before)
 }
 
-// TestOverloadDropNewestExactAccounting wedges the single worker and floods
-// it with batches: whatever interleaving the race scheduler picks, the
+// TestOverloadShedExactAccounting wedges the single worker and floods it
+// with batches: whatever interleaving the race scheduler picks, the
 // generator's per-error tally (exact batch counts via BatchShedError) must
 // reconcile with Stats — every offered call is either scored or counted
-// dropped, never silently lost.
-func TestOverloadDropNewestExactAccounting(t *testing.T) {
+// shed, never silently lost.
+func TestOverloadShedExactAccounting(t *testing.T) {
 	before := stdruntime.NumGoroutine()
 	p, traces := trainAppH(t)
 	gate := make(chan struct{})
 	rt := New(p,
-		WithWorkers(1), WithQueueDepth(8), WithDropPolicy(DropNewest),
+		WithWorkers(1), WithQueueDepth(8), WithShedConfig(shed.Config{Seed: 1}),
 		WithWorkerHook(faultinject.WorkerGate(gate)))
 
 	s := rt.Session("flood")
@@ -136,7 +137,7 @@ func TestOverloadDropNewestExactAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Shed == 0 {
-		t.Fatalf("no calls dropped past a wedged depth-8 queue: %+v", rep)
+		t.Fatalf("no calls shed past a wedged depth-8 queue: %+v", rep)
 	}
 	if rep.Admitted+rep.Shed != rep.Sent {
 		t.Fatalf("accounting leak in the generator itself: %+v", rep)
@@ -150,8 +151,8 @@ func TestOverloadDropNewestExactAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := rt.Stats()
-	if st.Dropped != uint64(rep.Shed) {
-		t.Errorf("Stats.Dropped = %d, generator counted %d rejected calls", st.Dropped, rep.Shed)
+	if st.Shed != uint64(rep.Shed) {
+		t.Errorf("Stats.Shed = %d, generator counted %d rejected calls", st.Shed, rep.Shed)
 	}
 	if st.Calls != uint64(rep.Admitted) {
 		t.Errorf("Stats.Calls = %d, generator counted %d admitted calls", st.Calls, rep.Admitted)
@@ -172,7 +173,7 @@ func TestObserveBatchPartialAdmission(t *testing.T) {
 	}
 	gate := make(chan struct{})
 	rt := New(p,
-		WithWorkers(1), WithQueueDepth(8), WithDropPolicy(DropNewest),
+		WithWorkers(1), WithQueueDepth(8), WithShedConfig(shed.Config{Seed: 1}),
 		WithWorkerHook(faultinject.WorkerGate(gate)))
 
 	s := rt.Session("partial")
@@ -192,8 +193,8 @@ func TestObserveBatchPartialAdmission(t *testing.T) {
 		t.Fatalf("second batch within budget rejected: %v", err)
 	}
 	err := s.ObserveBatch(traces[0][:8])
-	if !errors.Is(err, ErrDropped) {
-		t.Fatalf("overflowing batch: err = %v, want ErrDropped wrapper", err)
+	if !errors.Is(err, ErrShed) {
+		t.Fatalf("overflowing batch: err = %v, want ErrShed wrapper", err)
 	}
 	var bse *BatchShedError
 	if !errors.As(err, &bse) {
@@ -211,8 +212,8 @@ func TestObserveBatchPartialAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := rt.Stats()
-	if st.Dropped != 5 {
-		t.Errorf("Stats.Dropped = %d, want exactly the 5 shed tail calls", st.Dropped)
+	if st.Shed != 5 {
+		t.Errorf("Stats.Shed = %d, want exactly the 5 shed tail calls", st.Shed)
 	}
 	if st.Calls != 13 {
 		t.Errorf("Stats.Calls = %d, want the 13 admitted calls (5+5+3)", st.Calls)

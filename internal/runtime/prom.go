@@ -118,7 +118,7 @@ func WritePrometheusSet(w io.Writer, rts ...Labelled) error {
 	}
 
 	counter(m["Calls"], "Calls scored by detection workers.", func(s *promSnap) uint64 { return s.ctr.Calls })
-	counter(m["Dropped"], "Calls shed under queue pressure or after session failure.", func(s *promSnap) uint64 { return s.ctr.Dropped })
+	counter(m["Dropped"], "Calls discarded unscored after a session failed or at shutdown.", func(s *promSnap) uint64 { return s.ctr.Dropped })
 	counter(m["Shed"], "Calls rejected by the risk-aware admission controller.", func(s *promSnap) uint64 { return s.ctr.Shed })
 	gauge(m["QueueHighWater"], "Lifetime maximum pending-call depth on any single worker queue.",
 		func(s *promSnap) float64 { return float64(s.ctr.QueueHighWater) })
@@ -173,8 +173,8 @@ func WritePrometheusSet(w io.Writer, rts ...Labelled) error {
 	counter("adprom_trace_ids_replaced_total", "Client-supplied trace IDs over "+strconv.Itoa(trace.MaxIDLen)+" bytes that the trace store replaced with its own.",
 		func(s *promSnap) uint64 { return s.rt.traces.IDsReplaced() })
 
-	// Risk-aware shedding gauges: rendered whether or not ShedByRisk is
-	// active, so dashboards keyed on them never see the family disappear.
+	// Risk-aware shedding gauges: rendered whether or not the runtime sheds
+	// by risk, so dashboards keyed on them never see the family disappear.
 	gauge("adprom_shed_rate", "Fraction of offered calls rejected by risk-aware admission.", func(s *promSnap) float64 {
 		if s.ctr.Shed == 0 {
 			return 0

@@ -16,11 +16,10 @@
 //     read-only profile. Engines maintain the HMM forward variables
 //     incrementally (hmm.StreamScorer) and are recycled through a sync.Pool
 //     when sessions close, so steady-state session churn does not allocate.
-//   - Ingest queues are bounded. Under pressure the configured DropPolicy
-//     either applies backpressure (Block, the default — Observe waits for
-//     queue space), sheds the newest call (DropNewest, counted in Stats), or
-//     sheds by session risk (ShedByRisk): an admission controller keyed to
-//     queue occupancy thins low-risk sessions probabilistically while
+//   - Ingest queues are bounded. Under pressure a runtime either applies
+//     backpressure (the default — Observe waits for queue space) or, with
+//     WithShedConfig, sheds by session risk: an admission controller keyed
+//     to queue occupancy thins low-risk sessions probabilistically while
 //     sessions with recent alerts, drifting scores, or sensitive-data
 //     touches are always scored. See the internal/shed package doc for the
 //     risk model, hysteresis, and the estimated-miss-probability metric.
@@ -40,7 +39,7 @@
 //     per-op recovery), a supervisor restarts it with capped exponential
 //     backoff; restarts surface in Stats.WorkerRestarts.
 //   - Deadline-aware ingest. ObserveContext, FlushContext, ObserveTraceContext,
-//     Session.CloseContext and Runtime.CloseContext bound Block-policy
+//     Session.CloseContext and Runtime.CloseContext bound queue
 //     backpressure and shutdown drain by the caller's context instead of
 //     hanging forever; the plain forms are context.Background wrappers.
 //   - Sink isolation. Alerts reach the user's AlertFunc through a bounded
@@ -102,49 +101,35 @@ import (
 var (
 	// ErrClosed reports an Observe/Flush on a closed runtime or session.
 	ErrClosed = errors.New("runtime: closed")
-	// ErrDropped reports a call shed by the DropNewest policy.
-	ErrDropped = errors.New("runtime: call dropped: queue full")
 	// ErrSessionFailed reports an op on a quarantined session — one whose
 	// engine, judge hook, or worker panicked (or whose judge hook returned an
 	// error) while processing its stream. The quarantine cause is attached to
 	// the returned error and available via Session.Err; other sessions are
 	// unaffected. Close a failed session to release its slot.
 	ErrSessionFailed = errors.New("runtime: session failed")
-	// ErrShed reports a call rejected by the risk-aware admission controller
-	// (ShedByRisk). It matches errors.Is(err, ErrDropped) so callers that
-	// already classify DropNewest losses handle risk-aware sheds the same
-	// way, while errors.Is(err, ErrShed) distinguishes a deliberate,
-	// risk-ranked rejection from a blind queue-full drop.
-	ErrShed error = shedSentinel{}
+	// ErrShed reports a call the risk-aware admission controller (see
+	// WithShedConfig) rejected instead of queueing it. Every queue-full
+	// rejection wraps it.
+	ErrShed = errors.New("runtime: call shed: risk-aware admission")
 )
 
-// shedSentinel gives ErrShed its own identity while still matching
-// ErrDropped under errors.Is.
-type shedSentinel struct{}
-
-func (shedSentinel) Error() string        { return "runtime: call shed: risk-aware admission" }
-func (shedSentinel) Is(target error) bool { return target == ErrDropped }
-
 // BatchShedError reports a multi-call batch that was partially or fully
-// rejected (a single call is rejected with the plain sentinel): Shed of Batch
-// calls were not enqueued (the admitted prefix, if any, is already
-// queued in order). It unwraps to ErrDropped under DropNewest and to ErrShed
-// under ShedByRisk, so existing errors.Is(err, ErrDropped) checks keep
-// working while callers that need exact accounting read the counts with
-// errors.As.
+// rejected (a single call is rejected with the plain ErrShed): Shed of Batch
+// calls were not enqueued (the admitted prefix, if any, is already queued in
+// order). It unwraps to ErrShed; callers that need exact accounting read the
+// counts with errors.As.
 type BatchShedError struct {
 	// Shed is how many of the batch's Batch calls were rejected; the first
 	// Batch−Shed calls were admitted.
 	Shed  int
 	Batch int
-	cause error
 }
 
 func (e *BatchShedError) Error() string {
-	return fmt.Sprintf("%v (%d of %d batch calls shed)", e.cause, e.Shed, e.Batch)
+	return fmt.Sprintf("%v (%d of %d batch calls shed)", ErrShed, e.Shed, e.Batch)
 }
 
-func (e *BatchShedError) Unwrap() error { return e.cause }
+func (e *BatchShedError) Unwrap() error { return ErrShed }
 
 // Supervised worker restarts back off exponentially from restartBackoffBase,
 // doubling per consecutive crash up to restartBackoffCap.
@@ -152,37 +137,6 @@ const (
 	restartBackoffBase = time.Millisecond
 	restartBackoffCap  = 100 * time.Millisecond
 )
-
-// DropPolicy selects the behaviour of a full ingest queue.
-type DropPolicy int
-
-const (
-	// Block applies backpressure: Observe waits until the worker drains.
-	Block DropPolicy = iota
-	// DropNewest sheds the incoming call, counts it, and returns ErrDropped.
-	DropNewest
-	// ShedByRisk sheds by session risk instead of arrival order: when a
-	// worker's queue saturates, low-risk sessions are thinned
-	// probabilistically (deterministically, given shed.Config.Seed) while
-	// sessions with recent alerts, drifting scores, or sensitive-data
-	// touches are always scored — with blocking backpressure if necessary.
-	// Rejected calls return ErrShed and are counted in Stats.Shed. Tune with
-	// WithShedConfig.
-	ShedByRisk
-)
-
-func (p DropPolicy) String() string {
-	switch p {
-	case Block:
-		return "block"
-	case DropNewest:
-		return "drop-newest"
-	case ShedByRisk:
-		return "shed-by-risk"
-	default:
-		return fmt.Sprintf("DropPolicy(%d)", int(p))
-	}
-}
 
 // AlertFunc receives every alert raised by any session, tagged with the
 // session id. Delivery is asynchronous: workers hand alerts to a bounded
@@ -222,7 +176,6 @@ type WorkerHook func(worker int, session string)
 type config struct {
 	workers       int
 	queueDepth    int
-	policy        DropPolicy
 	sink          AlertFunc
 	sinkBuffer    int
 	sinkTimeout   time.Duration
@@ -277,23 +230,16 @@ func WithQueueDepth(d int) Option {
 	}
 }
 
-// WithDropPolicy selects backpressure (Block), newest-call shedding
-// (DropNewest), or risk-aware shedding (ShedByRisk; tune with
-// WithShedConfig).
-func WithDropPolicy(p DropPolicy) Option {
-	return func(c *config) { c.policy = p }
-}
-
-// WithShedConfig tunes the risk-aware admission controller — watermarks,
-// guarantee band, risk-signal memories, deterministic seed, sensitive labels
-// (see shed.Config) — and selects the ShedByRisk policy. Zero fields keep
-// their documented defaults, so WithDropPolicy(ShedByRisk) alone is a valid
-// configuration.
+// WithShedConfig replaces backpressure with risk-aware shedding: when a
+// worker's queue saturates, low-risk sessions are thinned probabilistically
+// (deterministically, given shed.Config.Seed) while sessions with recent
+// alerts, drifting scores, or sensitive-data touches are always scored —
+// with blocking backpressure if necessary. Rejected calls return ErrShed
+// and are counted in Stats.Shed. sc tunes the controller — watermarks,
+// guarantee band, risk-signal memories, seed, sensitive labels (see
+// shed.Config); zero fields keep their documented defaults.
 func WithShedConfig(sc shed.Config) Option {
-	return func(c *config) {
-		c.policy = ShedByRisk
-		c.shedCfg = &sc
-	}
+	return func(c *config) { c.shedCfg = &sc }
 }
 
 // WithAlertFunc routes every session's alerts to fn through the async sink
@@ -466,13 +412,13 @@ type Runtime struct {
 
 	// pending tracks the calls offered to each worker and not yet dequeued —
 	// the call-granularity ledger behind partial batch admission, the
-	// per-worker depth gauges, and ShedByRisk's occupancy signal. Producers
-	// add on enqueue; the worker (or the shutdown drain) subtracts on
-	// dequeue.
+	// per-worker depth gauges, and the shed controller's occupancy signal.
+	// Producers add on enqueue; the worker (or the shutdown drain) subtracts
+	// on dequeue.
 	pending []atomic.Int64
 
-	// shed is the risk-aware admission controller, non-nil only under the
-	// ShedByRisk policy.
+	// shed is the risk-aware admission controller, non-nil only under
+	// WithShedConfig.
 	shed *shed.Controller
 
 	// stopped is closed when workers must abandon ingest (shutdown); senders
@@ -598,8 +544,8 @@ type Session struct {
 	// Generation reports the generation that scored the flushed trace.
 	lastGen atomic.Uint64
 
-	// risk is the session's shed-tier state (nil unless the runtime runs
-	// ShedByRisk). sensSeen is the engine's sensitive-touch count already
+	// risk is the session's shed-tier state (nil unless the runtime sheds
+	// by risk). sensSeen is the engine's sensitive-touch count already
 	// folded into risk — worker-owned, like engine.
 	risk     *shed.SessionRisk
 	sensSeen int
@@ -629,8 +575,8 @@ const maxJudgementSpans = 4
 func (s *Session) Generation() uint64 { return s.lastGen.Load() }
 
 // ShedCalls reports how many of this session's calls the risk-aware
-// admission controller has rejected so far (always 0 under Block and
-// DropNewest).
+// admission controller has rejected so far (always 0 without
+// WithShedConfig).
 func (s *Session) ShedCalls() uint64 {
 	if s.risk == nil {
 		return 0
@@ -665,12 +611,8 @@ func New(p *profile.Profile, opts ...Option) *Runtime {
 		decisions: retain.NewLog[obsv.Decision](cfg.decisionCap, cfg.decisionEvery),
 		traces:    trace.NewStore(cfg.traceCap, cfg.traceEvery),
 	}
-	if cfg.policy == ShedByRisk {
-		var sc shed.Config
-		if cfg.shedCfg != nil {
-			sc = *cfg.shedCfg
-		}
-		rt.shed = shed.New(sc, cfg.workers)
+	if cfg.shedCfg != nil {
+		rt.shed = shed.New(*cfg.shedCfg, cfg.workers)
 	}
 	rt.cur.Store(&generation{p: p, gen: 1})
 	rt.pool.New = func() any {
@@ -814,16 +756,16 @@ func (s *Session) quarantine(cause error) bool {
 	return true
 }
 
-// Observe enqueues one call for detection: a batch of one. Under the Block
-// policy it waits for queue space (backpressure); under DropNewest a full
-// queue sheds the call and returns ErrDropped. A closed session or runtime
+// Observe enqueues one call for detection: a batch of one. It waits for
+// queue space (backpressure) unless the runtime sheds by risk, when a full
+// queue may shed the call and return ErrShed. A closed session or runtime
 // returns ErrClosed; a quarantined session returns ErrSessionFailed.
 func (s *Session) Observe(c collector.Call) error {
 	return s.ObserveContext(context.Background(), c)
 }
 
-// ObserveContext is Observe bounded by ctx: Block-policy backpressure waits
-// no longer than the context allows and surfaces ctx.Err().
+// ObserveContext is Observe bounded by ctx: backpressure waits no longer
+// than the context allows and surfaces ctx.Err().
 func (s *Session) ObserveContext(ctx context.Context, c collector.Call) error {
 	return s.ObserveBatchTraced(ctx, nil, []collector.Call{c})
 }
@@ -833,11 +775,11 @@ func (s *Session) ObserveContext(ctx context.Context, c collector.Call) error {
 // alerts per-call Observes would. It is the preferred ingest form for replay
 // and any producer that naturally batches: it pays the queue hand-off and
 // the per-op bookkeeping once per batch. The calls slice is copied; the
-// caller may reuse it immediately. Under DropNewest (and non-guaranteed
-// ShedByRisk admissions) a saturated queue admits the batch prefix that fits
-// the worker's call budget and sheds the tail: for a multi-call batch the
-// error is a *BatchShedError wrapping ErrDropped (or ErrShed) whose
-// Shed/Batch fields report the exact counts.
+// caller may reuse it immediately. Under risk-aware shedding a saturated
+// queue admits the batch prefix that fits the worker's call budget and, for
+// sessions outside the guarantee band, sheds the tail: for a multi-call
+// batch the error is a *BatchShedError wrapping ErrShed whose Shed/Batch
+// fields report the exact counts.
 func (s *Session) ObserveBatch(calls []collector.Call) error {
 	return s.ObserveBatchContext(context.Background(), calls)
 }
@@ -897,23 +839,22 @@ func (s *Session) ingestErr() error {
 // short window — the concurrent counterpart of Monitor.ObserveTrace. The
 // session stays open for further traces.
 //
-// Under DropNewest, calls shed by a full queue truncate the replay: the
-// history is still returned, together with an error wrapping ErrDropped that
-// reports how many of the trace's calls were shed, so callers can tell a
-// truncated replay from a complete one. Any other ingest error aborts the
-// replay.
+// Calls shed by a full queue truncate the replay: the history is still
+// returned, together with an error wrapping ErrShed that reports how many of
+// the trace's calls were shed, so callers can tell a truncated replay from a
+// complete one. Any other ingest error aborts the replay.
 func (s *Session) ObserveTrace(tr collector.Trace) ([]detect.Alert, error) {
 	return s.ObserveTraceContext(context.Background(), tr)
 }
 
 // ObserveTraceContext is ObserveTrace bounded by ctx.
 func (s *Session) ObserveTraceContext(ctx context.Context, tr collector.Trace) ([]detect.Alert, error) {
-	dropped := 0
+	shedCalls := 0
 	for _, c := range tr {
 		switch err := s.ObserveContext(ctx, c); {
 		case err == nil:
-		case errors.Is(err, ErrDropped):
-			dropped++
+		case errors.Is(err, ErrShed):
+			shedCalls++
 		default:
 			return nil, err
 		}
@@ -922,8 +863,8 @@ func (s *Session) ObserveTraceContext(ctx context.Context, tr collector.Trace) (
 	if err != nil {
 		return history, err
 	}
-	if dropped > 0 {
-		return history, fmt.Errorf("%w (%d of %d trace calls shed)", ErrDropped, dropped, len(tr))
+	if shedCalls > 0 {
+		return history, fmt.Errorf("%w (%d of %d trace calls shed)", ErrShed, shedCalls, len(tr))
 	}
 	return history, nil
 }
@@ -975,7 +916,7 @@ func (s *Session) CloseContext(ctx context.Context) ([]detect.Alert, error) {
 
 	done := make(chan reply, 1)
 	// The session is already marked closed, so enqueue directly (control ops
-	// bypass the DropNewest policy).
+	// are never shed).
 	ta := s.rt.traces.Begin(trace.Context{}, s.id, "close")
 	err := s.rt.enqueue(ctx, s.worker, op{s: s, kind: opClose, done: done, ta: ta}, true)
 	var alerts []detect.Alert
@@ -1052,16 +993,18 @@ func (rt *Runtime) enqueue(ctx context.Context, worker int, o op, control bool) 
 			}
 		case errors.Is(err, ErrShed):
 			verdict, shedCalls = "shed", 1
-		case errors.Is(err, ErrDropped):
-			verdict, shedCalls = "dropped", 1
 		default:
 			verdict = "rejected" // closed runtime or expired context
 		}
 	}
+	policy := "block"
+	if rt.shed != nil {
+		policy = "shed-by-risk"
+	}
 	o.ta.Event(trace.RootSpan, "admit", start,
 		trace.Int("queue_depth", depth),
 		trace.Int("worker", int64(worker)),
-		trace.String("policy", rt.cfg.policy.String()),
+		trace.String("policy", policy),
 		trace.String("verdict", verdict),
 		trace.Int("shed_calls", int64(shedCalls)))
 	if !enqueued {
@@ -1070,9 +1013,10 @@ func (rt *Runtime) enqueue(ctx context.Context, worker int, o op, control bool) 
 	return err
 }
 
-// enqueueOp is the policy-dispatching enqueue body. Control ops (flush/close)
-// always use backpressure: they are rare, small, and their reply channel must
-// be served. Blocking sends are bounded by ctx and by runtime shutdown.
+// enqueueOp is the enqueue body: observe ops go through the shed controller
+// when there is one; everything else, and control ops (flush/close) always,
+// uses backpressure — control ops are rare, small, and their reply channel
+// must be served. Blocking sends are bounded by ctx and by runtime shutdown.
 func (rt *Runtime) enqueueOp(ctx context.Context, worker int, o op, control bool) error {
 	rt.mu.RLock()
 	if rt.closed {
@@ -1081,13 +1025,8 @@ func (rt *Runtime) enqueueOp(ctx context.Context, worker int, o op, control bool
 	}
 	q := rt.queues[worker]
 	rt.mu.RUnlock()
-	if !control {
-		switch rt.cfg.policy {
-		case DropNewest:
-			return rt.enqueueDropNewest(q, worker, o)
-		case ShedByRisk:
-			return rt.enqueueShed(ctx, q, worker, o)
-		}
+	if !control && rt.shed != nil {
+		return rt.enqueueShed(ctx, q, worker, o)
 	}
 	n := o.callCount()
 	rt.trackPending(worker, n)
@@ -1137,55 +1076,27 @@ func (rt *Runtime) reserve(w, n int) int {
 	return admit
 }
 
-// dropErr shapes the rejection error: single-call ops keep the plain
-// sentinel contract; multi-call ops carry exact counts via BatchShedError.
-func dropErr(o *op, shedCount, batch int, cause error) error {
+// shedErr shapes the rejection error: single-call ops keep the plain
+// ErrShed contract; multi-call ops carry exact counts via BatchShedError.
+func shedErr(o *op, shedCalls, batch int) error {
 	if o.calls == nil {
-		return cause
+		return ErrShed
 	}
-	return &BatchShedError{Shed: shedCount, Batch: batch, cause: cause}
+	return &BatchShedError{Shed: shedCalls, Batch: batch}
 }
 
-// enqueueDropNewest admits the batch prefix that fits the worker's call
-// budget, sheds the tail, and reports exact counts — a full queue no longer
-// rejects a whole batch when part of it fits.
-func (rt *Runtime) enqueueDropNewest(q chan op, worker int, o op) error {
-	n := int(o.callCount())
-	admit := rt.reserve(worker, n)
-	if admit == 0 {
-		rt.ctr.AddDropped(uint64(n))
-		return dropErr(&o, n, n, ErrDropped)
-	}
-	if admit < n {
-		o.calls = o.calls[:admit]
-	}
-	select {
-	case q <- o:
-		if admit < n {
-			rt.ctr.AddDropped(uint64(n - admit))
-			return dropErr(&o, n-admit, n, ErrDropped)
-		}
-		return nil
-	default:
-		// The call budget had room but the op-slot channel is full (many
-		// small ops queued): shed the whole batch.
-		rt.releasePending(worker, uint64(admit))
-		rt.ctr.AddDropped(uint64(n))
-		return dropErr(&o, n, n, ErrDropped)
-	}
-}
-
-// enqueueShed is the ShedByRisk admission path: one deterministic controller
+// enqueueShed is the risk-aware admission path: one deterministic controller
 // decision per op, guaranteed (blocking) admission for high-risk sessions,
-// budgeted prefix admission for the rest.
+// budgeted prefix admission for the rest — a full queue rejects only the
+// tail of a batch that partly fits.
 func (rt *Runtime) enqueueShed(ctx context.Context, q chan op, worker int, o op) error {
 	n := int(o.callCount())
 	sr := o.s.risk
 	occ := float64(rt.pending[worker].Load()) / float64(rt.cfg.queueDepth)
 	d := rt.shed.Decide(sr, worker, occ)
 	if !d.Admit {
-		rt.noteShed(o.s, d, n, o.ta.ID())
-		return dropErr(&o, n, n, ErrShed)
+		rt.noteShed(o.s, d, n)
+		return shedErr(&o, n, n)
 	}
 	if d.Guaranteed {
 		// High-risk sessions are always scored: blocking backpressure,
@@ -1205,8 +1116,8 @@ func (rt *Runtime) enqueueShed(ctx context.Context, q chan op, worker int, o op)
 	}
 	admit := rt.reserve(worker, n)
 	if admit == 0 {
-		rt.noteShed(o.s, d, n, o.ta.ID())
-		return dropErr(&o, n, n, ErrShed)
+		rt.noteShed(o.s, d, n)
+		return shedErr(&o, n, n)
 	}
 	if admit < n {
 		o.calls = o.calls[:admit]
@@ -1215,31 +1126,34 @@ func (rt *Runtime) enqueueShed(ctx context.Context, q chan op, worker int, o op)
 	case q <- o:
 		rt.shed.Admitted(sr, d, admit)
 		if admit < n {
-			rt.noteShed(o.s, d, n-admit, o.ta.ID())
-			return dropErr(&o, n-admit, n, ErrShed)
+			rt.noteShed(o.s, d, n-admit)
+			return shedErr(&o, n-admit, n)
 		}
 		return nil
 	default:
+		// The call budget had room but the op-slot channel is full (many
+		// small ops queued): shed the whole batch.
 		rt.releasePending(worker, uint64(admit))
-		rt.noteShed(o.s, d, n, o.ta.ID())
-		return dropErr(&o, n, n, ErrShed)
+		rt.noteShed(o.s, d, n)
+		return shedErr(&o, n, n)
 	}
 }
 
 // noteShed does the bookkeeping of one shed outcome: controller risk-mass
-// accounting, the Stats.Shed counter, and decision provenance correlated to
-// the op's trace.
-func (rt *Runtime) noteShed(s *Session, d shed.Decision, calls int, traceID string) {
+// accounting, the Stats.Shed counter, and decision provenance.
+func (rt *Runtime) noteShed(s *Session, d shed.Decision, calls int) {
 	rt.shed.Shed(s.risk, d, calls)
 	rt.ctr.AddShed(uint64(calls))
-	rt.recordShed(s, d, calls, traceID)
+	rt.recordShed(s, d, calls)
 }
 
 // recordShed writes shed provenance so an operator can see exactly what was
 // not scored and why. The first shed on a session bypasses the sampling gate
 // (like an alert, it is evidence that must survive); later ones are sampled
-// 1-in-N with the cumulative per-session count carried on each record.
-func (rt *Runtime) recordShed(s *Session, d shed.Decision, calls int, traceID string) {
+// 1-in-N with the cumulative per-session count carried on each record. A
+// shed op's trace is a healthy one the store may sample out, so the record
+// carries no trace ID.
+func (rt *Runtime) recordShed(s *Session, d shed.Decision, calls int) {
 	if rt.decisions == nil {
 		return
 	}
@@ -1257,7 +1171,6 @@ func (rt *Runtime) recordShed(s *Session, d shed.Decision, calls int, traceID st
 		SessionShed: total,
 		Risk:        d.Risk,
 		Occupancy:   d.Occupancy,
-		Trace:       traceID,
 	}, false)
 }
 
@@ -1602,6 +1515,8 @@ func (rt *Runtime) installEngine(s *Session) {
 			}
 			// Unflagged judgements are sampled (1-in-N) before one is built;
 			// flagged ones are recorded with alert context in recordAlerts.
+			// The op's trace is healthy and may be sampled out of the
+			// store, so a sampled Normal record carries no trace ID.
 			if !flagged && decisions.Admit(false) {
 				decisions.Add(obsv.Decision{
 					Session:    id,
@@ -1611,7 +1526,6 @@ func (rt *Runtime) installEngine(s *Session) {
 					Threshold:  e.Threshold(),
 					Flag:       detect.FlagNormal.String(),
 					Generation: s.gen,
-					Trace:      s.curTrace.ID(),
 				}, false)
 			}
 			if obs != nil {
@@ -1834,8 +1748,8 @@ func (rt *Runtime) CloseContext(ctx context.Context) error {
 
 // Stats is a point-in-time snapshot of the runtime's health.
 type Stats struct {
-	// Calls scored, and calls shed by DropNewest (or discarded after a
-	// session died or was quarantined).
+	// Calls scored, and calls discarded unscored: queued for a session
+	// that died or was quarantined, or still queued at shutdown.
 	Calls, Dropped uint64
 	// Alerts raised, by detect.Flag value.
 	Alerts [metrics.NumFlags]uint64
@@ -1885,9 +1799,9 @@ type Stats struct {
 	// tracing is disabled.
 	TracesStored     uint64
 	TracesSampledOut uint64
-	// Shed counts calls rejected by risk-aware admission (ShedByRisk only;
-	// disjoint from Dropped), and ShedRate is the fraction of offered calls
-	// shed so far: Shed / (Shed + Calls).
+	// Shed counts calls rejected by risk-aware admission (WithShedConfig
+	// only; disjoint from Dropped), and ShedRate is the fraction of offered
+	// calls shed so far: Shed / (Shed + Calls).
 	Shed     uint64
 	ShedRate float64
 	// EstimatedMissProb estimates the fraction of expected alert evidence
@@ -1987,7 +1901,7 @@ func (rt *Runtime) WorkerQueueDepths() []int {
 }
 
 // ShedSnapshot exposes the risk-aware admission controller's counters (the
-// zero Snapshot when the runtime does not run ShedByRisk).
+// zero Snapshot when the runtime does not shed by risk).
 func (rt *Runtime) ShedSnapshot() shed.Snapshot {
 	if rt.shed == nil {
 		return shed.Snapshot{}

@@ -16,6 +16,7 @@ import (
 	"adprom/internal/faultinject"
 	"adprom/internal/hmm"
 	"adprom/internal/profile"
+	"adprom/internal/shed"
 )
 
 var appHOnce struct {
@@ -181,52 +182,52 @@ func TestStreamScorerMatchesBatchOnCAApps(t *testing.T) {
 	}
 }
 
-func TestRuntimeDropNewestShedsLoad(t *testing.T) {
+func TestRuntimeShedByRiskShedsLoad(t *testing.T) {
 	p, traces := trainAppH(t)
 	gate := make(chan struct{})
 	rt := New(p,
-		WithWorkers(1), WithQueueDepth(1), WithDropPolicy(DropNewest),
+		WithWorkers(1), WithQueueDepth(1), WithShedConfig(shed.Config{Seed: 1}),
 		// Wedge the worker so the depth-1 queue must overflow. (A slow alert
 		// sink no longer stalls workers — delivery is async — so the stall
 		// is injected on the worker path itself.)
 		WithWorkerHook(faultinject.WorkerGate(gate)),
 	)
 	s := rt.Session("flood")
-	dropped := false
+	shedOne := false
 	var sent int
-	for pass := 0; pass < 100 && !dropped; pass++ {
+	for pass := 0; pass < 100 && !shedOne; pass++ {
 		for _, c := range traces[0] {
 			sent++
-			if err := s.Observe(c); errors.Is(err, ErrDropped) {
-				dropped = true
+			if err := s.Observe(c); errors.Is(err, ErrShed) {
+				shedOne = true
 				break
 			}
 		}
 	}
 	close(gate)
-	if !dropped {
-		t.Fatalf("no call dropped after %d sends through a depth-1 queue", sent)
+	if !shedOne {
+		t.Fatalf("no call shed after %d sends through a depth-1 queue", sent)
 	}
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st := rt.Stats()
-	if st.Dropped == 0 {
-		t.Fatalf("Stats.Dropped = 0 after shedding; stats %v", st)
+	if st.Shed == 0 {
+		t.Fatalf("Stats.Shed = 0 after shedding; stats %v", st)
 	}
-	if st.Calls+st.Dropped < uint64(sent) {
-		t.Fatalf("calls %d + dropped %d < sent %d", st.Calls, st.Dropped, sent)
+	if st.Calls+st.Shed < uint64(sent) {
+		t.Fatalf("calls %d + shed %d < sent %d", st.Calls, st.Shed, sent)
 	}
 }
 
-// TestObserveTraceReportsShedding covers the DropNewest truncation contract:
-// a truncated replay returns the flushed history together with an error
-// wrapping ErrDropped, so callers can tell it apart from a complete one.
+// TestObserveTraceReportsShedding covers the truncation contract: a
+// truncated replay returns the flushed history together with an error
+// wrapping ErrShed, so callers can tell it apart from a complete one.
 func TestObserveTraceReportsShedding(t *testing.T) {
 	p, traces := trainAppH(t)
 	gate := make(chan struct{})
 	rt := New(p,
-		WithWorkers(1), WithQueueDepth(1), WithDropPolicy(DropNewest),
+		WithWorkers(1), WithQueueDepth(1), WithShedConfig(shed.Config{Seed: 1}),
 		WithWorkerHook(faultinject.WorkerGate(gate)),
 	)
 	s := rt.Session("truncated")
@@ -243,13 +244,13 @@ func TestObserveTraceReportsShedding(t *testing.T) {
 	close(gate)
 	err := <-errc
 	<-histc
-	if !errors.Is(err, ErrDropped) {
-		t.Fatalf("truncated replay: err = %v, want ErrDropped wrapper", err)
+	if !errors.Is(err, ErrShed) {
+		t.Fatalf("truncated replay: err = %v, want ErrShed wrapper", err)
 	}
-	if rt.Stats().Dropped == 0 {
-		t.Fatal("no drops counted for a truncated replay")
+	if rt.Stats().Shed == 0 {
+		t.Fatal("no sheds counted for a truncated replay")
 	}
-	// (Complete replays under the Block policy report a nil error; that path
+	// (Complete replays under backpressure report a nil error; that path
 	// is covered by TestSessionLifecycle.)
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
@@ -294,23 +295,6 @@ func TestRuntimeCloseDrainsLateRegistrations(t *testing.T) {
 		// A registration attempted after Close must be born closed.
 		if err := rt.Session("late").Observe(traces[0][0]); !errors.Is(err, ErrClosed) {
 			t.Fatalf("late session observe: %v", err)
-		}
-	}
-}
-
-func TestDropPolicyString(t *testing.T) {
-	cases := []struct {
-		p    DropPolicy
-		want string
-	}{
-		{Block, "block"},
-		{DropNewest, "drop-newest"},
-		{ShedByRisk, "shed-by-risk"},
-		{DropPolicy(7), "DropPolicy(7)"},
-	}
-	for _, c := range cases {
-		if got := c.p.String(); got != c.want {
-			t.Errorf("DropPolicy(%d).String() = %q, want %q", int(c.p), got, c.want)
 		}
 	}
 }

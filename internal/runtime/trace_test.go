@@ -3,12 +3,14 @@ package runtime
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"adprom/internal/collector"
 	"adprom/internal/detect"
+	"adprom/internal/shed"
 	"adprom/internal/trace"
 )
 
@@ -90,6 +92,9 @@ func TestTracingEndToEnd(t *testing.T) {
 	}
 	if v, ok := admit.Attr("verdict"); !ok || v.Str != "admitted" {
 		t.Errorf("admit verdict = %+v", admit.Attrs)
+	}
+	if v, ok := admit.Attr("policy"); !ok || v.Str != "block" {
+		t.Errorf("admit policy = %+v", admit.Attrs)
 	}
 	if _, ok := admit.Attr("queue_depth"); !ok {
 		t.Error("admit span missing queue_depth")
@@ -191,6 +196,55 @@ func TestTracingHealthySampling(t *testing.T) {
 	}
 }
 
+// TestDecisionTraceIDsResolve pins the decision log's trace correlation:
+// only alert traces are pinned in the store, so only alert decisions carry
+// a trace ID, and every ID on the log resolves through TraceByID. Sampled
+// Normal judgements and the healthy ops behind them fall to independent
+// 1-in-16 gates, so an ID on one would mostly lead nowhere.
+func TestDecisionTraceIDsResolve(t *testing.T) {
+	p, traces := trainAppH(t)
+	rt := New(p, WithWorkers(2), WithTracing(1024, 16))
+	defer rt.Close()
+	attacked := attackStream(traces)
+	for pass := 0; pass < 20; pass++ {
+		for i, tr := range traces {
+			if i%4 == 3 {
+				tr = attacked
+			}
+			s := rt.Session(fmt.Sprintf("run-%02d", i))
+			if err := s.ObserveBatch(tr); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var normal, flaggedWithID int
+	for _, d := range rt.Decisions(0) {
+		if !d.Flagged {
+			normal++
+		}
+		if d.Trace == "" {
+			continue
+		}
+		if _, ok := rt.TraceByID(d.Trace); !ok {
+			t.Errorf("decision seq=%d session=%s names trace %s, which the store does not hold", d.Seq, d.Session, d.Trace)
+		}
+		if !d.Flagged {
+			t.Errorf("unflagged decision seq=%d session=%s carries trace %s", d.Seq, d.Session, d.Trace)
+			continue
+		}
+		flaggedWithID++
+	}
+	if normal == 0 {
+		t.Fatal("no sampled Normal decision; the healthy half of the check is vacuous")
+	}
+	if flaggedWithID == 0 {
+		t.Fatal("no flagged decision carries a trace ID")
+	}
+}
+
 // TestTracingDisabledBitIdentical checks the kill switch: without WithTracing
 // the runtime builds no traces and the decision log's JSON encoding contains
 // no trace key at all — bit-identical to a trace-free build.
@@ -245,7 +299,7 @@ func TestTracingDroppedOpFinishesTrace(t *testing.T) {
 		WithWorkers(1),
 		WithQueueDepth(1),
 		WithTracing(64, 1),
-		WithDropPolicy(DropNewest),
+		WithShedConfig(shed.Config{Seed: 1}),
 		WithWorkerHook(func(int, string) { <-block }),
 	)
 	defer rt.Close()
@@ -253,7 +307,7 @@ func TestTracingDroppedOpFinishesTrace(t *testing.T) {
 
 	s := rt.Session("noisy")
 	// The worker blocks inside the hook after dequeuing the first op, so the
-	// 1-call budget saturates within a few observes and one must drop.
+	// 1-call budget saturates within a few observes and one must be shed.
 	var err error
 	for i := 0; i < 1000 && err == nil; i++ {
 		err = s.Observe(traces[0][i%len(traces[0])])
@@ -265,16 +319,16 @@ func TestTracingDroppedOpFinishesTrace(t *testing.T) {
 	var admit *trace.Span
 	for _, tr := range rt.Traces(0) {
 		if a := tr.Span("admit"); a != nil {
-			if v, ok := a.Attr("verdict"); ok && v.Str == "dropped" {
+			if v, ok := a.Attr("verdict"); ok && v.Str == "shed" {
 				admit = a
 				break
 			}
 		}
 	}
 	if admit == nil {
-		t.Fatal("no committed trace carries a dropped admit verdict")
+		t.Fatal("no committed trace carries a shed admit verdict")
 	}
-	if v, ok := admit.Attr("policy"); !ok || v.Str != "drop-newest" {
+	if v, ok := admit.Attr("policy"); !ok || v.Str != "shed-by-risk" {
 		t.Errorf("admit policy attr = %+v", admit.Attrs)
 	}
 }

@@ -63,14 +63,14 @@ func alertsEquivalent(got, want []detect.Alert) error {
 	return nil
 }
 
-// countRejections classifies drop/shed errors, extracting exact counts from
+// countRejections classifies shed errors, extracting exact counts from
 // BatchShedError for batch ops and charging the whole op otherwise.
 func countRejections(err error, n int) (int, bool) {
 	var bse *runtime.BatchShedError
 	if errors.As(err, &bse) {
 		return bse.Shed, true
 	}
-	if errors.Is(err, runtime.ErrDropped) { // ErrShed matches too
+	if errors.Is(err, runtime.ErrShed) {
 		return n, true
 	}
 	return 0, false

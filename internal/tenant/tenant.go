@@ -92,11 +92,11 @@ type Config struct {
 	// never unboundedly.
 	MaxSessionsPerTenant int
 	// RuntimeOptions apply to every shard's runtime (workers, queue depth,
-	// drop/shed policy, scorer mode, sink, decision log, ...).
+	// risk-aware shedding, scorer mode, sink, decision log, ...).
 	RuntimeOptions []runtime.Option
 	// PerTenant overrides or extends RuntimeOptions for specific tenants —
 	// the per-tenant tuning seam (a hostile tenant gets a shallow queue and
-	// ShedByRisk; a critical one gets more workers). Applied after
+	// risk-aware shedding; a critical one gets more workers). Applied after
 	// RuntimeOptions.
 	PerTenant map[string][]runtime.Option
 	// OnEvict, when non-nil, observes each eviction with the closed shard's

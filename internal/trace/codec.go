@@ -40,10 +40,9 @@ var vocab = [...]string{
 	"sql_score", "sql_threshold", "seq", "threshold", "margin", "flagged",
 	"fused_score", "hmm_margin", "sql_margin", "escalated", "cause", "flag",
 	// Values.
-	"ndjson", "binary", "block", "drop-newest", "shed-by-risk", "admitted",
-	"shed", "partial", "dropped", "rejected", "exact", "delivered",
-	"panicked", "buffer full", "handoff timeout", "Normal", "Anomalous",
-	"DL", "OutOfContext",
+	"ndjson", "binary", "block", "shed-by-risk", "admitted", "shed",
+	"partial", "rejected", "exact", "delivered", "panicked", "buffer full",
+	"handoff timeout", "Normal", "Anomalous", "DL", "OutOfContext",
 }
 
 var vocabIndex = func() map[string]uint64 {
