@@ -42,6 +42,10 @@ vet:
 # whole module also covers the facade's Runtime tests. tenant and ingest
 # carry the fleet chaos suite and the network front door; retain and trace
 # hold the bounded logs every worker records decisions and traces into.
+# The runtime's soak and slow-sink tests (TestSessionStateBounded,
+# TestSlowSinkLosesNothingThatFits) skip themselves here: the race
+# detector's overhead would swamp their heap, latency and timing bounds, so
+# `make test` is where they run.
 # Training runs its E-step, holdout scoring and PCA products on every core:
 # the second line races the training tests only, since all of internal/hmm
 # under -race takes close to a minute.

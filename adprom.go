@@ -25,6 +25,8 @@
 //
 //	// Many concurrent streams: a Runtime multiplexes per-session call
 //	// streams onto a pool of detection workers over the shared profile.
+//	// A session's Flush and Close return the alerts raised since its
+//	// previous flush; the Monitor above keeps its whole history.
 //	rt := adprom.NewRuntime(prof, adprom.WithWorkers(8))
 //	defer rt.Close()
 //	rt.Session("client-42").Observe(call)
@@ -39,7 +41,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"time"
 
 	"adprom/internal/attack"
 	"adprom/internal/collector"
@@ -482,25 +483,20 @@ func WithShedConfig(sc ShedConfig) RuntimeOption {
 }
 
 // WithSessionSink routes every runtime session's alerts to fn, tagged with
-// the session id. Delivery is asynchronous and isolated: fn runs on a
-// dedicated sink goroutine (never on detection workers), panics inside it are
-// recovered and counted, and deliveries that cannot be handed off within the
-// sink timeout are shed and counted rather than stalling detection.
+// the session id, each alert once. Delivery is asynchronous and isolated: fn
+// runs on a dedicated sink goroutine (never on detection workers) that
+// drains a bounded buffer, panics inside it are recovered and counted, and
+// alerts that find the buffer full are shed and counted rather than
+// stalling detection.
 func WithSessionSink(fn func(session string, a Alert)) RuntimeOption {
 	return runtimeOptionWrap{runtime.WithAlertFunc(runtime.AlertFunc(fn))}
 }
 
 // WithSinkBuffer bounds the runtime's asynchronous alert-delivery queue
-// (default 1024). When the sink cannot keep up, overflowing alerts are shed
-// and counted in RuntimeStats.SinkDropped; detection itself never blocks on
-// the sink.
+// (default 1024). An alert that fits waits there for the sink; when the sink
+// cannot keep up, overflowing alerts are shed and counted in
+// RuntimeStats.SinkDropped, and detection itself never blocks on the sink.
 func WithSinkBuffer(n int) RuntimeOption { return runtimeOptionWrap{runtime.WithSinkBuffer(n)} }
-
-// WithSinkTimeout bounds how long the runtime waits to hand one alert to the
-// sink before shedding it (default 1s).
-func WithSinkTimeout(d time.Duration) RuntimeOption {
-	return runtimeOptionWrap{runtime.WithSinkTimeout(d)}
-}
 
 // WithJudgeHook installs a hook observing every completed window judgement
 // (session id, window end sequence, score, flagged). A non-nil error

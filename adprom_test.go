@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestFacadeQuickstart exercises the public API end to end: build a program,
@@ -182,7 +181,6 @@ func TestFacadeFaultToleranceSurface(t *testing.T) {
 	rt := NewRuntime(prof,
 		WithWorkers(2),
 		WithSinkBuffer(8),
-		WithSinkTimeout(time.Second),
 		WithJudgeHook(func(session string, seq int, score float64, flagged bool) error {
 			if session == "victim" {
 				return errors.New("injected engine failure")

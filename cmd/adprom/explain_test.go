@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -123,10 +125,25 @@ func TestExplainFusedAlert(t *testing.T) {
 			t.Errorf("explain output missing %q:\n%s", want, text)
 		}
 	}
-	// The SQL channel alone raised the alert, so its decision carries no
-	// HMM judgement to print.
-	if strings.Contains(text, "hmm:   score=") {
-		t.Errorf("explain output prints an HMM judgement for an SQL-only alert:\n%s", text)
+	// The SQL channel raised the alert after the HMM had judged the run's
+	// windows, so the decision carries the HMM's latest judgement, and its
+	// margin is the one the fusion span records.
+	hmmLine := regexp.MustCompile(`hmm:   score=\S+ threshold=\S+ margin=(\S+)`).FindStringSubmatch(text)
+	if hmmLine == nil {
+		t.Fatalf("explain output prints no HMM judgement for the SQL-channel alert:\n%s", text)
+	}
+	margin, err := strconv.ParseFloat(hmmLine[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := false
+	for _, m := range regexp.MustCompile(`hmm_margin=(\S+)`).FindAllStringSubmatch(text, -1) {
+		if v, err := strconv.ParseFloat(m[1], 64); err == nil && math.Abs(v-margin) < 5e-7 {
+			fused = true
+		}
+	}
+	if !fused {
+		t.Errorf("the HMM judgement's margin %v matches no fusion span's hmm_margin:\n%s", margin, text)
 	}
 
 	// The same alert resolved by trace ID renders the same timeline.

@@ -261,7 +261,6 @@ func TestServeChaosIsolatesFaults(t *testing.T) {
 	sc.faults = []runtime.Option{
 		runtime.WithAlertFunc(sink.Deliver),
 		runtime.WithSinkBuffer(16),
-		runtime.WithSinkTimeout(50 * time.Millisecond),
 		runtime.WithJudgeHook(engine.Hook),
 		runtime.WithWorkerHook(worker.Hook),
 	}

@@ -117,9 +117,12 @@ func (f AlertFunc) HandleAlert(a detect.Alert) { f(a) }
 
 // Monitor is the detection phase (Figure 8): it attaches to a running
 // program, feeds its calls to the detection engine, and forwards alerts.
+// It is the sequential oracle every serving shape is checked against, so
+// unlike a runtime session it keeps every alert it has raised.
 type Monitor struct {
-	engine *detect.Engine
-	sink   AlertSink
+	engine  *detect.Engine
+	sink    AlertSink
+	history []detect.Alert
 }
 
 // NewMonitor builds a monitor around a trained profile. sink may be nil
@@ -145,35 +148,33 @@ func (m *Monitor) Attach(ip *interp.Interp) {
 // same order; batching only amortises per-call overhead.
 func (m *Monitor) ObserveBatch(calls []collector.Call) []detect.Alert {
 	alerts := m.engine.ObserveBatch(calls)
-	if m.sink != nil {
-		for _, a := range alerts {
-			m.sink.HandleAlert(a)
-		}
-	}
+	m.record(alerts)
 	return alerts
 }
 
 // ObserveTrace replays one collected execution through the monitor (the
-// offline deployment mode) and returns the engine's full alert history
+// offline deployment mode) and returns the monitor's full alert history
 // including the final short-window judgement. The sliding window resets at
 // the start of the trace: windows never straddle two executions.
 func (m *Monitor) ObserveTrace(tr collector.Trace) []detect.Alert {
 	m.engine.ResetWindow()
-	alerts := m.engine.ObserveBatch(tr)
+	m.record(m.engine.ObserveBatch(tr))
+	// The flush hands over this trace's alerts, the batch's among them;
+	// only the ones it judged itself are new to the history.
+	pending := len(m.engine.Alerts())
+	m.record(m.engine.Flush()[pending:])
+	return m.history
+}
+
+// record appends alerts to the history and sinks them.
+func (m *Monitor) record(alerts []detect.Alert) {
+	m.history = append(m.history, alerts...)
 	if m.sink != nil {
 		for _, a := range alerts {
 			m.sink.HandleAlert(a)
 		}
 	}
-	before := len(m.engine.Alerts())
-	history := m.engine.Flush()
-	if m.sink != nil {
-		for _, a := range history[before:] {
-			m.sink.HandleAlert(a)
-		}
-	}
-	return history
 }
 
-// Alerts returns everything the engine has raised.
-func (m *Monitor) Alerts() []detect.Alert { return m.engine.Alerts() }
+// Alerts returns everything the monitor has raised.
+func (m *Monitor) Alerts() []detect.Alert { return m.history }

@@ -41,11 +41,8 @@ func TestMarkFalsePositiveLowersThreshold(t *testing.T) {
 	for _, c := range traces[5] {
 		count += len(e2.Observe(c))
 	}
-	for _, a := range e2.Flush() {
-		_ = a
-	}
 	probAlerts := 0
-	for _, a := range e2.Alerts() {
+	for _, a := range e2.Flush() {
 		if a.Flag == FlagAnomalous || a.Flag == FlagDL {
 			probAlerts++
 		}

@@ -94,7 +94,10 @@ type Alert struct {
 	Label  string
 	Caller string
 	// Score and Threshold explain probability-based alerts (per-symbol log
-	// probability); both are zero for OutOfContext alerts.
+	// probability): the flagged HMM window's, or on an SQL-channel alert the
+	// HMM's most recent window judgement since the last window reset. Both
+	// are zero for OutOfContext alerts and for SQL-channel alerts raised
+	// before the HMM judged a window.
 	Score     float64
 	Threshold float64
 	// ScoreErrorBound bounds |Score − exact score| when the engine runs an
@@ -140,12 +143,15 @@ type Engine struct {
 	window    []windowCall
 	winStart  int // ring start within window when full
 	seq       int
-	alerts    []Alert
+	// alerts holds the alerts raised since the previous Flush, which hands
+	// them over and forgets them.
+	alerts []Alert
 
 	// Append-only arenas flagged windows carve their Window labels and leak
 	// Origins from, so a batch with many alerts costs a few arena-growth
 	// allocations instead of a few per alert. Exhausted arenas are abandoned
-	// (their carved regions stay alive through the alerts) and replaced.
+	// (their carved regions stay alive through the alerts) and replaced;
+	// Flush drops both, so they never outgrow one flush's alerts.
 	labelArena  []string
 	originArena []interp.Origin
 
@@ -175,12 +181,13 @@ type Engine struct {
 	// property tests pin down.
 	sqlScorer *sqlchan.Scorer
 	fusion    FusionConfig
-	// Latest per-channel anomaly margins (threshold − score) and whether
-	// each channel has judged a window since the last window reset.
-	lastHMM, lastSQL float64
-	hmmSeen, sqlSeen bool
-	// Latest SQL-channel verdict, stamped onto alerts for provenance.
+	// Latest per-channel verdicts since the last window reset, whose
+	// threshold − score is the channel's anomaly margin and which are
+	// stamped onto the other channel's alerts for provenance, and whether
+	// each channel has judged a window since that reset.
+	lastHMMScore, lastHMMThreshold float64
 	lastSQLScore, lastSQLThreshold float64
+	hmmSeen, sqlSeen               bool
 	// The most recent query-bearing call, so a Flush-judged partial SQL
 	// window can still name a triggering call.
 	lastQuery windowCall
@@ -272,7 +279,7 @@ func (e *Engine) traceJudgement(channel string, seq int, score, threshold, bound
 	if !flagged {
 		return
 	}
-	hmmMargin := e.lastHMM
+	hmmMargin := e.lastHMMThreshold - e.lastHMMScore
 	if e.sqlScorer == nil && channel == ChannelHMM {
 		// Single-channel engines never fold margins into fusion state; derive
 		// the HMM margin directly so the event still explains the verdict.
@@ -281,7 +288,7 @@ func (e *Engine) traceJudgement(channel string, seq int, score, threshold, bound
 	e.traceHook(TraceEvent{
 		Channel: channel, Seq: seq,
 		Score: score, Threshold: threshold, Bound: bound,
-		HMMMargin: hmmMargin, SQLMargin: e.lastSQL,
+		HMMMargin: hmmMargin, SQLMargin: e.lastSQLThreshold - e.lastSQLScore,
 		HMMSeen: e.hmmSeen, SQLSeen: e.sqlSeen,
 		Fused: fused, FusedFired: fusedFired, Flagged: flagged,
 	})
@@ -343,7 +350,7 @@ func (e *Engine) SetSQLChannel(s *sqlchan.Scorer, cfg FusionConfig) {
 	e.sqlScorer = s
 	e.fusion = cfg.withDefaults()
 	e.hmmSeen, e.sqlSeen = false, false
-	e.lastHMM, e.lastSQL = 0, 0
+	e.lastHMMScore, e.lastHMMThreshold = 0, 0
 	e.lastSQLScore, e.lastSQLThreshold = 0, 0
 	e.lastQuery = windowCall{}
 }
@@ -352,7 +359,8 @@ func (e *Engine) SetSQLChannel(s *sqlchan.Scorer, cfg FusionConfig) {
 func (e *Engine) SQLChannel() *sqlchan.Scorer { return e.sqlScorer }
 
 // ResetWindow clears the sliding window between monitored executions, so a
-// window never straddles two program runs. Alert history is preserved.
+// window never straddles two program runs. Alerts not yet handed over by
+// Flush are kept.
 func (e *Engine) ResetWindow() {
 	e.window = e.window[:0]
 	e.winStart = 0
@@ -362,12 +370,13 @@ func (e *Engine) ResetWindow() {
 	if e.sqlScorer != nil {
 		e.sqlScorer.Reset()
 		e.hmmSeen, e.sqlSeen = false, false
-		e.lastHMM, e.lastSQL = 0, 0
+		e.lastHMMScore, e.lastHMMThreshold = 0, 0
+		e.lastSQLScore, e.lastSQLThreshold = 0, 0
 	}
 }
 
 // Reset returns the engine to its just-constructed state — window, sequence
-// counter, alert history, threshold, judge hook, and error — so pooled
+// counter, pending alerts, threshold, judge hook, and error — so pooled
 // engines can be recycled across sessions without reallocating their
 // forward-variable buffers.
 func (e *Engine) Reset() {
@@ -386,8 +395,8 @@ func (e *Engine) Reset() {
 	e.sensitiveLabels = nil
 	e.sqlScorer = nil
 	e.fusion = FusionConfig{}
-	e.lastHMM, e.lastSQL = 0, 0
 	e.hmmSeen, e.sqlSeen = false, false
+	e.lastHMMScore, e.lastHMMThreshold = 0, 0
 	e.lastSQLScore, e.lastSQLThreshold = 0, 0
 	e.lastQuery = windowCall{}
 }
@@ -416,19 +425,20 @@ func (e *Engine) noteSensitive(c *collector.Call) {
 // judgement; pass nil to remove it. See JudgeFunc for the error semantics.
 func (e *Engine) SetJudgeHook(h JudgeFunc) { e.judgeHook = h }
 
-// Adopt carries prev's alert history and sequence counter into e, so that a
-// stream owner replacing its engine at a trace boundary (the runtime's
-// profile hot-swap upgrades sessions to the new generation when their window
-// resets) presents one continuous history across the replacement. Window
-// state is deliberately not carried — Adopt is only correct at a boundary
-// where the window is empty — and neither are the adaptive-threshold
-// whitelist or the judge hook, which the new owner reconfigures.
+// Adopt carries prev's sequence counter and sensitive-touch count into e, so
+// that a stream owner replacing its engine at a trace boundary (the
+// runtime's profile hot-swap upgrades sessions to the new generation when
+// their window resets) numbers the stream continuously across the
+// replacement. The boundary follows a Flush, which handed prev's alerts
+// over, so there are none to carry. Window state is deliberately not
+// carried — Adopt is only correct at a boundary where the window is empty —
+// and neither are the adaptive-threshold whitelist or the judge hook, which
+// the new owner reconfigures.
 func (e *Engine) Adopt(prev *Engine) {
 	if prev == nil {
 		return
 	}
 	e.seq = prev.seq
-	e.alerts = prev.alerts
 	e.sensitive = prev.sensitive
 }
 
@@ -458,9 +468,9 @@ func (e *Engine) Observe(c collector.Call) []Alert {
 // per-call dispatch. The calls slice is not retained; the window ring and
 // alerts keep each call's label, caller and Origins.
 func (e *Engine) ObserveBatch(calls []collector.Call) []Alert {
-	// Alerts are appended straight into the history and the batch's run of it
-	// returned, so raising many alerts costs amortised history growth instead
-	// of a second slice.
+	// Alerts are appended straight into the pending alerts and the batch's
+	// run of them returned, so raising many alerts costs amortised growth
+	// instead of a second slice.
 	histStart := len(e.alerts)
 	if e.winLen > 0 && e.stream == nil {
 		e.stream = e.p.NewStreamScorerMode(e.winLen, e.mode)
@@ -520,8 +530,10 @@ func (e *Engine) ObserveBatch(calls []collector.Call) []Alert {
 	return e.alerts[histStart:len(e.alerts):len(e.alerts)]
 }
 
-// Flush evaluates a final short window (a trace shorter than n) and returns
-// the engine's full alert history.
+// Flush evaluates a final short window (a trace shorter than n) and hands
+// over the alerts raised since the previous Flush, then forgets them and
+// the arenas their windows were carved from. The returned slice is the
+// caller's: the engine keeps no reference to it.
 func (e *Engine) Flush() []Alert {
 	if logp, n := partialScore(e.stream); n > 0 && n == len(e.window) {
 		if a, flagged := e.judgeWindow(e.seq-1, logp/float64(n), e.stream.PartialBound()/float64(n)); flagged {
@@ -539,7 +551,9 @@ func (e *Engine) Flush() []Alert {
 			}
 		}
 	}
-	return e.alerts
+	out := e.alerts
+	e.alerts, e.labelArena, e.originArena = nil, nil, nil
+	return out
 }
 
 func partialScore(st *hmm.StreamScorer) (float64, int) {
@@ -549,7 +563,7 @@ func partialScore(st *hmm.StreamScorer) (float64, int) {
 	return st.Partial()
 }
 
-// Alerts returns the alerts raised so far.
+// Alerts returns the alerts raised since the previous Flush.
 func (e *Engine) Alerts() []Alert { return e.alerts }
 
 // judgeWindow classifies the current window — full, or the partial window

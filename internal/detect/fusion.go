@@ -107,14 +107,14 @@ func (c FusionConfig) Escalates(fused float64) bool {
 	return c.EscalationSlack >= 0 && fused > -c.EscalationSlack
 }
 
-// noteHMM records an HMM window's anomaly margin and evaluates fused
+// noteHMM records an HMM window's score and threshold and evaluates fused
 // escalation. Without an SQL channel it is a no-op returning (false, 0), so
 // the single-channel judge paths are untouched.
 func (e *Engine) noteHMM(score float64) (fusedFired bool, fused float64) {
 	if e.sqlScorer == nil {
 		return false, 0
 	}
-	e.lastHMM = e.threshold - score
+	e.lastHMMScore, e.lastHMMThreshold = score, e.threshold
 	e.hmmSeen = true
 	return e.fusedState()
 }
@@ -126,10 +126,10 @@ func (e *Engine) noteHMM(score float64) (fusedFired bool, fused float64) {
 func (e *Engine) fusedState() (fusedFired bool, fused float64) {
 	var h, s float64
 	if e.hmmSeen {
-		h = e.lastHMM
+		h = e.lastHMMThreshold - e.lastHMMScore
 	}
 	if e.sqlSeen {
-		s = e.lastSQL
+		s = e.lastSQLThreshold - e.lastSQLScore
 	}
 	fused = e.fusion.Fuse(h, s)
 	if !e.hmmSeen || !e.sqlSeen {
@@ -164,10 +164,11 @@ func (e *Engine) stampChannels(a *Alert, score, fused float64, fusedFired bool) 
 // window: the verdict's per-query score against the SQL profile's calibrated
 // threshold, plus the fused escalation rule. c is the query-bearing call
 // whose observation completed the window. Flagged windows carry the window's
-// query signatures as Alert.Window and upgrade to DL when the window touched
-// a sensitive column or the triggering call outputs targeted data.
+// query signatures as Alert.Window, the HMM's latest judgement as
+// Score/Threshold once it has judged a window, and upgrade to DL when the
+// window touched a sensitive column or the triggering call outputs targeted
+// data.
 func (e *Engine) judgeSQLWindow(seq int, c *windowCall, v sqlchan.Verdict) (Alert, bool) {
-	e.lastSQL = v.Threshold - v.Score
 	e.sqlSeen = true
 	e.lastSQLScore, e.lastSQLThreshold = v.Score, v.Threshold
 	fusedFired, fused := e.fusedState()
@@ -192,6 +193,7 @@ func (e *Engine) judgeSQLWindow(seq int, c *windowCall, v sqlchan.Verdict) (Aler
 		a.Channels = append(a.Channels, ChannelFused)
 	}
 	if e.hmmSeen {
+		a.Score, a.Threshold = e.lastHMMScore, e.lastHMMThreshold
 		a.FusedScore = fused
 	}
 	if v.Sensitive {

@@ -3,6 +3,7 @@ package detect
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -160,16 +161,14 @@ func adversarialTraces(t *testing.T, app *dataset.App) []collector.Trace {
 	return out
 }
 
-// replay feeds traces through e exactly as core.Monitor.ObserveTrace does
-// (window reset per trace, batch observe, flush) and returns the full alert
-// history.
+// replay feeds traces through e (window reset per trace, batch observe)
+// and flushes once at the end, returning every alert the replay raised.
 func replay(e *Engine, traces []collector.Trace) []Alert {
 	for _, tr := range traces {
 		e.ResetWindow()
 		e.ObserveBatch(tr)
 	}
-	e.Flush()
-	return e.Alerts()
+	return e.Flush()
 }
 
 // With no SQL channel installed the engine must ignore SQL and Rows entirely:
@@ -258,5 +257,67 @@ func TestFusedEngineNoFalsePositives(t *testing.T) {
 	e.SetSQLChannel(sqlchan.NewScorer(sqlP), FusionConfig{})
 	if alerts := replay(e, traces); len(alerts) != 0 {
 		t.Fatalf("clean traces raised %d alerts through the fused engine: %+v", len(alerts), alerts)
+	}
+}
+
+// An SQL-channel alert carries the HMM's latest window judgement as its
+// Score and Threshold, bit for bit, so its HMM margin is the one the fused
+// judge used: Threshold−Score equals the judgement's TraceEvent.HMMMargin.
+// Before the HMM judges a window of the run, both stay zero.
+func TestSQLAlertCarriesHMMJudgement(t *testing.T) {
+	p, sqlP, _, app := trainAppB(t)
+	e := NewEngine(p)
+	e.SetSQLChannel(sqlchan.NewScorer(sqlP), FusionConfig{})
+	var hmmScore float64
+	hmmSeen := false
+	e.SetJudgeHook(func(_ int, score float64, _ bool) error {
+		hmmScore, hmmSeen = score, true
+		return nil
+	})
+	sqlEvents := map[int]TraceEvent{}
+	e.SetTraceHook(func(ev TraceEvent) {
+		if ev.Channel == ChannelSQL {
+			sqlEvents[ev.Seq] = ev
+		}
+	})
+	checked := 0
+	check := func(alerts []Alert) {
+		for _, a := range alerts {
+			if !slices.Contains(a.Channels, ChannelSQL) || slices.Contains(a.Channels, ChannelHMM) {
+				continue
+			}
+			if !hmmSeen {
+				if a.Score != 0 || a.Threshold != 0 {
+					t.Fatalf("SQL alert before any HMM window carries an HMM judgement: %+v", a)
+				}
+				continue
+			}
+			if math.Float64bits(a.Score) != math.Float64bits(hmmScore) ||
+				math.Float64bits(a.Threshold) != math.Float64bits(e.Threshold()) {
+				t.Fatalf("SQL alert carries score %v threshold %v, the HMM last judged %v against %v",
+					a.Score, a.Threshold, hmmScore, e.Threshold())
+			}
+			ev, ok := sqlEvents[a.Seq]
+			if !ok || !ev.HMMSeen {
+				t.Fatalf("no fused SQL judgement with an HMM margin traced for %+v", a)
+			}
+			if m := a.Threshold - a.Score; math.Float64bits(m) != math.Float64bits(ev.HMMMargin) {
+				t.Fatalf("SQL alert's HMM margin %v, the fusion judged %v", m, ev.HMMMargin)
+			}
+			checked++
+		}
+	}
+	for _, tr := range adversarialTraces(t, app) {
+		e.ResetWindow()
+		hmmSeen = false
+		// Call by call, so the HMM's latest judgement is known at each alert.
+		for _, c := range tr {
+			check(e.Observe(c))
+		}
+		pending := len(e.Alerts())
+		check(e.Flush()[pending:])
+	}
+	if checked == 0 {
+		t.Fatal("no SQL-only alert followed an HMM window; the check is vacuous")
 	}
 }

@@ -1,5 +1,5 @@
 // Package ingest is the network front door of the fleet server: it accepts
-// remote call events over TCP or HTTP, decodes them from NDJSON or a
+// remote call events over TCP, decodes them from NDJSON or a
 // length-prefixed binary frame format, and demultiplexes them by tenant id
 // into the tenant router.
 //

@@ -258,7 +258,11 @@ type decoder interface {
 }
 
 // serveConn drains one connection through its codec until EOF, a decode
-// failure, or Close.
+// failure, or Close, handing each event to the sink. Observe events go
+// through the TraceSink seam when the sink offers one, carrying the wire
+// trace context so the decision trace opens at decode time. Sink refusals
+// are counted without breaking the stream — risk-aware shedding and quota
+// pushback degrade a connection's throughput, they do not sever it.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	remote := conn.RemoteAddr().String()
@@ -271,7 +275,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	s.log.Debug("ingest connection open", "remote", remote, "codec", codec.String())
 	// The traced-observe seam is resolved once per connection, not per event.
-	ts, _ := s.cfg.Sink.(TraceSink)
+	sink := s.cfg.Sink
+	ts, _ := sink.(TraceSink)
 	for {
 		e, err := dec.Next()
 		if err != nil {
@@ -283,7 +288,30 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.log.Warn("ingest connection dropped", "remote", remote, "err", err)
 			return
 		}
-		s.dispatch(e, remote, codec, ts)
+		s.events.Add(1)
+		switch e.Kind {
+		case KindObserve:
+			s.calls.Add(uint64(len(e.Calls)))
+			if ts != nil {
+				err = ts.ObserveTraced(trace.Context{
+					ID:     e.Trace,
+					Start:  time.Now(),
+					Remote: remote,
+					Codec:  codec.String(),
+				}, e.Tenant, e.Session, e.Calls)
+			} else {
+				err = sink.Observe(e.Tenant, e.Session, e.Calls)
+			}
+		case KindFlush:
+			err = sink.Flush(e.Tenant, e.Session)
+		case KindClose:
+			err = sink.CloseSession(e.Tenant, e.Session)
+		}
+		if err != nil {
+			s.sinkRejects.Add(1)
+			s.log.Debug("ingest event rejected", "remote", remote,
+				"tenant", e.Tenant, "session", e.Session, "kind", e.Kind.String(), "err", err)
+		}
 	}
 }
 
@@ -309,45 +337,6 @@ func (s *Server) newDecoder(br *bufio.Reader) (decoder, Codec, error) {
 	default:
 		return NewNDJSONDecoder(br, s.cfg.MaxFrame), CodecNDJSON, nil
 	}
-}
-
-// dispatch hands one event to the sink, counting refusals without breaking
-// the stream — risk-aware shedding and quota pushback degrade a
-// connection's throughput, they do not sever it.
-func (s *Server) dispatch(e Event, remote string, codec Codec, ts TraceSink) {
-	s.events.Add(1)
-	if e.Kind == KindObserve {
-		s.calls.Add(uint64(len(e.Calls)))
-	}
-	if err := deliver(s.cfg.Sink, ts, e, remote, codec.String()); err != nil {
-		s.sinkRejects.Add(1)
-		s.log.Debug("ingest event rejected", "remote", remote,
-			"tenant", e.Tenant, "session", e.Session, "kind", e.Kind.String(), "err", err)
-	}
-}
-
-// deliver hands one event to the sink and returns the sink's error; the TCP
-// server and the HTTP handler both ingest through it. Observe events go
-// through the TraceSink seam when the sink offers one (ts non-nil), carrying
-// the wire trace context so the decision trace opens at decode time.
-func deliver(sink Sink, ts TraceSink, e Event, remote, codec string) error {
-	switch e.Kind {
-	case KindObserve:
-		if ts != nil {
-			return ts.ObserveTraced(trace.Context{
-				ID:     e.Trace,
-				Start:  time.Now(),
-				Remote: remote,
-				Codec:  codec,
-			}, e.Tenant, e.Session, e.Calls)
-		}
-		return sink.Observe(e.Tenant, e.Session, e.Calls)
-	case KindFlush:
-		return sink.Flush(e.Tenant, e.Session)
-	case KindClose:
-		return sink.CloseSession(e.Tenant, e.Session)
-	}
-	return nil
 }
 
 // WritePrometheus renders the server counters in the Prometheus text

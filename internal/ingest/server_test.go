@@ -2,10 +2,7 @@ package ingest
 
 import (
 	"errors"
-	"fmt"
 	"net"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -264,64 +261,5 @@ func TestServerSinkRejectKeepsStreaming(t *testing.T) {
 	})
 	if st := srv.Stats(); st.Events != 4 || st.DecodeErrors != 0 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestHTTPHandlerBothCodecs(t *testing.T) {
-	events := sampleEvents()
-	for _, tc := range []struct {
-		name, contentType string
-		encode            func([]byte, Event) ([]byte, error)
-	}{
-		{"ndjson", "application/x-ndjson", EncodeNDJSON},
-		{"binary", "application/octet-stream", EncodeFrame},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sink := &memSink{}
-			h := Handler(sink, 0)
-			var body []byte
-			var err error
-			for _, e := range events {
-				if body, err = tc.encode(body, e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			req := httptest.NewRequest("POST", "/ingest", strings.NewReader(string(body)))
-			req.Header.Set("Content-Type", tc.contentType)
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != 202 {
-				t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-			}
-			got := sink.events()
-			if len(got) != len(events) {
-				t.Fatalf("%d events delivered, want %d", len(got), len(events))
-			}
-			for i := range got {
-				if !eventsEqual(got[i], events[i]) {
-					t.Fatalf("event %d: got %+v, want %+v", i, got[i], events[i])
-				}
-			}
-			if !strings.Contains(rec.Body.String(), fmt.Sprintf("events=%d", len(events))) {
-				t.Fatalf("summary missing event count: %s", rec.Body.String())
-			}
-		})
-	}
-}
-
-func TestHTTPHandlerRejectsMalformed(t *testing.T) {
-	h := Handler(&memSink{}, 0)
-	req := httptest.NewRequest("POST", "/ingest", strings.NewReader("{broken\n"))
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != 400 {
-		t.Fatalf("status %d, want 400", rec.Code)
-	}
-	req = httptest.NewRequest("GET", "/ingest", nil)
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != 405 {
-		t.Fatalf("status %d, want 405", rec.Code)
 	}
 }

@@ -129,8 +129,8 @@ func (c *Counters) AddWorkerRestart() { c.workerRestarts.Add(1) }
 // AddQuarantined records one session quarantined after a component failure.
 func (c *Counters) AddQuarantined() { c.quarantined.Add(1) }
 
-// AddSinkDropped records alerts shed by the async sink dispatcher (buffer
-// overflow or per-delivery handoff timeout).
+// AddSinkDropped records alerts shed because the async sink buffer was
+// full.
 func (c *Counters) AddSinkDropped(n uint64) { c.sinkDropped.Add(n) }
 
 // AddSinkPanic records one panic recovered from the user's alert sink.
@@ -172,7 +172,7 @@ type CountersSnapshot struct {
 	Panics         uint64
 	WorkerRestarts uint64
 	Quarantined    uint64
-	// SinkDropped counts alerts shed by the async sink dispatcher;
+	// SinkDropped counts alerts shed because the async sink buffer was full;
 	// SinkPanics counts panics recovered from the user's alert sink.
 	SinkDropped uint64
 	SinkPanics  uint64

@@ -12,7 +12,7 @@ var raceEnabled bool
 // TestObservePerCallAllocFree pins the per-call ingest path: Session.Observe
 // carries its call inline through the queue to the engine, so replaying a
 // run call by call and flushing it allocates no more than the flush alone
-// (its reply channel and history copy).
+// (its reply channel).
 func TestObservePerCallAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")

@@ -42,10 +42,10 @@ func checkGoroutines(t *testing.T, before int) {
 
 // TestChaosSinkFaultsDoNotPerturbDetection injects the acceptance-criteria
 // sink faults — a panic every 3rd delivery plus a 100ms stall per delivery —
-// through a deliberately tiny dispatcher buffer and handoff timeout, and
-// checks every session's alert history is still bit-identical to the
-// sequential Monitor baseline: a slow or crashing sink may shed its own
-// deliveries, but it can never stall or corrupt detection.
+// through a deliberately tiny sink buffer, and checks every session's alert
+// history is still bit-identical to the sequential Monitor baseline: a slow
+// or crashing sink may shed its own deliveries, but it can never stall or
+// corrupt detection.
 func TestChaosSinkFaultsDoNotPerturbDetection(t *testing.T) {
 	p, traces := trainAppH(t)
 	const sessions = 16
@@ -68,7 +68,7 @@ func TestChaosSinkFaultsDoNotPerturbDetection(t *testing.T) {
 	rt := New(p,
 		WithWorkers(4), WithQueueDepth(64),
 		WithAlertFunc(sink.Deliver),
-		WithSinkBuffer(4), WithSinkTimeout(5*time.Millisecond))
+		WithSinkBuffer(4))
 
 	got := make([][]detect.Alert, sessions)
 	errs := make([]error, sessions)
@@ -407,7 +407,7 @@ func TestChaosCombined(t *testing.T) {
 	workerFault := faultinject.NewWorkerFault(name(7), 4)
 	rt := New(p,
 		WithWorkers(3), WithQueueDepth(64),
-		WithAlertFunc(sink.Deliver), WithSinkBuffer(8), WithSinkTimeout(5*time.Millisecond),
+		WithAlertFunc(sink.Deliver), WithSinkBuffer(8),
 		WithJudgeHook(engineFault.Hook),
 		WithWorkerHook(workerFault.Hook))
 

@@ -135,7 +135,7 @@ func WritePrometheusSet(w io.Writer, rts ...Labelled) error {
 	counter(m["Panics"], "Panics recovered on detection workers.", func(s *promSnap) uint64 { return s.ctr.Panics })
 	counter(m["WorkerRestarts"], "Supervised worker restarts.", func(s *promSnap) uint64 { return s.ctr.WorkerRestarts })
 	counter(m["Quarantined"], "Sessions quarantined after a failure.", func(s *promSnap) uint64 { return s.ctr.Quarantined })
-	counter(m["SinkDropped"], "Alert deliveries shed by the async sink dispatcher.", func(s *promSnap) uint64 { return s.ctr.SinkDropped })
+	counter(m["SinkDropped"], "Alerts shed because the async sink buffer was full.", func(s *promSnap) uint64 { return s.ctr.SinkDropped })
 	counter(m["SinkPanics"], "Panics recovered from the user's alert sink.", func(s *promSnap) uint64 { return s.ctr.SinkPanics })
 	counter(m["Swaps"], "Profile hot-swaps published.", func(s *promSnap) uint64 { return s.ctr.Swaps })
 	counter(m["EnginesRetired"], "Engines discarded for being a generation behind.", func(s *promSnap) uint64 { return s.ctr.EnginesRetired })

@@ -43,10 +43,11 @@
 //     backpressure and shutdown drain by the caller's context instead of
 //     hanging forever; the plain forms are context.Background wrappers.
 //   - Sink isolation. Alerts reach the user's AlertFunc through a bounded
-//     async dispatcher with a per-delivery handoff timeout, panic recovery,
-//     and a drop-and-count overflow policy, so a slow or crashing sink never
-//     stalls detection workers. Sink failures appear in Stats.SinkPanics and
-//     shed deliveries in Stats.SinkDropped.
+//     buffer drained by one delivery goroutine under panic recovery. A
+//     worker never waits for the sink: an alert that finds the buffer full
+//     is shed and counted, and that is the only place an alert is shed.
+//     Sink failures appear in Stats.SinkPanics and shed deliveries in
+//     Stats.SinkDropped.
 //
 // # Profile generations and hot-swap
 //
@@ -61,8 +62,9 @@
 //   - Sessions upgrade at trace boundaries only: when a Flush (or
 //     ObserveTrace completing) resets the sliding window and a newer
 //     generation exists, the worker retires the session's engine, builds one
-//     over the new profile, and carries the alert history and sequence
-//     counter over (detect.Engine.Adopt). Every window therefore scores
+//     over the new profile, and carries the sequence counter and
+//     sensitive-touch count over (detect.Engine.Adopt); the flush has just
+//     handed the old engine's alerts over. Every window therefore scores
 //     entirely on exactly one generation.
 //   - Pooled engines are invalidated by generation: a recycled engine whose
 //     generation is stale is discarded (counted in Stats.EnginesRetired)
@@ -139,11 +141,12 @@ const (
 )
 
 // AlertFunc receives every alert raised by any session, tagged with the
-// session id. Delivery is asynchronous: workers hand alerts to a bounded
-// dispatcher, so a slow or panicking implementation cannot stall detection —
-// it only causes deliveries to be shed (counted in Stats.SinkDropped) or
-// panics to be counted (Stats.SinkPanics). Implementations are invoked from
-// a single dispatcher goroutine, one alert at a time.
+// session id. Delivery is asynchronous: workers put alerts in a bounded
+// buffer, so a slow or panicking implementation cannot stall detection — it
+// only lets the buffer fill, so that further alerts are shed (counted in
+// Stats.SinkDropped), or has its panics counted (Stats.SinkPanics).
+// Implementations are invoked from a single delivery goroutine, one alert at
+// a time.
 type AlertFunc func(session string, a detect.Alert)
 
 // JudgeHook observes every completed-window judgement of every session: the
@@ -178,12 +181,9 @@ type config struct {
 	queueDepth    int
 	sink          AlertFunc
 	sinkBuffer    int
-	sinkTimeout   time.Duration
 	judgeHook     JudgeHook
 	observer      JudgeObserver
 	workerHook    WorkerHook
-	threshold     *float64
-	windowLen     int
 	scorerMode    hmm.ScorerMode
 	attach        []func(*Runtime)
 	logger        *slog.Logger
@@ -243,30 +243,19 @@ func WithShedConfig(sc shed.Config) Option {
 }
 
 // WithAlertFunc routes every session's alerts to fn through the async sink
-// dispatcher.
+// buffer.
 func WithAlertFunc(fn AlertFunc) Option {
 	return func(c *config) { c.sink = fn }
 }
 
-// WithSinkBuffer bounds the async sink dispatcher's queue (default 1024).
-// When the buffer is full, further alerts are shed and counted in
-// Stats.SinkDropped rather than blocking workers.
+// WithSinkBuffer bounds the async sink's buffer (default 1024). An alert
+// that fits waits there for the sink however slow it is; when the buffer is
+// full, further alerts are shed and counted in Stats.SinkDropped rather than
+// blocking workers.
 func WithSinkBuffer(n int) Option {
 	return func(c *config) {
 		if n > 0 {
 			c.sinkBuffer = n
-		}
-	}
-}
-
-// WithSinkTimeout bounds how long the dispatcher waits for the sink to
-// accept each delivery (default 1s). Alerts that cannot be handed off in
-// time — because the sink is still busy with the previous one — are shed and
-// counted in Stats.SinkDropped.
-func WithSinkTimeout(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.sinkTimeout = d
 		}
 	}
 }
@@ -340,21 +329,6 @@ func WithTracing(capacity, sampleEvery int) Option {
 // WithWorkerHook installs fn on the worker loop; see WorkerHook. Test-only.
 func WithWorkerHook(fn WorkerHook) Option {
 	return func(c *config) { c.workerHook = fn }
-}
-
-// WithThreshold overrides the profile's detection threshold for every
-// session.
-func WithThreshold(t float64) Option {
-	return func(c *config) { c.threshold = &t }
-}
-
-// WithWindowLen overrides the profile's window length for every session.
-func WithWindowLen(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.windowLen = n
-		}
-	}
 }
 
 // WithSQLChannel attaches the SQL-behaviour detection channel: every session
@@ -433,12 +407,10 @@ type Runtime struct {
 	closed   bool // no ingest at all
 
 	// Async sink pipeline (nil alertq when no sink is configured): workers
-	// enqueue into alertq without blocking; the dispatcher hands each alert
-	// to the deliverer within sinkTimeout or sheds it; the deliverer invokes
-	// the user sink under panic recovery.
-	alertq  chan alertMsg
-	handoff chan alertMsg
-	sinkWG  sync.WaitGroup
+	// enqueue into alertq without blocking, and one delivery goroutine
+	// drains it into the user sink under panic recovery.
+	alertq chan alertMsg
+	sinkWG sync.WaitGroup
 
 	pool      sync.Pool // *pooledEngine, each tagged with its generation
 	ctr       metrics.Counters
@@ -460,7 +432,7 @@ type opKind int
 
 const (
 	opObserve opKind = iota // score the op's calls in order
-	opFlush                 // judge partial window, reply with history, reset window
+	opFlush                 // judge partial window, hand over pending alerts, reset window
 	opClose                 // opFlush + recycle the engine
 )
 
@@ -592,7 +564,6 @@ func New(p *profile.Profile, opts ...Option) *Runtime {
 		workers:       stdruntime.GOMAXPROCS(0),
 		queueDepth:    256,
 		sinkBuffer:    1024,
-		sinkTimeout:   time.Second,
 		decisionCap:   1024,
 		decisionEvery: 16,
 	}
@@ -625,9 +596,7 @@ func New(p *profile.Profile, opts ...Option) *Runtime {
 	p.ScorerFor(cfg.scorerMode)
 	if cfg.sink != nil {
 		rt.alertq = make(chan alertMsg, cfg.sinkBuffer)
-		rt.handoff = make(chan alertMsg)
-		rt.sinkWG.Add(2)
-		go rt.dispatchLoop()
+		rt.sinkWG.Add(1)
 		go rt.deliverLoop()
 	}
 	for i := range rt.queues {
@@ -652,8 +621,8 @@ func (rt *Runtime) Generation() uint64 { return rt.cur.Load().gen }
 // SwapProfile atomically publishes next as the new serving profile and
 // returns its generation number. The swap is zero-downtime: no ingest is
 // paused, in-flight windows finish scoring against the generation they
-// started on, and each session upgrades (keeping its alert history) at its
-// next trace boundary. The next profile must be trained and must use the
+// started on, and each session upgrades (keeping its sequence numbering) at
+// its next trace boundary. The next profile must be trained and must use the
 // same window length discipline as its predecessor's consumers expect; a nil
 // profile or one without a model is rejected. Safe for concurrent use with
 // ingest and with other SwapProfile calls.
@@ -835,11 +804,12 @@ func (s *Session) ingestErr() error {
 }
 
 // ObserveTrace replays one whole collected execution through the session and
-// returns the session's full alert history after judging the trace's final
-// short window — the concurrent counterpart of Monitor.ObserveTrace. The
-// session stays open for further traces.
+// returns the alerts raised since the previous flush, the trace's final
+// short window judged — the concurrent counterpart of Monitor.ObserveTrace,
+// which returns its whole history instead. The session stays open for
+// further traces.
 //
-// Calls shed by a full queue truncate the replay: the history is still
+// Calls shed by a full queue truncate the replay: the alerts are still
 // returned, together with an error wrapping ErrShed that reports how many of
 // the trace's calls were shed, so callers can tell a truncated replay from a
 // complete one. Any other ingest error aborts the replay.
@@ -859,20 +829,20 @@ func (s *Session) ObserveTraceContext(ctx context.Context, tr collector.Trace) (
 			return nil, err
 		}
 	}
-	history, err := s.FlushContext(ctx)
+	alerts, err := s.FlushContext(ctx)
 	if err != nil {
-		return history, err
+		return alerts, err
 	}
 	if shedCalls > 0 {
-		return history, fmt.Errorf("%w (%d of %d trace calls shed)", ErrShed, shedCalls, len(tr))
+		return alerts, fmt.Errorf("%w (%d of %d trace calls shed)", ErrShed, shedCalls, len(tr))
 	}
-	return history, nil
+	return alerts, nil
 }
 
 // Flush waits for every call enqueued so far to be scored, judges a pending
 // short window (a stream shorter than the window length), resets the sliding
-// window so the next trace starts clean, and returns the session's full
-// alert history.
+// window so the next trace starts clean, and returns the alerts raised since
+// the previous flush. The session keeps no alert once it has handed it over.
 func (s *Session) Flush() ([]detect.Alert, error) {
 	return s.FlushContext(context.Background())
 }
@@ -895,10 +865,10 @@ func (s *Session) FlushContext(ctx context.Context) ([]detect.Alert, error) {
 	return s.await(ctx, done)
 }
 
-// Close flushes the session, returns its full alert history, removes it from
-// the runtime, and recycles its engine. Further calls return ErrClosed.
-// Closing a quarantined session releases its registration and returns
-// ErrSessionFailed (its history died with its engine).
+// Close flushes the session, returns the alerts raised since the previous
+// flush, removes it from the runtime, and recycles its engine. Further calls
+// return ErrClosed. Closing a quarantined session releases its registration
+// and returns ErrSessionFailed (its pending alerts died with its engine).
 func (s *Session) Close() ([]detect.Alert, error) {
 	return s.CloseContext(context.Background())
 }
@@ -1348,18 +1318,17 @@ func (rt *Runtime) process(o *op) {
 		}
 	case opFlush, opClose:
 		before := len(s.engine.Alerts())
-		history := s.engine.Flush()
+		// The engine forgets what it hands over, so the reply owns alerts.
+		alerts := s.engine.Flush()
 		rt.ctr.AddFlush(time.Since(start).Nanoseconds())
 		// The flush judges the pending short window, so SQL-channel and
 		// fused verdicts surface here: the flush op's own trace carries
 		// their judgement spans and the alert correlation.
-		rt.finishScore(s, o, scoreSpan, 0, history[before:])
-		rt.recordAlerts(s, history[before:], o.ta)
-		rt.deliver(s, history[before:], o.ta)
+		rt.finishScore(s, o, scoreSpan, 0, alerts[before:])
+		rt.recordAlerts(s, alerts[before:], o.ta)
+		rt.deliver(s, alerts[before:], o.ta)
 		// Windows never straddle traces: the next stream starts clean.
 		s.engine.ResetWindow()
-		out := make([]detect.Alert, len(history))
-		copy(out, history)
 		if err := s.engine.Err(); err != nil {
 			rt.failSession(o, err)
 			return
@@ -1375,16 +1344,16 @@ func (rt *Runtime) process(o *op) {
 			}
 		} else if rt.cur.Load().gen != s.gen {
 			// Trace boundary (window just reset) with a newer generation
-			// published: upgrade the session now, carrying its cumulative
-			// alert history and sequence counter into the new engine so the
-			// next trace scores on the new profile with continuous history.
+			// published: upgrade the session now, carrying its sequence
+			// counter into the new engine so the next trace scores on the
+			// new profile with continuous numbering.
 			old := s.engine
 			rt.installEngine(s)
 			s.engine.Adopt(old)
 			s.sensSeen = s.engine.SensitiveTouches()
 			rt.ctr.AddEngineRetired()
 		}
-		o.reply(reply{alerts: out})
+		o.reply(reply{alerts: alerts})
 	}
 }
 
@@ -1464,12 +1433,6 @@ func (rt *Runtime) installEngine(s *Session) {
 	}
 	e := pe.e
 	e.Reset()
-	if rt.cfg.threshold != nil {
-		e.SetThreshold(*rt.cfg.threshold)
-	}
-	if rt.cfg.windowLen > 0 {
-		e.SetWindowLen(rt.cfg.windowLen)
-	}
 	e.SetScorerMode(rt.cfg.scorerMode)
 	if rt.cfg.sqlProfile != nil {
 		e.SetSQLChannel(sqlchan.NewScorer(rt.cfg.sqlProfile), rt.cfg.fusion)
@@ -1579,10 +1542,11 @@ func (rt *Runtime) recordAlerts(s *Session, alerts []detect.Alert, ta *trace.Act
 	}
 }
 
-// deliver counts alerts and hands them to the async sink pipeline without
-// ever blocking the worker: a full buffer sheds the delivery. A traced op
-// keeps one trace reference per enqueued delivery, so the sink span still
-// lands in the trace after the op itself completes.
+// deliver counts alerts and hands them to the async sink buffer without
+// ever blocking the worker: a full buffer sheds the delivery, the one place
+// an alert is shed. A traced op keeps one trace reference per enqueued
+// delivery, so the sink span still lands in the trace after the op itself
+// completes.
 func (rt *Runtime) deliver(s *Session, alerts []detect.Alert, ta *trace.Active) {
 	for _, a := range alerts {
 		rt.ctr.AddAlert(int(a.Flag))
@@ -1599,7 +1563,10 @@ func (rt *Runtime) deliver(s *Session, alerts []detect.Alert, ta *trace.Active) 
 		case rt.alertq <- alertMsg{session: s.id, alert: a, gen: s.gen, ta: ta}:
 		default:
 			rt.ctr.AddSinkDropped(1)
-			rt.logSinkOverflow(s.id, s.gen, ta.ID(), "buffer full")
+			if l := rt.cfg.logger; l != nil {
+				l.Warn("sink overflow", "session", s.id, "generation", s.gen,
+					"trace", ta.ID(), "cause", "buffer full")
+			}
 			ta.Event(trace.RootSpan, "sink", time.Now(),
 				trace.String("verdict", "shed"),
 				trace.String("cause", "buffer full"),
@@ -1609,54 +1576,13 @@ func (rt *Runtime) deliver(s *Session, alerts []detect.Alert, ta *trace.Active) 
 	}
 }
 
-// logSinkOverflow emits the sink-overflow slog event with the uniform
-// session/generation/trace correlation keys every session-scoped event
-// carries.
-func (rt *Runtime) logSinkOverflow(session string, gen uint64, traceID, cause string) {
-	if l := rt.cfg.logger; l != nil {
-		l.Warn("sink overflow",
-			"session", session,
-			"generation", gen,
-			"trace", traceID,
-			"cause", cause)
-	}
-}
-
-// dispatchLoop forwards buffered alerts to the deliverer, giving each
-// delivery sinkTimeout to be accepted; alerts the (possibly stalled) sink
-// cannot take in time are shed and counted.
-func (rt *Runtime) dispatchLoop() {
-	defer rt.sinkWG.Done()
-	timer := time.NewTimer(rt.cfg.sinkTimeout)
-	defer timer.Stop()
-	for m := range rt.alertq {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(rt.cfg.sinkTimeout)
-		select {
-		case rt.handoff <- m:
-		case <-timer.C:
-			rt.ctr.AddSinkDropped(1)
-			rt.logSinkOverflow(m.session, m.gen, m.ta.ID(), "handoff timeout")
-			m.ta.Event(trace.RootSpan, "sink", time.Now(),
-				trace.String("verdict", "shed"),
-				trace.String("cause", "handoff timeout"),
-				trace.Int("seq", int64(m.alert.Seq)))
-			m.ta.Release()
-		}
-	}
-	close(rt.handoff)
-}
-
-// deliverLoop invokes the user sink one alert at a time under panic
-// recovery.
+// deliverLoop drains the sink buffer, invoking the user sink one alert at a
+// time under panic recovery. An alert waits in the buffer for as long as the
+// sink takes; while a sink hangs, the queued alerts and their traces stay
+// pending with it.
 func (rt *Runtime) deliverLoop() {
 	defer rt.sinkWG.Done()
-	for m := range rt.handoff {
+	for m := range rt.alertq {
 		rt.callSink(m)
 	}
 }
@@ -1682,8 +1608,8 @@ func (rt *Runtime) callSink(m alertMsg) {
 // Close flushes every open session's partial window, drains the workers and
 // the sink pipeline, and stops them. The runtime accepts no calls
 // afterwards. Close is idempotent; concurrent Observes racing with Close
-// either complete or return ErrClosed. Close waits for the sink to finish
-// its in-flight delivery — use CloseContext to bound shutdown when the sink
+// either complete or return ErrClosed. Close waits for the sink to take
+// every buffered alert — use CloseContext to bound shutdown when the sink
 // may hang.
 func (rt *Runtime) Close() error {
 	return rt.CloseContext(context.Background())
@@ -1779,9 +1705,8 @@ type Stats struct {
 	Panics         uint64
 	WorkerRestarts uint64
 	Quarantined    uint64
-	// SinkDropped counts alert deliveries shed by the async dispatcher
-	// (buffer overflow or handoff timeout); SinkPanics counts panics
-	// recovered from the user's alert sink.
+	// SinkDropped counts alerts shed because the async sink buffer was
+	// full; SinkPanics counts panics recovered from the user's alert sink.
 	SinkDropped uint64
 	SinkPanics  uint64
 	// Generation is the current profile generation (1 until the first swap);

@@ -170,13 +170,16 @@ func TestChaosNoisyTenantCannotStarveNeighbours(t *testing.T) {
 					}
 				}
 				if pass < 3 {
-					if _, err := s.Flush(); err != nil {
+					alerts, err := s.Flush()
+					if err != nil {
 						st.err = err
 						return
 					}
+					st.got = append(st.got, alerts...)
 				}
 			}
-			st.got, st.err = s.Close()
+			alerts, err := s.Close()
+			st.got, st.err = append(st.got, alerts...), err
 		}(st)
 	}
 	wg.Wait()

@@ -299,7 +299,7 @@ func TestRouterAlertsMatchSingleTenantBaseline(t *testing.T) {
 	if err := r.CloseSession("alpha", "s1"); err != nil {
 		t.Fatal(err)
 	}
-	r.Close() // drains the sink dispatcher
+	r.Close() // drains the alert sink
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != len(want) {

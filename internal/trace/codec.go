@@ -42,7 +42,7 @@ var vocab = [...]string{
 	// Values.
 	"ndjson", "binary", "block", "shed-by-risk", "admitted", "shed",
 	"partial", "rejected", "exact", "delivered", "panicked", "buffer full",
-	"handoff timeout", "Normal", "Anomalous", "DL", "OutOfContext",
+	"Normal", "Anomalous", "DL", "OutOfContext",
 }
 
 var vocabIndex = func() map[string]uint64 {

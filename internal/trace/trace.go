@@ -9,8 +9,9 @@
 // with child spans for tenant routing, shed admission, engine scoring
 // (including per-channel judgement and fusion spans on flagged windows),
 // and asynchronous sink delivery. The live builder (Active) is refcounted
-// so the sink dispatcher can append its span after the worker finished the
-// op; the trace commits to the store when the last reference is released.
+// so the sink's delivery goroutine can append its span after the worker
+// finished the op; the trace commits to the store when the last reference
+// is released.
 //
 // Tracing pays only for the traces it keeps. The builder is pooled and
 // records spans and attributes into storage it owns, so a trace the
