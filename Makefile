@@ -25,14 +25,18 @@ build:
 
 # internal/experiments alone runs ~75 s of full-scale replays on 2 vCPUs;
 # the explicit timeout keeps the per-package default from tripping when the
-# package set runs in parallel on a loaded machine.
+# package set runs in parallel on a loaded machine. perfbench is its own
+# module, so ./... never builds it: test and vet run there too, so a change
+# to an internal name the benchmark calls fails here, not when it runs.
 test:
 	$(GO) test -timeout 30m ./...
+	cd perfbench && $(GO) test ./...
 
 # vet also fails on any file gofmt would rewrite, and when the shipped
 # binary links the fault injectors, which belong to the tests.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l: files need formatting:"; echo "$$unformatted"; exit 1; fi
 	@if $(GO) list -deps ./cmd/adprom | grep -qx 'adprom/internal/faultinject'; then \

@@ -117,9 +117,6 @@ type (
 	Session = runtime.Session
 	// RuntimeStats is a point-in-time snapshot of a Runtime's counters.
 	RuntimeStats = runtime.Stats
-	// JudgeHook observes (or vetoes) every completed window judgement; a
-	// non-nil error quarantines the session. See WithJudgeHook.
-	JudgeHook = runtime.JudgeHook
 	// ShedConfig tunes the risk-aware admission controller: occupancy
 	// watermarks, the guarantee band, risk-signal memories, and the seed
 	// that makes shed decisions reproducible. See WithShedConfig.
@@ -194,9 +191,8 @@ var (
 	// ErrShed reports a call rejected by the risk-aware admission
 	// controller (see WithShedConfig); every queue-full rejection wraps it.
 	ErrShed = runtime.ErrShed
-	// ErrSessionFailed reports a session quarantined after a detection
-	// failure (engine panic or judge-hook error); other sessions are
-	// unaffected.
+	// ErrSessionFailed reports a session quarantined after a panic while
+	// detecting on its stream; other sessions are unaffected.
 	ErrSessionFailed = runtime.ErrSessionFailed
 )
 
@@ -497,13 +493,6 @@ func WithSessionSink(fn func(session string, a Alert)) RuntimeOption {
 // cannot keep up, overflowing alerts are shed and counted in
 // RuntimeStats.SinkDropped, and detection itself never blocks on the sink.
 func WithSinkBuffer(n int) RuntimeOption { return runtimeOptionWrap{runtime.WithSinkBuffer(n)} }
-
-// WithJudgeHook installs a hook observing every completed window judgement
-// (session id, window end sequence, score, flagged). A non-nil error
-// quarantines that session — Observe/Flush return ErrSessionFailed — without
-// affecting other sessions. The hook runs on worker goroutines and must be
-// safe for concurrent use.
-func WithJudgeHook(fn JudgeHook) RuntimeOption { return runtimeOptionWrap{runtime.WithJudgeHook(fn)} }
 
 // WithLogger routes the runtime's structured events (worker restarts, session
 // quarantines, profile swaps) to l as slog records. Nil leaves event logging

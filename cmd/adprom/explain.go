@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"adprom/internal/obsv"
@@ -149,27 +151,49 @@ func firstLine(b []byte) string {
 	return string(b)
 }
 
-// decisionBySeq resolves a numeric alert seq against the decision log.
-// Seq numbers are per-session, so a flagged match wins over sampled Normal
-// judgements and the newest match wins overall (logs are newest-first).
+// decisionBySeq resolves a numeric alert seq against the decision log. A
+// flagged match wins over sampled Normal judgements and the newest match
+// wins (logs are newest-first). Seq numbers are per session, so when the
+// flagged matches come from more than one (session, trace) pair the seq is
+// ambiguous: the error lists each pair for the operator to rerun with a
+// trace ID.
 func decisionBySeq(ds []obsv.Decision, key string) (obsv.Decision, error) {
 	n, _ := strconv.Atoi(key)
-	var fallback *obsv.Decision
+	type origin struct{ session, trace string }
+	var origins []origin
+	var match, fallback *obsv.Decision
 	for i := range ds {
-		if ds[i].Seq != n {
+		d := &ds[i]
+		if d.Seq != n {
 			continue
 		}
-		if ds[i].Flagged {
-			return ds[i], nil
+		if !d.Flagged {
+			if fallback == nil {
+				fallback = d
+			}
+			continue
 		}
-		if fallback == nil {
-			fallback = &ds[i]
+		if match == nil {
+			match = d
+		}
+		if o := (origin{d.Session, d.Trace}); !slices.Contains(origins, o) {
+			origins = append(origins, o)
 		}
 	}
-	if fallback != nil {
+	switch {
+	case len(origins) > 1:
+		var b strings.Builder
+		fmt.Fprintf(&b, "alert seq %d is ambiguous: %d (session, trace) pairs raised an alert at it; rerun with a trace ID:", n, len(origins))
+		for _, o := range origins {
+			fmt.Fprintf(&b, "\n  session=%s trace=%s", o.session, orDash(o.trace))
+		}
+		return obsv.Decision{}, errors.New(b.String())
+	case match != nil:
+		return *match, nil
+	case fallback != nil:
 		return *fallback, nil
 	}
-	return obsv.Decision{}, fmt.Errorf("no decision with seq %d in the log (alerts are always retained; raise -decisions capacity if the ring is small)", n)
+	return obsv.Decision{}, fmt.Errorf("no decision with seq %d in the log (each shard keeps its newest 1,024 alerts; older ones are evicted)", n)
 }
 
 // correlate returns every decision recorded under the trace, oldest first.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -204,5 +205,50 @@ func TestExplainRendersOnlyJudgedChannels(t *testing.T) {
 	if text := out.String(); !strings.Contains(text, "hmm:   score=-9.500000 threshold=-7.250000 margin=2.250000") ||
 		strings.Contains(text, "sql:") {
 		t.Errorf("HMM decision rendered:\n%s", text)
+	}
+}
+
+// TestExplainRefusesAmbiguousSeq: seq numbers are per session, so when two
+// sessions raised an alert at the same seq, resolving the bare number must
+// fail and name each (session, trace) pair, live and from a capture alike,
+// instead of explaining one of them silently.
+func TestExplainRefusesAmbiguousSeq(t *testing.T) {
+	ds := []obsv.Decision{
+		{Session: "b", Seq: 31, Flag: "Anomalous", Flagged: true, Generation: 1, Trace: "trace-b"},
+		{Session: "a", Seq: 31, Flag: "DL", Flagged: true, Generation: 1, Trace: "trace-a"},
+		{Session: "a", Seq: 30, Flag: "Normal", Generation: 1},
+	}
+	data, err := json.Marshal(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/decisions" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write(data)
+	}))
+	defer ts.Close()
+	capture := filepath.Join(t.TempDir(), "decisions.json")
+	if err := os.WriteFile(capture, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	for mode, explain := range map[string]func() error{
+		"live": func() error { return explainLive(&out, strings.TrimPrefix(ts.URL, "http://"), "", "31") },
+		"log":  func() error { return explainLog(&out, capture, "31") },
+	} {
+		err := explain()
+		if err == nil {
+			t.Errorf("%s: ambiguous seq 31 resolved to one alert:\n%s", mode, out.String())
+			continue
+		}
+		for _, want := range []string{"session=a trace=trace-a", "session=b trace=trace-b"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error does not name %q: %v", mode, want, err)
+			}
+		}
 	}
 }

@@ -256,12 +256,12 @@ func TestServeChaosIsolatesFaults(t *testing.T) {
 	}
 	engineVictim, workerVictim := streamSession(0), streamSession(streams-1)
 	sink := faultinject.NewSink(nil, faultinject.PanicEvery(5), faultinject.Latency(time.Millisecond))
-	engine := faultinject.NewEngineFault(faultinject.FaultPanic, 1, func(id string) bool { return id == engineVictim })
+	engine := faultinject.NewEngineFault(1, func(id string) bool { return id == engineVictim })
 	worker := faultinject.NewWorkerFault(workerVictim, 3)
 	sc.faults = []runtime.Option{
 		runtime.WithAlertFunc(sink.Deliver),
 		runtime.WithSinkBuffer(16),
-		runtime.WithJudgeHook(engine.Hook),
+		runtime.WithJudgeObserver(engine.Hook),
 		runtime.WithWorkerHook(worker.Hook),
 	}
 	d, err := startDaemon(sc)

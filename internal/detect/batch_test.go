@@ -1,12 +1,14 @@
 package detect
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"adprom/internal/collector"
 	"adprom/internal/hmm"
+	"adprom/internal/sqlchan"
 )
 
 // TestObserveBatchMatchesObserve: feeding a stream through ObserveBatch in
@@ -37,20 +39,10 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 		stream = append(stream, tr...)
 	}
 
-	type hookCall struct {
-		seq     int
-		score   float64
-		flagged bool
-	}
-
 	for _, mode := range []hmm.ScorerMode{hmm.ScorerExact, hmm.ScorerTopK(4)} {
-		var refHooks, batHooks []hookCall
 		ref := NewEngine(p)
 		ref.SetScorerMode(mode)
-		ref.SetJudgeHook(func(seq int, score float64, flagged bool) error {
-			refHooks = append(refHooks, hookCall{seq, score, flagged})
-			return nil
-		})
+		refHooks := recordJudgements(ref)
 		var want []Alert
 		for _, c := range stream {
 			want = append(want, ref.Observe(c)...)
@@ -58,10 +50,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 
 		bat := NewEngine(p)
 		bat.SetScorerMode(mode)
-		bat.SetJudgeHook(func(seq int, score float64, flagged bool) error {
-			batHooks = append(batHooks, hookCall{seq, score, flagged})
-			return nil
-		})
+		batHooks := recordJudgements(bat)
 		var got []Alert
 		for lo := 0; lo < len(stream); {
 			hi := lo + 1 + r.Intn(40)
@@ -80,12 +69,73 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 				t.Fatalf("mode %v alert %d:\nbatch    %+v\nper-call %+v", mode, i, got[i], want[i])
 			}
 		}
-		if !reflect.DeepEqual(refHooks, batHooks) {
-			t.Fatalf("mode %v: judge-hook sequences differ (%d vs %d calls)", mode, len(batHooks), len(refHooks))
+		if !reflect.DeepEqual(*refHooks, *batHooks) {
+			t.Fatalf("mode %v: judge-hook sequences differ (%d vs %d calls)", mode, len(*batHooks), len(*refHooks))
 		}
 		if !reflect.DeepEqual(bat.Flush(), ref.Flush()) {
 			t.Fatalf("mode %v: Flush histories differ", mode)
 		}
+	}
+}
+
+// judged is what the chunking tests compare of a Judgement, the floats by
+// their bits.
+type judged struct {
+	channel      string
+	seq          int
+	score, fused uint64
+	flagged      bool
+}
+
+// recordJudgements installs a judge hook on e that appends every judgement
+// to the returned slice.
+func recordJudgements(e *Engine) *[]judged {
+	var js []judged
+	e.SetJudgeHook(func(j Judgement) {
+		js = append(js, judged{j.Channel, j.Seq, math.Float64bits(j.Score), math.Float64bits(j.Fused), j.Flagged})
+	})
+	return &js
+}
+
+// TestTwoChannelJudgementsMatchAcrossChunking: with the SQL channel
+// attached, the judge hook sees the same judgements of both channels, in
+// the same order and bit for bit, whether each run arrives call by call or
+// in random chunks, flush judgements included.
+func TestTwoChannelJudgementsMatchAcrossChunking(t *testing.T) {
+	p, sqlP, traces, app := trainAppB(t)
+	runs := append(append([]collector.Trace{}, traces...), adversarialTraces(t, app)...)
+	r := rand.New(rand.NewSource(23))
+	engine := func() *Engine {
+		e := NewEngine(p)
+		e.SetSQLChannel(sqlchan.NewScorer(sqlP), FusionConfig{})
+		return e
+	}
+	ref, bat := engine(), engine()
+	want, got := recordJudgements(ref), recordJudgements(bat)
+	for _, tr := range runs {
+		ref.ResetWindow()
+		for _, c := range tr {
+			ref.Observe(c)
+		}
+		ref.Flush()
+		bat.ResetWindow()
+		for lo := 0; lo < len(tr); {
+			hi := min(lo+1+r.Intn(12), len(tr))
+			bat.ObserveBatch(tr[lo:hi])
+			lo = hi
+		}
+		bat.Flush()
+	}
+	if !reflect.DeepEqual(*got, *want) {
+		t.Fatalf("judgement sequences differ (%d chunked vs %d per call)", len(*got), len(*want))
+	}
+	seen := map[string]int{}
+	for _, j := range *want {
+		seen[j.channel]++
+	}
+	t.Logf("judgements per channel: %v", seen)
+	if seen[ChannelHMM] == 0 || seen[ChannelSQL] == 0 {
+		t.Fatalf("judgements per channel %v; both channels must appear", seen)
 	}
 }
 

@@ -160,12 +160,8 @@ type Engine struct {
 	adaptRate   float64
 	adaptMargin float64
 
-	// Judge hook (fault injection / external policy) and its sticky error,
-	// plus the tracing layer's pure-observation judgement hook.
+	// judgeHook receives every completed-window judgement (see JudgeFunc).
 	judgeHook JudgeFunc
-	traceHook TraceFunc
-	tsum      TraceSummary
-	err       error
 
 	// Sensitive-touch tracking for the risk-aware shedding tier: sensitive
 	// counts the calls seen so far that output targeted data (leak origins or
@@ -201,11 +197,10 @@ type windowCall struct {
 	Origins       []interp.Origin
 }
 
-// TraceEvent describes one completed-window judgement to the tracing layer:
-// which channel judged, what it computed, and the fusion state at judgement
-// time. Unlike JudgeFunc (policy seam) it is a pure observation — a trace
-// hook cannot fail the engine.
-type TraceEvent struct {
+// Judgement is one completed-window verdict of either channel, the value the
+// engine hands its judge hook: which channel judged, what it computed, and
+// the fusion state at judgement time.
+type Judgement struct {
 	// Channel is ChannelHMM or ChannelSQL.
 	Channel string
 	// Seq is the index of the window's last call in the monitored stream.
@@ -230,78 +225,12 @@ type TraceEvent struct {
 	Flagged bool
 }
 
-// TraceFunc observes flagged channel judgements for the tracing layer.
-// Healthy judgements never reach the hook: they fold into the engine's
-// TraceSummary instead, so tracing a batch of normal traffic costs a few
-// scalar stores per window rather than an event construction and call each.
-type TraceFunc func(TraceEvent)
-
-// SetTraceHook installs h, invoked once per flagged channel judgement; pass
-// nil to remove it. Like the judge hook this is owner configuration, cleared
-// by Reset and not carried by Adopt.
-func (e *Engine) SetTraceHook(h TraceFunc) { e.traceHook = h }
-
-// TraceSummary aggregates every window judged since the last
-// TakeTraceSummary — the tracing layer's bounded per-op score-span summary.
-// Per channel it keeps the most recent judgement (score against threshold,
-// and for the HMM the pruning error bound).
-type TraceSummary struct {
-	Windows                          int
-	HMMScore, HMMThreshold, HMMBound float64
-	HMMSeen                          bool
-	SQLScore, SQLThreshold           float64
-	SQLSeen                          bool
-}
-
-// TakeTraceSummary returns the aggregate since the previous call and resets
-// it. Only populated while a trace hook is installed.
-func (e *Engine) TakeTraceSummary() TraceSummary {
-	s := e.tsum
-	e.tsum = TraceSummary{}
-	return s
-}
-
-// traceJudgement folds one window judgement into the trace summary and, for
-// flagged windows only, emits a full TraceEvent to the hook.
-func (e *Engine) traceJudgement(channel string, seq int, score, threshold, bound, fused float64, fusedFired, flagged bool) {
-	if e.traceHook == nil {
-		return
-	}
-	e.tsum.Windows++
-	switch channel {
-	case ChannelHMM:
-		e.tsum.HMMScore, e.tsum.HMMThreshold, e.tsum.HMMBound = score, threshold, bound
-		e.tsum.HMMSeen = true
-	case ChannelSQL:
-		e.tsum.SQLScore, e.tsum.SQLThreshold = score, threshold
-		e.tsum.SQLSeen = true
-	}
-	if !flagged {
-		return
-	}
-	hmmMargin := e.lastHMMThreshold - e.lastHMMScore
-	if e.sqlScorer == nil && channel == ChannelHMM {
-		// Single-channel engines never fold margins into fusion state; derive
-		// the HMM margin directly so the event still explains the verdict.
-		hmmMargin = threshold - score
-	}
-	e.traceHook(TraceEvent{
-		Channel: channel, Seq: seq,
-		Score: score, Threshold: threshold, Bound: bound,
-		HMMMargin: hmmMargin, SQLMargin: e.lastSQLThreshold - e.lastSQLScore,
-		HMMSeen: e.hmmSeen, SQLSeen: e.sqlSeen,
-		Fused: fused, FusedFired: fusedFired, Flagged: flagged,
-	})
-}
-
-// JudgeFunc observes every completed-window judgement: the index of the
-// window's last call, its per-symbol score, and whether it was flagged. A
-// non-nil return poisons the engine — Err reports it and callers such as the
-// concurrent runtime quarantine the stream — which gives fault-injection
-// harnesses and external circuit breakers an error-propagating seam into the
-// hot path. A JudgeFunc that panics is indistinguishable from any other
-// engine panic to the caller.
-type JudgeFunc func(seq int, score float64, flagged bool) error
+// JudgeFunc receives every completed-window judgement of either channel,
+// once per window in stream order, on the goroutine that is observing or
+// flushing. The judgement is passed by value so handing it over never
+// allocates. A JudgeFunc cannot fail the engine; one that panics panics the
+// caller of Observe/Flush like any other engine panic.
+type JudgeFunc func(Judgement)
 
 // NewEngine builds an engine around a trained profile, using the profile's
 // selected threshold and window length.
@@ -376,7 +305,7 @@ func (e *Engine) ResetWindow() {
 }
 
 // Reset returns the engine to its just-constructed state — window, sequence
-// counter, pending alerts, threshold, judge hook, and error — so pooled
+// counter, pending alerts, threshold, and judge hook — so pooled
 // engines can be recycled across sessions without reallocating their
 // forward-variable buffers.
 func (e *Engine) Reset() {
@@ -388,9 +317,6 @@ func (e *Engine) Reset() {
 	e.oocAllowed = nil
 	e.adaptRate, e.adaptMargin = 0, 0
 	e.judgeHook = nil
-	e.traceHook = nil
-	e.tsum = TraceSummary{}
-	e.err = nil
 	e.sensitive = 0
 	e.sensitiveLabels = nil
 	e.sqlScorer = nil
@@ -421,8 +347,8 @@ func (e *Engine) noteSensitive(c *collector.Call) {
 	}
 }
 
-// SetJudgeHook installs h, which observes every subsequent completed-window
-// judgement; pass nil to remove it. See JudgeFunc for the error semantics.
+// SetJudgeHook installs h, which receives every subsequent completed-window
+// judgement; pass nil to remove it. See JudgeFunc.
 func (e *Engine) SetJudgeHook(h JudgeFunc) { e.judgeHook = h }
 
 // Adopt carries prev's sequence counter and sensitive-touch count into e, so
@@ -441,11 +367,6 @@ func (e *Engine) Adopt(prev *Engine) {
 	e.seq = prev.seq
 	e.sensitive = prev.sensitive
 }
-
-// Err reports the first error returned by the engine's judge hook, nil while
-// healthy. Once non-nil the engine still scores windows, but stream owners
-// should treat the engine as failed.
-func (e *Engine) Err() error { return e.err }
 
 // Threshold returns the active threshold.
 func (e *Engine) Threshold() float64 { return e.threshold }
@@ -576,8 +497,7 @@ func (e *Engine) judgeWindow(seq int, score, bound float64) (Alert, bool) {
 	fusedFired, fused := e.noteHMM(score)
 	if score >= e.threshold && !fusedFired {
 		e.adapt(score)
-		e.traceJudgement(ChannelHMM, seq, score, e.threshold, bound, fused, false, false)
-		e.runJudgeHook(seq, score, false)
+		e.reportJudgement(ChannelHMM, seq, score, e.threshold, bound, fused, false, false)
 		return Alert{}, false
 	}
 	n := len(e.window)
@@ -624,8 +544,7 @@ func (e *Engine) judgeWindow(seq int, score, bound float64) (Alert, bool) {
 		a.Origins = a.Origins[:len(a.Origins):len(a.Origins)]
 	}
 	e.stampChannels(&a, score, fused, fusedFired)
-	e.traceJudgement(ChannelHMM, seq, score, e.threshold, bound, fused, fusedFired, true)
-	e.runJudgeHook(seq, score, true)
+	e.reportJudgement(ChannelHMM, seq, score, e.threshold, bound, fused, fusedFired, true)
 	return a, true
 }
 
@@ -649,13 +568,22 @@ outer:
 	}
 }
 
-// runJudgeHook invokes the judge hook, capturing its first error; a panic
-// propagates to the caller of Observe/Flush.
-func (e *Engine) runJudgeHook(seq int, score float64, flagged bool) {
-	if e.judgeHook == nil || e.err != nil {
+// reportJudgement hands one window judgement to the judge hook, with both
+// channels' latest margins and the fusion state. A single-channel engine
+// folds no margins, so its HMM margin is derived from the judgement itself.
+func (e *Engine) reportJudgement(channel string, seq int, score, threshold, bound, fused float64, fusedFired, flagged bool) {
+	if e.judgeHook == nil {
 		return
 	}
-	if err := e.judgeHook(seq, score, flagged); err != nil {
-		e.err = err
+	hmmMargin := e.lastHMMThreshold - e.lastHMMScore
+	if e.sqlScorer == nil {
+		hmmMargin = threshold - score
 	}
+	e.judgeHook(Judgement{
+		Channel: channel, Seq: seq,
+		Score: score, Threshold: threshold, Bound: bound,
+		HMMMargin: hmmMargin, SQLMargin: e.lastSQLThreshold - e.lastSQLScore,
+		HMMSeen: e.hmmSeen, SQLSeen: e.sqlSeen,
+		Fused: fused, FusedFired: fusedFired, Flagged: flagged,
+	})
 }

@@ -173,7 +173,7 @@ func (e *Engine) judgeSQLWindow(seq int, c *windowCall, v sqlchan.Verdict) (Aler
 	e.lastSQLScore, e.lastSQLThreshold = v.Score, v.Threshold
 	fusedFired, fused := e.fusedState()
 	sqlFired := v.Score < v.Threshold
-	e.traceJudgement(ChannelSQL, seq, v.Score, v.Threshold, 0, fused, fusedFired, sqlFired || fusedFired)
+	e.reportJudgement(ChannelSQL, seq, v.Score, v.Threshold, 0, fused, fusedFired, sqlFired || fusedFired)
 	if !sqlFired && !fusedFired {
 		return Alert{}, false
 	}

@@ -262,7 +262,7 @@ func TestFusedEngineNoFalsePositives(t *testing.T) {
 
 // An SQL-channel alert carries the HMM's latest window judgement as its
 // Score and Threshold, bit for bit, so its HMM margin is the one the fused
-// judge used: Threshold−Score equals the judgement's TraceEvent.HMMMargin.
+// judge used: Threshold−Score equals the judgement's Judgement.HMMMargin.
 // Before the HMM judges a window of the run, both stay zero.
 func TestSQLAlertCarriesHMMJudgement(t *testing.T) {
 	p, sqlP, _, app := trainAppB(t)
@@ -270,14 +270,15 @@ func TestSQLAlertCarriesHMMJudgement(t *testing.T) {
 	e.SetSQLChannel(sqlchan.NewScorer(sqlP), FusionConfig{})
 	var hmmScore float64
 	hmmSeen := false
-	e.SetJudgeHook(func(_ int, score float64, _ bool) error {
-		hmmScore, hmmSeen = score, true
-		return nil
-	})
-	sqlEvents := map[int]TraceEvent{}
-	e.SetTraceHook(func(ev TraceEvent) {
-		if ev.Channel == ChannelSQL {
-			sqlEvents[ev.Seq] = ev
+	sqlEvents := map[int]Judgement{}
+	e.SetJudgeHook(func(j Judgement) {
+		switch j.Channel {
+		case ChannelHMM:
+			hmmScore, hmmSeen = j.Score, true
+		case ChannelSQL:
+			if j.Flagged {
+				sqlEvents[j.Seq] = j
+			}
 		}
 	})
 	checked := 0

@@ -1,10 +1,10 @@
 // Package faultinject provides deterministic fault injectors for chaos
 // testing the concurrent detection runtime: panic-on-Nth-delivery alert
-// sinks, latency injectors, engine judge-hook failures targeting specific
-// sessions, and worker-killing hooks that exercise supervised restart.
+// sinks, latency injectors, engine panics targeting specific sessions, and
+// worker-killing hooks that exercise supervised restart.
 //
 // Every injector exposes a narrow function that matches one of the runtime's
-// extension points (runtime.AlertFunc, runtime.JudgeHook,
+// extension points (runtime.AlertFunc, runtime.JudgeObserver,
 // runtime.WorkerHook), plus atomic counters so tests can assert exactly
 // which faults fired. Only tests import this package: the runtime, tenant
 // and daemon chaos suites. `make vet` fails if the adprom binary links it.
@@ -82,25 +82,12 @@ func (s *Sink) Calls() uint64 { return s.calls.Load() }
 // Panics returns how many deliveries panicked.
 func (s *Sink) Panics() uint64 { return s.panics.Load() }
 
-// FaultMode selects how an EngineFault fails: by returning an error through
-// the engine's error-propagating judge hook, or by panicking on the worker.
-type FaultMode int
-
-const (
-	// FaultError makes the judge hook return an error (quarantine without a
-	// panic).
-	FaultError FaultMode = iota
-	// FaultPanic makes the judge hook panic (quarantine via the worker's
-	// per-op recovery).
-	FaultPanic
-)
-
-// EngineFault injects a detection-engine failure through the runtime's
-// judge hook: for every session selected by target, the Nth completed-window
-// judgement fails in the configured mode. Windows are counted per session,
-// so concurrent streams fail independently and deterministically.
+// EngineFault injects a detection-engine panic through the runtime's judge
+// observer: for every session selected by target, the Nth completed HMM
+// window judgement panics on the worker, which quarantines the session
+// through the per-op recovery. Windows are counted per session, so
+// concurrent streams fail independently and deterministically.
 type EngineFault struct {
-	mode   FaultMode
 	nth    int
 	target func(session string) bool
 
@@ -109,14 +96,13 @@ type EngineFault struct {
 	fired   map[string]bool
 }
 
-// NewEngineFault builds an injector that fails the nth window judgement of
-// every session for which target returns true (nil target selects all).
-func NewEngineFault(mode FaultMode, nth int, target func(session string) bool) *EngineFault {
+// NewEngineFault builds an injector that panics on the nth window judgement
+// of every session for which target returns true (nil target selects all).
+func NewEngineFault(nth int, target func(session string) bool) *EngineFault {
 	if nth < 1 {
 		nth = 1
 	}
 	return &EngineFault{
-		mode:    mode,
 		nth:     nth,
 		target:  target,
 		windows: make(map[string]int),
@@ -124,10 +110,10 @@ func NewEngineFault(mode FaultMode, nth int, target func(session string) bool) *
 	}
 }
 
-// Hook matches runtime.JudgeHook; install with runtime.WithJudgeHook.
-func (f *EngineFault) Hook(session string, seq int, score float64, flagged bool) error {
+// Hook matches runtime.JudgeObserver; install with runtime.WithJudgeObserver.
+func (f *EngineFault) Hook(session string, seq int, at time.Time, score float64, flagged bool) {
 	if f.target != nil && !f.target(session) {
-		return nil
+		return
 	}
 	f.mu.Lock()
 	f.windows[session]++
@@ -136,13 +122,9 @@ func (f *EngineFault) Hook(session string, seq int, score float64, flagged bool)
 		f.fired[session] = true
 	}
 	f.mu.Unlock()
-	if n != f.nth {
-		return nil
-	}
-	if f.mode == FaultPanic {
+	if n == f.nth {
 		panic(fmt.Sprintf("faultinject: engine panic for session %q at window %d", session, n))
 	}
-	return fmt.Errorf("faultinject: engine failure for session %q at window %d", session, n)
 }
 
 // Fired reports whether the fault has triggered for the session.
@@ -209,8 +191,8 @@ type Stream interface {
 }
 
 // OverloadReport tallies one generator run: calls offered to the stream,
-// calls the runtime accepted, calls rejected by drop/shed errors, and how
-// many individual ops returned a rejection. Admitted + Shed == Sent unless
+// calls the runtime accepted, calls rejected by shed errors, and how many
+// individual ops returned a rejection. Admitted + Shed == Sent unless
 // Run aborted on an unclassified error.
 type OverloadReport struct {
 	Sent     int
@@ -232,7 +214,7 @@ type OverloadGen struct {
 
 // Run offers every call to s and classifies each error with classify, which
 // reports how many of the op's n calls were rejected and whether the error
-// is an expected overload rejection (drop/shed) rather than a hard failure.
+// is an expected overload rejection (a shed) rather than a hard failure.
 // Run stops at the first unclassified error and returns it with the partial
 // report.
 func (g *OverloadGen) Run(s Stream, classify func(err error, n int) (rejected int, overload bool)) (OverloadReport, error) {

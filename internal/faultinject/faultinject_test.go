@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -44,16 +45,31 @@ func TestSinkZeroOptionsPassesThrough(t *testing.T) {
 }
 
 func TestEngineFaultTargetsNthWindowPerSession(t *testing.T) {
-	f := NewEngineFault(FaultError, 2, func(id string) bool { return id == "victim" })
-	if err := f.Hook("healthy", 0, -1, false); err != nil {
-		t.Fatalf("untargeted session failed: %v", err)
+	var f *EngineFault
+	hook := func(session string, seq int) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		f.Hook(session, seq, time.Time{}, -1, false)
+		return ""
 	}
-	if err := f.Hook("victim", 0, -1, false); err != nil {
-		t.Fatalf("window 1 failed early: %v", err)
+	// A nil target selects every session.
+	f = NewEngineFault(1, nil)
+	if msg := hook("any", 0); !strings.Contains(msg, "window 1") || !f.Fired("any") {
+		t.Fatalf("nil target: panic = %q, fired = %v", msg, f.Fired("any"))
 	}
-	err := f.Hook("victim", 1, -2, true)
-	if err == nil || !strings.Contains(err.Error(), "window 2") {
-		t.Fatalf("window 2: err = %v", err)
+
+	f = NewEngineFault(2, func(id string) bool { return id == "victim" })
+	if msg := hook("healthy", 0); msg != "" {
+		t.Fatalf("untargeted session panicked: %s", msg)
+	}
+	if msg := hook("victim", 0); msg != "" {
+		t.Fatalf("window 1 panicked early: %s", msg)
+	}
+	if msg := hook("victim", 1); !strings.Contains(msg, "window 2") {
+		t.Fatalf("window 2: panic = %q", msg)
 	}
 	if !f.Fired("victim") || f.Fired("healthy") {
 		t.Fatalf("fired bookkeeping wrong: victim=%v healthy=%v",
@@ -61,23 +77,8 @@ func TestEngineFaultTargetsNthWindowPerSession(t *testing.T) {
 	}
 	// Windows are counted per session: a second victim-like call stream is
 	// independent.
-	if err := f.Hook("victim", 2, -1, false); err != nil {
-		t.Fatalf("post-fire window failed again: %v", err)
-	}
-}
-
-func TestEngineFaultPanicMode(t *testing.T) {
-	f := NewEngineFault(FaultPanic, 1, nil)
-	panicked := func() (p bool) {
-		defer func() { p = recover() != nil }()
-		_ = f.Hook("any", 0, 0, false)
-		return false
-	}()
-	if !panicked {
-		t.Fatal("FaultPanic did not panic")
-	}
-	if !f.Fired("any") {
-		t.Fatal("Fired not recorded for panic mode")
+	if msg := hook("victim", 2); msg != "" {
+		t.Fatalf("post-fire window panicked again: %s", msg)
 	}
 }
 

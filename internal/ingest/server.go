@@ -16,27 +16,19 @@ import (
 	"adprom/internal/trace"
 )
 
-// Sink receives decoded events; tenant.Router satisfies it. Observe may
-// block (queue backpressure, the runtime default) or return a shed/quota
-// error — both compose with the server's per-connection handling: blocking
-// stalls that connection's read loop (closing its TCP window), errors are
-// counted and the stream continues.
+// Sink receives decoded events; tenant.Router satisfies it. ObserveTraced
+// carries each observe event's wire-level trace context: the client-supplied
+// trace ID (if the event had one), the decode time, and the connection's
+// remote address and codec — so a decision trace the sink opens covers
+// everything from decode onward. Flush and close events carry no trace.
+// ObserveTraced may block (queue backpressure, the runtime default) or
+// return a shed/quota error — both compose with the server's per-connection
+// handling: blocking stalls that connection's read loop (closing its TCP
+// window), errors are counted and the stream continues.
 type Sink interface {
-	Observe(tenant, session string, calls []collector.Call) error
+	ObserveTraced(tc trace.Context, tenant, session string, calls []collector.Call) error
 	Flush(tenant, session string) error
 	CloseSession(tenant, session string) error
-}
-
-// TraceSink is an optional Sink extension for sinks that open a decision
-// trace per observe event (tenant.Router satisfies it). When the configured
-// Sink implements it, the server delivers observe events through
-// ObserveTraced, carrying the wire-level trace context: the client-supplied
-// trace ID (if the event had one), the decode time, and the connection's
-// remote address and codec — so the trace's root span covers everything
-// from decode onward. Flush and close events still use the plain Sink
-// methods; they carry no trace.
-type TraceSink interface {
-	ObserveTraced(tc trace.Context, tenant, session string, calls []collector.Call) error
 }
 
 // Codec selects the wire format a listener accepts.
@@ -258,11 +250,10 @@ type decoder interface {
 }
 
 // serveConn drains one connection through its codec until EOF, a decode
-// failure, or Close, handing each event to the sink. Observe events go
-// through the TraceSink seam when the sink offers one, carrying the wire
-// trace context so the decision trace opens at decode time. Sink refusals
-// are counted without breaking the stream — risk-aware shedding and quota
-// pushback degrade a connection's throughput, they do not sever it.
+// failure, or Close, handing each event to the sink. Observe events carry
+// the wire trace context so the decision trace opens at decode time. Sink
+// refusals are counted without breaking the stream — risk-aware shedding and
+// quota pushback degrade a connection's throughput, they do not sever it.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	remote := conn.RemoteAddr().String()
@@ -274,9 +265,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	s.log.Debug("ingest connection open", "remote", remote, "codec", codec.String())
-	// The traced-observe seam is resolved once per connection, not per event.
 	sink := s.cfg.Sink
-	ts, _ := sink.(TraceSink)
 	for {
 		e, err := dec.Next()
 		if err != nil {
@@ -292,16 +281,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		switch e.Kind {
 		case KindObserve:
 			s.calls.Add(uint64(len(e.Calls)))
-			if ts != nil {
-				err = ts.ObserveTraced(trace.Context{
-					ID:     e.Trace,
-					Start:  time.Now(),
-					Remote: remote,
-					Codec:  codec.String(),
-				}, e.Tenant, e.Session, e.Calls)
-			} else {
-				err = sink.Observe(e.Tenant, e.Session, e.Calls)
-			}
+			err = sink.ObserveTraced(trace.Context{
+				ID:     e.Trace,
+				Start:  time.Now(),
+				Remote: remote,
+				Codec:  codec.String(),
+			}, e.Tenant, e.Session, e.Calls)
 		case KindFlush:
 			err = sink.Flush(e.Tenant, e.Session)
 		case KindClose:

@@ -12,8 +12,7 @@ import (
 )
 
 // memSink records every delivered event, optionally refusing some tenants.
-// It implements TraceSink, so servers deliver observes through ObserveTraced
-// and the recorded events keep their client trace IDs.
+// The recorded observe events keep their client trace IDs.
 type memSink struct {
 	mu     sync.Mutex
 	got    []Event
@@ -33,9 +32,6 @@ func (m *memSink) record(kind Kind, tenant, session, traceID string, calls []col
 	return nil
 }
 
-func (m *memSink) Observe(tenant, session string, calls []collector.Call) error {
-	return m.record(KindObserve, tenant, session, "", calls)
-}
 func (m *memSink) ObserveTraced(tc trace.Context, tenant, session string, calls []collector.Call) error {
 	m.mu.Lock()
 	m.tcs = append(m.tcs, tc)
@@ -143,22 +139,9 @@ func TestServerAutoDetectsBothCodecs(t *testing.T) {
 	}
 }
 
-// plainSink hides memSink's TraceSink extension, forcing the untraced
-// delivery path.
-type plainSink struct{ m *memSink }
-
-func (p plainSink) Observe(tenant, session string, calls []collector.Call) error {
-	return p.m.Observe(tenant, session, calls)
-}
-func (p plainSink) Flush(tenant, session string) error { return p.m.Flush(tenant, session) }
-func (p plainSink) CloseSession(tenant, session string) error {
-	return p.m.CloseSession(tenant, session)
-}
-
-// TestServerTraceContext pins the wire-level trace context handed to a
-// TraceSink: the client's trace ID, the connection's remote address, the
-// resolved codec, and a decode timestamp — and that a sink without the
-// extension still receives events through the plain path.
+// TestServerTraceContext pins the wire-level trace context handed to the
+// sink: the client's trace ID, the connection's remote address, the
+// resolved codec, and a decode timestamp.
 func TestServerTraceContext(t *testing.T) {
 	sink := &memSink{}
 	_, addr := startServer(t, ServerConfig{Sink: sink})
@@ -187,26 +170,6 @@ func TestServerTraceContext(t *testing.T) {
 	}
 	if tc.Start.IsZero() {
 		t.Error("trace context missing the decode time")
-	}
-
-	// A sink without the TraceSink extension still gets the event (minus the
-	// trace, which the plain interface cannot carry).
-	plain := &memSink{}
-	_, addr = startServer(t, ServerConfig{Sink: plainSink{plain}})
-	conn, err = net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(wire); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	waitFor(t, "plain observe", func() bool { return len(plain.events()) == 1 })
-	if got := plain.events()[0]; got.Trace != "" || got.Kind != KindObserve {
-		t.Errorf("plain sink event = %+v", got)
-	}
-	if len(plain.contexts()) != 0 {
-		t.Error("plain sink received a trace context")
 	}
 }
 

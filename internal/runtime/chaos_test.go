@@ -117,7 +117,7 @@ func TestChaosSinkFaultsDoNotPerturbDetection(t *testing.T) {
 }
 
 // TestChaosEnginePanicQuarantinesOnlyVictims panics the detection engine
-// (via the judge hook) on the first window judgement of every "victim"
+// (via the judge observer) on the first window judgement of every "victim"
 // session: victims are quarantined with ErrSessionFailed while every healthy
 // session's history stays bit-identical to the sequential baseline, and the
 // workers that recovered the panics keep serving without restarting.
@@ -140,8 +140,8 @@ func TestChaosEnginePanicQuarantinesOnlyVictims(t *testing.T) {
 	}
 
 	before := stdruntime.NumGoroutine()
-	fault := faultinject.NewEngineFault(faultinject.FaultPanic, 1, victim)
-	rt := New(p, WithWorkers(2), WithQueueDepth(64), WithJudgeHook(fault.Hook))
+	fault := faultinject.NewEngineFault(1, victim)
+	rt := New(p, WithWorkers(2), WithQueueDepth(64), WithJudgeObserver(fault.Hook))
 
 	type result struct {
 		alerts []detect.Alert
@@ -207,40 +207,6 @@ func TestChaosEnginePanicQuarantinesOnlyVictims(t *testing.T) {
 		t.Errorf("ActiveSessions = %d after closing everything", st.ActiveSessions)
 	}
 	checkGoroutines(t, before)
-}
-
-// TestJudgeHookErrorQuarantines covers the error-propagating (non-panic)
-// judge-hook path: a hook error poisons the engine, the runtime quarantines
-// the session, and Session.Err exposes the cause.
-func TestJudgeHookErrorQuarantines(t *testing.T) {
-	p, traces := trainAppH(t)
-	fault := faultinject.NewEngineFault(faultinject.FaultError, 1, nil)
-	rt := New(p, WithWorkers(1), WithJudgeHook(fault.Hook))
-	defer rt.Close()
-
-	s := rt.Session("errhook")
-	_, err := s.ObserveTrace(traces[0])
-	if !errors.Is(err, ErrSessionFailed) {
-		t.Fatalf("ObserveTrace = %v, want ErrSessionFailed", err)
-	}
-	if serr := s.Err(); !errors.Is(serr, ErrSessionFailed) ||
-		!strings.Contains(serr.Error(), "faultinject: engine failure") {
-		t.Fatalf("Session.Err() = %v, want wrapped injector cause", serr)
-	}
-	if err := s.Observe(traces[0][0]); !errors.Is(err, ErrSessionFailed) {
-		t.Fatalf("observe after quarantine: %v", err)
-	}
-	st := rt.Stats()
-	if st.Quarantined != 1 || st.Panics != 0 {
-		t.Fatalf("error path: quarantined=%d panics=%d, want 1/0", st.Quarantined, st.Panics)
-	}
-	// Quarantine does not leak the session slot.
-	if _, err := s.Close(); !errors.Is(err, ErrSessionFailed) {
-		t.Fatalf("close of quarantined session: %v", err)
-	}
-	if st := rt.Stats(); st.ActiveSessions != 0 {
-		t.Fatalf("ActiveSessions = %d after closing quarantined session", st.ActiveSessions)
-	}
 }
 
 // TestChaosWorkerCrashRestartsAndPreservesHealthySessions kills the single
@@ -403,12 +369,12 @@ func TestChaosCombined(t *testing.T) {
 	before := stdruntime.NumGoroutine()
 	sink := faultinject.NewSink(nil,
 		faultinject.PanicEvery(3), faultinject.Latency(100*time.Millisecond))
-	engineFault := faultinject.NewEngineFault(faultinject.FaultPanic, 1, victim)
+	engineFault := faultinject.NewEngineFault(1, victim)
 	workerFault := faultinject.NewWorkerFault(name(7), 4)
 	rt := New(p,
 		WithWorkers(3), WithQueueDepth(64),
 		WithAlertFunc(sink.Deliver), WithSinkBuffer(8),
-		WithJudgeHook(engineFault.Hook),
+		WithJudgeObserver(engineFault.Hook),
 		WithWorkerHook(workerFault.Hook))
 
 	type result struct {

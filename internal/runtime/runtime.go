@@ -104,10 +104,10 @@ var (
 	// ErrClosed reports an Observe/Flush on a closed runtime or session.
 	ErrClosed = errors.New("runtime: closed")
 	// ErrSessionFailed reports an op on a quarantined session — one whose
-	// engine, judge hook, or worker panicked (or whose judge hook returned an
-	// error) while processing its stream. The quarantine cause is attached to
-	// the returned error and available via Session.Err; other sessions are
-	// unaffected. Close a failed session to release its slot.
+	// engine, judge observer, or worker panicked while processing its stream;
+	// a panic is the only way a session fails. The quarantine cause is
+	// attached to the returned error and available via Session.Err; other
+	// sessions are unaffected. Close a failed session to release its slot.
 	ErrSessionFailed = errors.New("runtime: session failed")
 	// ErrShed reports a call the risk-aware admission controller (see
 	// WithShedConfig) rejected instead of queueing it. Every queue-full
@@ -149,25 +149,17 @@ const (
 // a time.
 type AlertFunc func(session string, a detect.Alert)
 
-// JudgeHook observes every completed-window judgement of every session: the
-// session id, the window's closing sequence number, its per-symbol score,
-// and whether it was flagged. Returning a non-nil error quarantines the
-// session (ErrSessionFailed wrapping the cause); a panic does the same via
-// the worker's per-op recovery. It runs on worker goroutines and must be
-// safe for concurrent use. Intended for fault injection and external
-// circuit-breaker policies.
-type JudgeHook func(session string, seq int, score float64, flagged bool) error
-
-// JudgeObserver passively observes every completed-window judgement. Unlike
-// JudgeHook it cannot veto: it has no error return, so it can never
-// quarantine a session by policy (a panic inside it still counts as an
-// engine panic and quarantines the session whose judgement it was observing).
-// It runs on worker goroutines before the JudgeHook, must be cheap, and must
-// be safe for concurrent use — the profile-lifecycle drift estimator is the
-// intended consumer. at is the op's single clock capture: the worker reads
-// time.Now once per observed call and threads the same timestamp through the
-// latency histogram, the provenance Decision, and every observer, so
-// downstream samplers never re-read the clock on the hot path.
+// JudgeObserver passively observes every completed HMM-window judgement of
+// every session: the session id, the window's closing sequence number, the
+// op's clock capture, its per-symbol score, and whether it was flagged. It
+// cannot veto a judgement; a panic inside it counts as an engine panic and
+// quarantines the session whose judgement it was observing. It runs on
+// worker goroutines, must be cheap, and must be safe for concurrent use —
+// the profile-lifecycle drift estimator is the intended consumer. at is the
+// op's single clock capture: the worker reads time.Now once per observed
+// call and threads the same timestamp through the latency histogram, the
+// provenance Decision, and every observer, so downstream samplers never
+// re-read the clock on the hot path.
 type JudgeObserver func(session string, seq int, at time.Time, score float64, flagged bool)
 
 // WorkerHook runs on the worker goroutine before each op, *outside* the
@@ -181,7 +173,6 @@ type config struct {
 	queueDepth    int
 	sink          AlertFunc
 	sinkBuffer    int
-	judgeHook     JudgeHook
 	observer      JudgeObserver
 	workerHook    WorkerHook
 	scorerMode    hmm.ScorerMode
@@ -260,15 +251,8 @@ func WithSinkBuffer(n int) Option {
 	}
 }
 
-// WithJudgeHook installs fn as every session engine's judge hook; see
-// JudgeHook for the quarantine semantics.
-func WithJudgeHook(fn JudgeHook) Option {
-	return func(c *config) { c.judgeHook = fn }
-}
-
 // WithJudgeObserver installs fn as a passive tap on every session's
-// completed-window judgements; see JudgeObserver. It composes with (and runs
-// before) any WithJudgeHook.
+// completed HMM-window judgements; see JudgeObserver.
 func WithJudgeObserver(fn JudgeObserver) Option {
 	return func(c *config) { c.observer = fn }
 }
@@ -416,6 +400,10 @@ type Runtime struct {
 	ctr       metrics.Counters
 	decisions *retain.Log[obsv.Decision] // decision provenance; nil when disabled
 	traces    *trace.Store               // decision traces; nil when tracing is disabled
+	// opTraces holds one slot per worker for the op it is scoring (nil when
+	// tracing is disabled): a session is pinned to one worker, and a worker
+	// scores one op at a time.
+	opTraces []opTrace
 }
 
 type alertMsg struct {
@@ -504,8 +492,8 @@ type Session struct {
 	// is created on first op (over the then-current generation, recorded in
 	// gen), dead is set once the close op has been processed, and opTime is
 	// the single clock capture of the op currently being processed — the one
-	// timestamp shared by the latency histogram, the judge-hook observers,
-	// and the provenance Decision record.
+	// timestamp shared by the latency histogram, the judge observer, and the
+	// provenance Decision record.
 	engine *detect.Engine
 	gen    uint64
 	dead   bool
@@ -521,16 +509,19 @@ type Session struct {
 	// folded into risk — worker-owned, like engine.
 	risk     *shed.SessionRisk
 	sensSeen int
+}
 
-	// curTrace, scoreSpan, and judgeSpans are worker-owned tracing state for
-	// the op currently being scored: the op's live trace (nil for untraced
-	// ops), the span ID of its engine-scoring span (the parent of per-channel
-	// judgement spans), and how many full judgement spans the op has emitted.
-	// The per-window judgement summary itself is aggregated inside the
-	// engine (detect.TraceSummary) so healthy windows never cross the hook.
-	curTrace   *trace.Active
-	scoreSpan  uint64
-	judgeSpans int
+// opTrace is a worker's tracing state for the op it is scoring: the op's
+// live trace (nil for an untraced op), the span ID of its engine-scoring
+// span (the parent of per-channel judgement spans), how many judgement
+// spans the op has emitted, how many windows it has judged, and each
+// channel's latest judgement (Channel "" until that channel judges).
+type opTrace struct {
+	ta        *trace.Active
+	scoreSpan uint64
+	spans     int
+	windows   int
+	hmm, sql  detect.Judgement
 }
 
 // maxJudgementSpans caps the full score.<channel>/fusion spans one op may
@@ -539,6 +530,37 @@ type Session struct {
 // own alert Decision), so an alert-dense batch costs bounded span
 // construction instead of one allocation per flagged window.
 const maxJudgementSpans = 4
+
+// note folds one judgement into the op's score summary; only the op's first
+// maxJudgementSpans flagged judgements get full per-channel spans, so an
+// alert-dense batch cannot blow the span cap.
+func (t *opTrace) note(j detect.Judgement) {
+	t.windows++
+	if j.Channel == detect.ChannelHMM {
+		t.hmm = j
+	} else {
+		t.sql = j
+	}
+	if !j.Flagged || t.spans >= maxJudgementSpans {
+		return
+	}
+	t.spans++
+	now := time.Now()
+	t.ta.Event(t.scoreSpan, judgementStage(j.Channel), now,
+		trace.Int("seq", int64(j.Seq)),
+		trace.Float("score", j.Score),
+		trace.Float("threshold", j.Threshold),
+		trace.Float("margin", j.Threshold-j.Score),
+		trace.Float("score_error_bound", j.Bound),
+		trace.Bool("flagged", true))
+	if j.FusedFired || (j.HMMSeen && j.SQLSeen) {
+		t.ta.Event(t.scoreSpan, "fusion", now,
+			trace.Float("fused_score", j.Fused),
+			trace.Float("hmm_margin", j.HMMMargin),
+			trace.Float("sql_margin", j.SQLMargin),
+			trace.Bool("escalated", j.FusedFired))
+	}
+}
 
 // Generation reports the profile generation that scored the session's most
 // recently processed op (0 before any call reached the worker). Because
@@ -584,6 +606,9 @@ func New(p *profile.Profile, opts ...Option) *Runtime {
 	}
 	if cfg.shedCfg != nil {
 		rt.shed = shed.New(*cfg.shedCfg, cfg.workers)
+	}
+	if rt.traces.Enabled() {
+		rt.opTraces = make([]opTrace, cfg.workers)
 	}
 	rt.cur.Store(&generation{p: p, gen: 1})
 	rt.pool.New = func() any {
@@ -1245,7 +1270,7 @@ func (rt *Runtime) failSession(o *op, cause error) {
 }
 
 // process runs one op under per-op panic recovery: a panicking engine, judge
-// hook, or profile quarantines only the offending session and the worker
+// observer, or profile quarantines only the offending session and the worker
 // moves on to its next op.
 func (rt *Runtime) process(o *op) {
 	// Registered first so it runs last: the panic-recovery defer below still
@@ -1288,16 +1313,18 @@ func (rt *Runtime) process(o *op) {
 	// histogram, the observer hooks, and every Decision this op produces.
 	start := time.Now()
 	s.opTime = start
+	var ot *opTrace
 	var scoreSpan trace.SpanHandle
-	if rt.traces.Enabled() {
-		// Reset the per-op tracing state unconditionally — even for an
-		// untraced op (ta == nil), a pointer a panicked prior op left behind
+	if rt.opTraces != nil {
+		// Reset the worker's op tracing state unconditionally — even for an
+		// untraced op (ta == nil), a trace a panicked prior op left behind
 		// must be cleared (its Active may already be recycled through the
 		// store's pool).
-		s.curTrace, s.scoreSpan, s.judgeSpans = o.ta, 0, 0
+		ot = &rt.opTraces[s.worker]
+		*ot = opTrace{ta: o.ta}
 		if o.ta != nil {
 			scoreSpan = o.ta.StartSpan(trace.RootSpan, "score")
-			s.scoreSpan = scoreSpan.ID()
+			ot.scoreSpan = scoreSpan.ID()
 		}
 	}
 	switch o.kind {
@@ -1309,13 +1336,9 @@ func (rt *Runtime) process(o *op) {
 		alerts := s.engine.ObserveBatch(calls)
 		rt.ctr.AddCalls(len(calls), time.Since(start).Nanoseconds())
 		rt.noteSensitive(s)
-		rt.finishScore(s, o, scoreSpan, len(calls), alerts)
+		rt.finishScore(s, ot, scoreSpan, len(calls), alerts)
 		rt.recordAlerts(s, alerts, o.ta)
 		rt.deliver(s, alerts, o.ta)
-		if err := s.engine.Err(); err != nil {
-			// Error-propagating judge hook: quarantine without a panic.
-			rt.failSession(o, err)
-		}
 	case opFlush, opClose:
 		before := len(s.engine.Alerts())
 		// The engine forgets what it hands over, so the reply owns alerts.
@@ -1324,15 +1347,11 @@ func (rt *Runtime) process(o *op) {
 		// The flush judges the pending short window, so SQL-channel and
 		// fused verdicts surface here: the flush op's own trace carries
 		// their judgement spans and the alert correlation.
-		rt.finishScore(s, o, scoreSpan, 0, alerts[before:])
+		rt.finishScore(s, ot, scoreSpan, 0, alerts[before:])
 		rt.recordAlerts(s, alerts[before:], o.ta)
 		rt.deliver(s, alerts[before:], o.ta)
 		// Windows never straddle traces: the next stream starts clean.
 		s.engine.ResetWindow()
-		if err := s.engine.Err(); err != nil {
-			rt.failSession(o, err)
-			return
-		}
 		if o.kind == opClose {
 			eng, gen := s.engine, s.gen
 			s.engine = nil
@@ -1363,37 +1382,36 @@ func (rt *Runtime) process(o *op) {
 // alert-bearing when the op raised alerts so the store's keep-alerts
 // retention applies. The alert-raising op's trace ID also becomes the
 // observe-latency histogram's exemplar. No-op for untraced ops.
-func (rt *Runtime) finishScore(s *Session, o *op, h trace.SpanHandle, calls int, alerts []detect.Alert) {
-	if o.ta == nil {
+func (rt *Runtime) finishScore(s *Session, ot *opTrace, h trace.SpanHandle, calls int, alerts []detect.Alert) {
+	if ot == nil || ot.ta == nil {
 		return
 	}
-	sum := s.engine.TakeTraceSummary()
 	// The span copies its attributes, so the list lives on this stack.
 	var buf [10]trace.Attr
 	attrs := append(buf[:0],
 		trace.Int("calls", int64(calls)),
-		trace.Int("windows", int64(sum.Windows)),
+		trace.Int("windows", int64(ot.windows)),
 		trace.Int("alerts", int64(len(alerts))),
 		trace.String("scorer", rt.cfg.scorerMode.String()),
 		trace.Int("generation", int64(s.gen)),
 	)
-	if sum.HMMSeen {
+	if ot.hmm.Channel != "" {
 		attrs = append(attrs,
-			trace.Float("hmm_score", sum.HMMScore),
-			trace.Float("hmm_threshold", sum.HMMThreshold),
-			trace.Float("score_error_bound", sum.HMMBound))
+			trace.Float("hmm_score", ot.hmm.Score),
+			trace.Float("hmm_threshold", ot.hmm.Threshold),
+			trace.Float("score_error_bound", ot.hmm.Bound))
 	}
-	if sum.SQLSeen {
+	if ot.sql.Channel != "" {
 		attrs = append(attrs,
-			trace.Float("sql_score", sum.SQLScore),
-			trace.Float("sql_threshold", sum.SQLThreshold))
+			trace.Float("sql_score", ot.sql.Score),
+			trace.Float("sql_threshold", ot.sql.Threshold))
 	}
 	h.End(attrs...)
 	if len(alerts) > 0 {
-		o.ta.MarkAlert()
-		rt.ctr.NoteObserveExemplar(o.ta.ID())
+		ot.ta.MarkAlert()
+		rt.ctr.NoteObserveExemplar(ot.ta.ID())
 	}
-	s.curTrace, s.scoreSpan = nil, 0
+	ot.ta = nil
 }
 
 // judgementStage names the span of a flagged judgement on channel ch, a
@@ -1440,64 +1458,43 @@ func (rt *Runtime) installEngine(s *Session) {
 	if rt.shed != nil {
 		e.SetSensitiveLabels(rt.shed.Config().SensitiveLabels)
 	}
-	if rt.traces.Enabled() {
-		e.SetTraceHook(func(ev detect.TraceEvent) {
-			// Only flagged judgements reach this hook (healthy windows fold
-			// into the engine's TraceSummary), and only the op's first
-			// maxJudgementSpans of them get full per-channel spans, so an
-			// alert-dense batch cannot blow the span cap.
-			a := s.curTrace
-			if a == nil || !ev.Flagged || s.judgeSpans >= maxJudgementSpans {
+	var ot *opTrace
+	if rt.opTraces != nil {
+		ot = &rt.opTraces[s.worker]
+	}
+	id, obs, decisions, risk := s.id, rt.cfg.observer, rt.decisions, s.risk
+	if ot != nil || obs != nil || decisions != nil || risk != nil {
+		// The one judgement stream fans out to the op's trace, then — for
+		// HMM windows — to the shed tier's per-session risk signals, the
+		// sampled Normal decisions, and the observer.
+		e.SetJudgeHook(func(j detect.Judgement) {
+			if ot != nil && ot.ta != nil {
+				ot.note(j)
+			}
+			if j.Channel != detect.ChannelHMM {
 				return
 			}
-			s.judgeSpans++
-			now := time.Now()
-			a.Event(s.scoreSpan, judgementStage(ev.Channel), now,
-				trace.Int("seq", int64(ev.Seq)),
-				trace.Float("score", ev.Score),
-				trace.Float("threshold", ev.Threshold),
-				trace.Float("margin", ev.Threshold-ev.Score),
-				trace.Float("score_error_bound", ev.Bound),
-				trace.Bool("flagged", true))
-			if ev.FusedFired || (ev.HMMSeen && ev.SQLSeen) {
-				a.Event(s.scoreSpan, "fusion", now,
-					trace.Float("fused_score", ev.Fused),
-					trace.Float("hmm_margin", ev.HMMMargin),
-					trace.Float("sql_margin", ev.SQLMargin),
-					trace.Bool("escalated", ev.FusedFired))
-			}
-		})
-	}
-	if rt.cfg.judgeHook != nil || rt.cfg.observer != nil || rt.decisions != nil || s.risk != nil {
-		id, hook, obs, decisions, risk := s.id, rt.cfg.judgeHook, rt.cfg.observer, rt.decisions, s.risk
-		e.SetJudgeHook(func(seq int, score float64, flagged bool) error {
-			// The shed tier's per-session risk signals come from the same
-			// judgement stream the observers tap.
 			if risk != nil {
-				risk.NoteJudgement(score, flagged)
+				risk.NoteJudgement(j.Score, j.Flagged)
 			}
 			// Unflagged judgements are sampled (1-in-N) before one is built;
 			// flagged ones are recorded with alert context in recordAlerts.
 			// The op's trace is healthy and may be sampled out of the
 			// store, so a sampled Normal record carries no trace ID.
-			if !flagged && decisions.Admit(false) {
+			if !j.Flagged && decisions.Admit(false) {
 				decisions.Add(obsv.Decision{
 					Session:    id,
-					Seq:        seq,
+					Seq:        j.Seq,
 					UnixNanos:  s.opTime.UnixNano(),
-					Score:      score,
-					Threshold:  e.Threshold(),
+					Score:      j.Score,
+					Threshold:  j.Threshold,
 					Flag:       detect.FlagNormal.String(),
 					Generation: s.gen,
 				}, false)
 			}
 			if obs != nil {
-				obs(id, seq, s.opTime, score, flagged)
+				obs(id, j.Seq, s.opTime, j.Score, j.Flagged)
 			}
-			if hook != nil {
-				return hook(id, seq, score, flagged)
-			}
-			return nil
 		})
 	}
 	s.engine = e

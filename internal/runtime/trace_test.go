@@ -4,13 +4,21 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"adprom/internal/attack"
 	"adprom/internal/collector"
+	"adprom/internal/core"
+	"adprom/internal/dataset"
 	"adprom/internal/detect"
+	"adprom/internal/hmm"
+	"adprom/internal/profile"
 	"adprom/internal/shed"
+	"adprom/internal/sqlchan"
 	"adprom/internal/trace"
 )
 
@@ -154,6 +162,148 @@ func TestTracingEndToEnd(t *testing.T) {
 	}
 	if ex := rt.Histograms().Observe.Exemplar; ex != "attack-op" {
 		t.Errorf("observe histogram exemplar = %q, want attack-op", ex)
+	}
+}
+
+var appBOnce struct {
+	sync.Once
+	p    *profile.Profile
+	sqlP *sqlchan.Profile
+	runs []collector.Trace
+	err  error
+}
+
+// trainAppB trains the banking app's HMM and SQL-channel profiles once and
+// returns them with its clean runs followed by runs of every SQL-channel
+// attack, so a replay judges windows of both channels.
+func trainAppB(t *testing.T) (*profile.Profile, *sqlchan.Profile, []collector.Trace) {
+	t.Helper()
+	appBOnce.Do(func() {
+		app := dataset.AppB()
+		runs, err := app.CollectTraces(collector.ModeADPROM)
+		if err != nil {
+			appBOnce.err = err
+			return
+		}
+		p, _, err := core.Train(app.Prog, runs, profile.Options{
+			Train: hmm.TrainOptions{MaxIters: 4}, MaxTrainWindows: 1500})
+		if err != nil {
+			appBOnce.err = err
+			return
+		}
+		sqlP, err := sqlchan.Train(runs, sqlchan.Options{SensitiveColumns: []string{"name", "balance"}})
+		if err != nil {
+			appBOnce.err = err
+			return
+		}
+		for _, atk := range attack.SQLChannelAttacks() {
+			prog, err := atk.Apply(app.Prog)
+			if err != nil {
+				appBOnce.err = err
+				return
+			}
+			cases := atk.Cases
+			if cases == nil {
+				cases = app.TestCases
+			}
+			for _, tc := range cases {
+				tr, err := app.RunCase(prog, tc, collector.ModeADPROM, atk.Setup)
+				if err != nil {
+					appBOnce.err = err
+					return
+				}
+				runs = append(runs, tr)
+			}
+		}
+		appBOnce.p, appBOnce.sqlP, appBOnce.runs = p, sqlP, runs
+	})
+	if appBOnce.err != nil {
+		t.Fatal(appBOnce.err)
+	}
+	return appBOnce.p, appBOnce.sqlP, appBOnce.runs
+}
+
+// TestScoreSpanMatchesEngineJudgements pins the score span's judgement
+// summary on a traced two-channel runtime: for every op, the windows it
+// judged and each channel's latest score and threshold equal, bit for bit,
+// what a sequential engine's judge hook saw for the same op, and a channel
+// that judged no window in the op contributes no attributes.
+func TestScoreSpanMatchesEngineJudgements(t *testing.T) {
+	p, sqlP, runs := trainAppB(t)
+	rt := New(p, WithWorkers(2), WithSQLChannel(sqlP), WithTracing(4*len(runs), 1))
+	for i, run := range runs {
+		s := rt.Session(fmt.Sprintf("run-%03d", i))
+		if err := s.ObserveBatch(run); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Close(); err != nil { // every op's trace has finished
+		t.Fatal(err)
+	}
+	ops := map[string]*trace.Trace{}
+	traces := rt.Traces(0)
+	for i := range traces {
+		tr := &traces[i]
+		ops[tr.Session+"/"+tr.Spans[0].Stage] = tr
+	}
+
+	judged := map[string]int{}
+	for i, run := range runs {
+		name := fmt.Sprintf("run-%03d", i)
+		e := detect.NewEngine(p)
+		e.SetSQLChannel(sqlchan.NewScorer(sqlP), detect.FusionConfig{})
+		var js []detect.Judgement
+		e.SetJudgeHook(func(j detect.Judgement) { js = append(js, j) })
+		for _, op := range []struct {
+			stage string
+			run   func()
+		}{
+			{"observe", func() { e.ObserveBatch(run) }},
+			{"close", func() { e.Flush() }},
+		} {
+			js = js[:0]
+			op.run()
+			tr := ops[name+"/"+op.stage]
+			if tr == nil {
+				t.Fatalf("%s: no %s trace retained", name, op.stage)
+			}
+			score := tr.Span("score")
+			if score == nil {
+				t.Fatalf("%s %s: no score span", name, op.stage)
+			}
+			if w, _ := score.Attr("windows"); w.Int != int64(len(js)) {
+				t.Errorf("%s %s: score span windows=%d, the engine judged %d", name, op.stage, w.Int, len(js))
+			}
+			last := map[string]detect.Judgement{}
+			for _, j := range js {
+				last[j.Channel] = j
+			}
+			for _, ch := range []string{detect.ChannelHMM, detect.ChannelSQL} {
+				j, ok := last[ch]
+				sc, okS := score.Attr(ch + "_score")
+				th, okT := score.Attr(ch + "_threshold")
+				if okS != ok || okT != ok {
+					t.Errorf("%s %s: %s attributes present=%v/%v, channel judged=%v", name, op.stage, ch, okS, okT, ok)
+					continue
+				}
+				if !ok {
+					continue
+				}
+				if math.Float64bits(sc.Float) != math.Float64bits(j.Score) ||
+					math.Float64bits(th.Float) != math.Float64bits(j.Threshold) {
+					t.Errorf("%s %s: span %s score/threshold %v/%v, the engine judged %v/%v",
+						name, op.stage, ch, sc.Float, th.Float, j.Score, j.Threshold)
+				}
+				judged[ch]++
+			}
+		}
+	}
+	t.Logf("%d runs; ops with a judgement per channel: %v", len(runs), judged)
+	if judged[detect.ChannelHMM] == 0 || judged[detect.ChannelSQL] == 0 {
+		t.Fatalf("ops with a judgement per channel: %v; both channels must be checked", judged)
 	}
 }
 

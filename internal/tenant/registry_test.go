@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adprom/internal/profile"
+	"adprom/internal/trace"
 )
 
 func TestRegistryPublishAndLoad(t *testing.T) {
@@ -89,10 +90,10 @@ func TestRouterLoadsFromRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Observe("apph", "s1", traces[0]); err != nil {
+	if err := r.ObserveTraced(trace.Context{}, "apph", "s1", traces[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Observe("ghost", "s1", traces[0]); !errors.Is(err, ErrUnknownTenant) {
+	if err := r.ObserveTraced(trace.Context{}, "ghost", "s1", traces[0]); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("unpublished tenant: %v, want ErrUnknownTenant", err)
 	}
 	// Flush is a barrier: it completes only after the session's queued calls.

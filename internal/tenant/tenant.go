@@ -8,10 +8,10 @@
 //     profile lineage — the paper's deployment unit. The Router keys tenants
 //     by an operator-chosen id (typically the program name).
 //   - Each live tenant is served by a Shard wrapping one runtime.Runtime:
-//     its own worker pool, bounded ingest queues, drop/shed policy, engine
-//     pool, stats, and hot-swap generation pointer. Isolation is therefore
-//     structural — a noisy tenant saturates its own queues and its own shed
-//     controller, never another tenant's.
+//     its own worker pool, bounded ingest queues, backpressure or shed
+//     policy, engine pool, stats, and hot-swap generation pointer. Isolation
+//     is therefore structural — a noisy tenant saturates its own queues and
+//     its own shed controller, never another tenant's.
 //   - Profiles load lazily: the first call routed to a tenant materialises
 //     its shard, fetching the profile from the static map or the configured
 //     Loader (usually a Registry over per-tenant lifecycle stores). At most
@@ -309,19 +309,9 @@ func (r *Router) shardSession(sh *Shard, session string) (*runtime.Session, erro
 	return sh.rt.Session(session), nil
 }
 
-// Observe routes one batch of calls to (tenant, session) — the ingest
-// front door's sink.
-func (r *Router) Observe(tenant, session string, calls []collector.Call) error {
-	s, err := r.Session(tenant, session)
-	if err != nil {
-		return err
-	}
-	return s.ObserveBatch(calls)
-}
-
-// ObserveTraced routes one observe event that carries wire-level trace
-// context — the ingest server's preferred entry point (it satisfies
-// ingest.TraceSink). The router stamps the tenant onto the context, opens
+// ObserveTraced routes one batch of calls to (tenant, session) with the
+// wire-level trace context the ingest front door hands its sink (the router
+// satisfies ingest.Sink). The router stamps the tenant onto the context, opens
 // the decision trace on the shard's runtime (a no-op returning nil when the
 // shard's tracing is off), records the routing stage as a span, and hands
 // the trace to the session, which owns it from then on. Routing failures

@@ -231,10 +231,10 @@ func TestRouterRoutesTenantsIndependently(t *testing.T) {
 	defer r.Close()
 
 	alphaTrace, betaTrace := traces[0], attacked(traces[0])
-	if err := r.Observe("alpha", "s1", alphaTrace); err != nil {
+	if err := r.ObserveTraced(trace.Context{}, "alpha", "s1", alphaTrace); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Observe("beta", "s1", betaTrace); err != nil {
+	if err := r.ObserveTraced(trace.Context{}, "beta", "s1", betaTrace); err != nil {
 		t.Fatal(err)
 	}
 	for _, tenant := range []string{"alpha", "beta"} {
@@ -293,7 +293,7 @@ func TestRouterAlertsMatchSingleTenantBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Observe("alpha", "s1", stream); err != nil {
+	if err := r.ObserveTraced(trace.Context{}, "alpha", "s1", stream); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.CloseSession("alpha", "s1"); err != nil {
@@ -314,7 +314,7 @@ func TestRouterUnknownTenant(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Observe("ghost", "s1", nil); !errors.Is(err, ErrUnknownTenant) {
+	if err := r.ObserveTraced(trace.Context{}, "ghost", "s1", nil); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("got %v, want ErrUnknownTenant", err)
 	}
 	if rs := r.Stats(); rs.UnknownTenant != 1 {
@@ -348,7 +348,7 @@ func TestRouterLazyLoadAndLRUEviction(t *testing.T) {
 	defer r.Close()
 
 	// t1 gets traffic so its final stats prove the drain saw it.
-	if err := r.Observe("t1", "s", traces[0]); err != nil {
+	if err := r.ObserveTraced(trace.Context{}, "t1", "s", traces[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Shard("t2"); err != nil {
@@ -448,7 +448,7 @@ func TestRouterFlushUnknownSession(t *testing.T) {
 	if n := sh.Runtime().ActiveSessions(); n != 0 {
 		t.Fatalf("flushing an unknown session registered %d session(s)", n)
 	}
-	if err := r.Observe("t", "real", traces[0]); err != nil {
+	if err := r.ObserveTraced(trace.Context{}, "t", "real", traces[0]); err != nil {
 		t.Fatalf("first real session refused after a ghost flush: %v", err)
 	}
 	if err := r.Flush("unknown-tenant", "s"); !errors.Is(err, ErrUnknownTenant) {
@@ -471,10 +471,10 @@ func TestRouterStaleFlushLoadsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Observe("a", "s", traces[0]); err != nil {
+	if err := r.ObserveTraced(trace.Context{}, "a", "s", traces[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Observe("b", "s", traces[0]); err != nil {
+	if err := r.ObserveTraced(trace.Context{}, "b", "s", traces[0]); err != nil {
 		t.Fatal(err)
 	}
 	before := r.Stats()
