@@ -44,31 +44,27 @@ func TestSinkZeroOptionsPassesThrough(t *testing.T) {
 	}
 }
 
-func TestEngineFaultTargetsNthWindowPerSession(t *testing.T) {
-	var f *EngineFault
-	hook := func(session string, seq int) (msg string) {
-		defer func() {
-			if r := recover(); r != nil {
-				msg = fmt.Sprint(r)
-			}
-		}()
-		f.Hook(session, seq, time.Time{}, -1, false)
-		return ""
-	}
-	// A nil target selects every session.
-	f = NewEngineFault(1, nil)
-	if msg := hook("any", 0); !strings.Contains(msg, "window 1") || !f.Fired("any") {
-		t.Fatalf("nil target: panic = %q, fired = %v", msg, f.Fired("any"))
-	}
+// hookPanic runs one EngineFault judgement and returns its panic message, or
+// "" if the hook returned normally.
+func hookPanic(f *EngineFault, session string, seq int) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f.Hook(session, seq, time.Time{}, -1, false)
+	return ""
+}
 
-	f = NewEngineFault(2, func(id string) bool { return id == "victim" })
-	if msg := hook("healthy", 0); msg != "" {
+func TestEngineFaultTargetsNthWindowPerSession(t *testing.T) {
+	f := NewEngineFault(2, func(id string) bool { return id == "victim" })
+	if msg := hookPanic(f, "healthy", 0); msg != "" {
 		t.Fatalf("untargeted session panicked: %s", msg)
 	}
-	if msg := hook("victim", 0); msg != "" {
+	if msg := hookPanic(f, "victim", 0); msg != "" {
 		t.Fatalf("window 1 panicked early: %s", msg)
 	}
-	if msg := hook("victim", 1); !strings.Contains(msg, "window 2") {
+	if msg := hookPanic(f, "victim", 1); !strings.Contains(msg, "window 2") {
 		t.Fatalf("window 2: panic = %q", msg)
 	}
 	if !f.Fired("victim") || f.Fired("healthy") {
@@ -77,8 +73,19 @@ func TestEngineFaultTargetsNthWindowPerSession(t *testing.T) {
 	}
 	// Windows are counted per session: a second victim-like call stream is
 	// independent.
-	if msg := hook("victim", 2); msg != "" {
+	if msg := hookPanic(f, "victim", 2); msg != "" {
 		t.Fatalf("post-fire window panicked again: %s", msg)
+	}
+}
+
+func TestEngineFaultPanicMode(t *testing.T) {
+	// A nil target selects every session.
+	f := NewEngineFault(1, nil)
+	if msg := hookPanic(f, "any", 0); !strings.Contains(msg, "window 1") {
+		t.Fatalf("window 1: panic = %q", msg)
+	}
+	if !f.Fired("any") {
+		t.Fatal("Fired not recorded for the panic")
 	}
 }
 
