@@ -583,9 +583,9 @@ func WithLifecycle(m *Lifecycle) RuntimeOption {
 	)}
 }
 
-// OpenProfileRegistry opens (creating if needed) the versioned profile store
-// rooted at dir: one file per published generation plus a manifest, all
-// written atomically.
+// OpenProfileRegistry opens the versioned profile store rooted at dir: one
+// file per published generation plus a manifest, all written atomically.
+// Opening creates nothing; the directory is created by the first Add.
 func OpenProfileRegistry(dir string) (*ProfileRegistry, error) {
 	return lifecycle.OpenRegistry(dir)
 }

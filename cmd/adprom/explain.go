@@ -153,45 +153,44 @@ func firstLine(b []byte) string {
 
 // decisionBySeq resolves a numeric alert seq against the decision log. A
 // flagged match wins over sampled Normal judgements and the newest match
-// wins (logs are newest-first). Seq numbers are per session, so when the
-// flagged matches come from more than one (session, trace) pair the seq is
-// ambiguous: the error lists each pair for the operator to rerun with a
-// trace ID.
+// wins (logs are newest-first). Seq numbers are per session, so a seq whose
+// flagged matches come from more than one (session, trace) pair is
+// ambiguous, and so is one with no flagged match whose sampled matches come
+// from more than one session: the error lists each origin for the operator
+// to rerun with a trace ID (sampled judgements carry none).
 func decisionBySeq(ds []obsv.Decision, key string) (obsv.Decision, error) {
 	n, _ := strconv.Atoi(key)
 	type origin struct{ session, trace string }
-	var origins []origin
-	var match, fallback *obsv.Decision
-	for i := range ds {
-		d := &ds[i]
-		if d.Seq != n {
-			continue
-		}
-		if !d.Flagged {
-			if fallback == nil {
-				fallback = d
+	for _, flagged := range []bool{true, false} {
+		var origins []origin
+		var match *obsv.Decision
+		for i := range ds {
+			d := &ds[i]
+			if d.Seq != n || d.Flagged != flagged {
+				continue
 			}
-			continue
+			if match == nil {
+				match = d
+			}
+			if o := (origin{d.Session, d.Trace}); !slices.Contains(origins, o) {
+				origins = append(origins, o)
+			}
 		}
-		if match == nil {
-			match = d
+		if len(origins) > 1 {
+			var b strings.Builder
+			if flagged {
+				fmt.Fprintf(&b, "alert seq %d is ambiguous: %d (session, trace) pairs raised an alert at it; rerun with a trace ID:", n, len(origins))
+			} else {
+				fmt.Fprintf(&b, "seq %d is ambiguous: no alert has it, and %d sessions recorded a sampled judgement at it:", n, len(origins))
+			}
+			for _, o := range origins {
+				fmt.Fprintf(&b, "\n  session=%s trace=%s", o.session, orDash(o.trace))
+			}
+			return obsv.Decision{}, errors.New(b.String())
 		}
-		if o := (origin{d.Session, d.Trace}); !slices.Contains(origins, o) {
-			origins = append(origins, o)
+		if match != nil {
+			return *match, nil
 		}
-	}
-	switch {
-	case len(origins) > 1:
-		var b strings.Builder
-		fmt.Fprintf(&b, "alert seq %d is ambiguous: %d (session, trace) pairs raised an alert at it; rerun with a trace ID:", n, len(origins))
-		for _, o := range origins {
-			fmt.Fprintf(&b, "\n  session=%s trace=%s", o.session, orDash(o.trace))
-		}
-		return obsv.Decision{}, errors.New(b.String())
-	case match != nil:
-		return *match, nil
-	case fallback != nil:
-		return *fallback, nil
 	}
 	return obsv.Decision{}, fmt.Errorf("no decision with seq %d in the log (each shard keeps its newest 1,024 alerts; older ones are evicted)", n)
 }

@@ -252,3 +252,56 @@ func TestExplainRefusesAmbiguousSeq(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainRefusesAmbiguousSampledSeq: when no alert has the seq, sampled
+// Normal judgements from more than one session make it ambiguous too, live
+// and from a capture alike, and the refusal names each session; a seq only
+// one session sampled still renders from a capture.
+func TestExplainRefusesAmbiguousSampledSeq(t *testing.T) {
+	ds := []obsv.Decision{
+		{Session: "b", Seq: 30, Flag: "Normal", Generation: 1},
+		{Session: "a", Seq: 30, Flag: "Normal", Generation: 1},
+		{Session: "a", Seq: 29, Flag: "Normal", Generation: 1},
+	}
+	data, err := json.Marshal(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/decisions" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write(data)
+	}))
+	defer ts.Close()
+	capture := filepath.Join(t.TempDir(), "decisions.json")
+	if err := os.WriteFile(capture, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	for mode, explain := range map[string]func() error{
+		"live": func() error { return explainLive(&out, strings.TrimPrefix(ts.URL, "http://"), "", "30") },
+		"log":  func() error { return explainLog(&out, capture, "30") },
+	} {
+		err := explain()
+		if err == nil || !strings.Contains(err.Error(), "ambiguous") {
+			t.Errorf("%s: seq 30, sampled by sessions a and b, gave %v:\n%s", mode, err, out.String())
+			continue
+		}
+		for _, want := range []string{"session=a", "session=b"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error does not name %q: %v", mode, want, err)
+			}
+		}
+	}
+
+	out.Reset()
+	if err := explainLog(&out, capture, "29"); err != nil {
+		t.Fatalf("seq 29, sampled by session a alone: %v", err)
+	}
+	if !strings.Contains(out.String(), "judgement seq=29 session=a verdict=normal") {
+		t.Errorf("seq 29 rendered:\n%s", out.String())
+	}
+}

@@ -7,10 +7,11 @@
 //	adprom analyze    -app <name>
 //	adprom train      -app <name> -out <profile.gob>
 //	adprom detect     -app <name> [-profile <profile.gob>] [-attack <1..5|mitm>]
-//	adprom serve      -app <name> [-profile <file>] [-profile-dir <dir>] [-streams <n>] [-repeat <n>] [-batch <n>] [-ingest-codec auto|ndjson|binary] [shard and daemon flags]
+//	adprom serve      -app <name> [-profile <file> | -tenant-dir <dir>] [-streams <n>] [-repeat <n>] [-batch <n>] [-ingest-codec auto|ndjson|binary] [shard and daemon flags]
 //	adprom serve      -tenants <a,b,...> -ingest-addr <addr> [-ingest-codec auto|ndjson|binary] [-tenant-dir <dir>] [-tenant-quota <n>] [shard and daemon flags]
 //	adprom explain    [-http <addr>] [-tenant <id>] [-log <decisions.json>] <alert-seq|trace-id>
 //	adprom profile    inspect <file>...
+//	adprom profile    publish -tenant-dir <dir> -tenant <id> <file>
 //	adprom experiment <table3|table4|table5|table6|table7|table8|fig10|clustering|ablation|corpus|all> [-full]
 //
 // Shard flags: -workers, -queue, -shed, -scorer exact|topk:<k>,
@@ -36,10 +37,11 @@
 // deterministically) as queues fill; the replay ends with a shed summary
 // (shed rate, estimated miss probability, queue high water).
 //
-// With -profile-dir, the replayed tenant starts from the newest .adprof file
-// in the directory (when one exists), and every profile file written there
-// while serving is hot-swapped into its shard with zero downtime — the same
-// watch loop that serves each -tenant-dir lineage.
+// With -tenant-dir, each tenant serves the newest generation its lineage's
+// manifest lists (a named tenant with none is trained and published first),
+// and every -watch-interval resident tenants are hot-swapped onto
+// generations added with `adprom profile publish`; files the manifest does
+// not list are never served.
 //
 // With -http, serve exposes the live introspection endpoint on the given
 // address — /metrics (every runtime family with a tenant label, plus the
@@ -67,6 +69,7 @@ import (
 	"adprom/internal/hmm"
 	"adprom/internal/interp"
 	"adprom/internal/profile"
+	"adprom/internal/tenant"
 )
 
 func main() {
@@ -107,10 +110,11 @@ func usage() {
   adprom analyze    -app <name>
   adprom train      -app <name> -out <profile.gob>
   adprom detect     -app <name> [-profile <file>] [-attack <1..5|mitm>]
-  adprom serve      -app <name> [-profile <file>] [-profile-dir <dir>] [-streams <n>] [-repeat <n>] [-batch <n>] [-ingest-codec auto|ndjson|binary] [shard and daemon flags]
+  adprom serve      -app <name> [-profile <file> | -tenant-dir <dir>] [-streams <n>] [-repeat <n>] [-batch <n>] [-ingest-codec auto|ndjson|binary] [shard and daemon flags]
   adprom serve      -tenants <a,b,...> -ingest-addr <addr> [-ingest-codec auto|ndjson|binary] [-tenant-dir <dir>] [-tenant-quota <n>] [-tenant-max-active <n>] [shard and daemon flags]
   adprom explain    [-http <addr>] [-tenant <id>] [-log <decisions.json>] <alert-seq|trace-id>
   adprom profile    inspect <file>...
+  adprom profile    publish -tenant-dir <dir> -tenant <id> <file>
   adprom experiment <table3|table4|table5|table6|table7|table8|fig10|clustering|ablation|corpus|all> [-full]
 
 shard flags: [-workers <n>] [-queue <n>] [-shed] [-scorer exact|topk:<k>] [-sql-channel] [-trace <n>] [-trace-sample <n>]
@@ -119,13 +123,13 @@ daemon flags: [-http <addr>] [-watch-interval <d>] [-log] [-log-format text|json
 apps: apph, appb, apps (CA-dataset), app1, app2, app3, app4 (SIR-style)
 serve: one daemon — a fleet of per-tenant profile shards fed over TCP. With
 -ingest-addr it serves remote collectors (NDJSON or binary frames) for the
--tenants apps until SIGINT/SIGTERM; -tenant-dir holds per-tenant profile
-lineages for lazy loading and hot-swap, -tenant-quota caps sessions per tenant.
+-tenants apps until SIGINT/SIGTERM; -tenant-quota caps sessions per tenant.
 Without -ingest-addr it serves -app as a one-tenant fleet on a loopback port
 and replays the app's traces into it: one connection per -streams session,
 -batch calls per event (0 = one per call), a flush after each trace
-serve -profile-dir: start -app from the newest .adprof in <dir> and hot-swap
-every profile published there while serving
+serve -tenant-dir: serve each tenant's newest lineage generation under <dir>
+(named tenants with none are trained and published first) and hot-swap
+resident tenants onto generations added by profile publish
 serve -http: expose /metrics, /tenants, /decisions, /traces, /traces/{id},
 /healthz, /readyz, /debug/pprof/ on <addr>; the replay then stays alive until
 SIGINT/SIGTERM. /decisions and /traces take ?tenant=ID, optional on a
@@ -192,6 +196,20 @@ func cmdAnalyze(args []string) error {
 	return nil
 }
 
+// loadProfile loads a saved profile file, checking its CRC.
+func loadProfile(path string) (*profile.Profile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	p, err := profile.Load(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return p, nil
+}
+
 func trainApp(app *dataset.App) (*profile.Profile, error) {
 	traces, err := app.CollectTraces(collector.ModeADPROM)
 	if err != nil {
@@ -250,12 +268,7 @@ func cmdDetect(args []string) error {
 
 	var p *profile.Profile
 	if *profPath != "" {
-		f, err := os.Open(*profPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if p, err = profile.Load(f); err != nil {
+		if p, err = loadProfile(*profPath); err != nil {
 			return err
 		}
 	} else {
@@ -329,15 +342,54 @@ func cmdDetect(args []string) error {
 	return nil
 }
 
-// cmdProfile groups profile-file utilities. `inspect` prints each saved
-// profile's codec header (format version, payload size, CRC-32) and model
-// summary, verifying integrity on the way — corrupt or newer-format files
-// fail with the codec's typed errors instead of decoding garbage.
+// cmdProfile groups profile-file utilities: inspect and publish.
 func cmdProfile(args []string) error {
-	if len(args) < 2 || args[0] != "inspect" {
-		return errors.New("usage: adprom profile inspect <file>...")
+	switch {
+	case len(args) > 1 && args[0] == "inspect":
+		return inspectProfiles(args[1:])
+	case len(args) > 0 && args[0] == "publish":
+		return publishProfile(args[1:])
 	}
-	for _, path := range args[1:] {
+	return errors.New("usage: adprom profile inspect <file>... | adprom profile publish -tenant-dir <dir> -tenant <id> <file>")
+}
+
+// publishProfile makes a saved profile a tenant's next generation in a
+// fleet profile store. The file is loaded, which checks its CRC, and
+// written into the tenant's lineage with its manifest entry, each
+// atomically; a daemon serving the store puts it live.
+func publishProfile(args []string) error {
+	fs := flag.NewFlagSet("profile publish", flag.ExitOnError)
+	dir := fs.String("tenant-dir", "", "fleet profile store root (serve's -tenant-dir)")
+	id := fs.String("tenant", "", "tenant whose lineage receives the profile")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *dir == "" || *id == "" || fs.NArg() != 1 {
+		return errors.New("usage: adprom profile publish -tenant-dir <dir> -tenant <id> <file>")
+	}
+	path := fs.Arg(0)
+	p, err := loadProfile(path)
+	if err != nil {
+		return err
+	}
+	reg, err := tenant.OpenRegistry(*dir)
+	if err != nil {
+		return err
+	}
+	e, err := reg.Publish(*id, p, "operator")
+	if err != nil {
+		return err
+	}
+	fmt.Printf("published %s as tenant %s generation %d (%s, crc32 %s)\n", path, *id, e.Generation, e.File, e.Checksum)
+	return nil
+}
+
+// inspectProfiles prints each saved profile's codec header (format
+// version, payload size, CRC-32) and model summary, verifying integrity on
+// the way — corrupt or newer-format files fail with the codec's typed
+// errors instead of decoding garbage.
+func inspectProfiles(paths []string) error {
+	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
 			return err

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"adprom/internal/lifecycle"
 	"adprom/internal/profile"
 )
 
@@ -92,18 +93,36 @@ func TestCmdProfileInspect(t *testing.T) {
 	}
 }
 
+// TestCmdServeProfileDir serves the replayed app from a profile store: a
+// trained profile is published into apph's lineage with `adprom profile
+// publish`, and `serve -tenant-dir` serves that generation instead of
+// training and publishing its own. -profile beside -tenant-dir is refused,
+// since both would name the tenant's profile.
 func TestCmdServeProfileDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a profile and replays streams")
 	}
 	dir := t.TempDir()
-	trainTestProfile(t, dir)
+	path := trainTestProfile(t, t.TempDir())
+	if err := cmdProfile([]string{"publish", "-tenant-dir", dir, "-tenant", "apph", path}); err != nil {
+		t.Fatalf("profile publish: %v", err)
+	}
 	err := cmdServe([]string{
-		"-app", "apph", "-profile-dir", dir,
+		"-app", "apph", "-tenant-dir", dir,
 		"-streams", "2", "-repeat", "1", "-workers", "1",
 	})
 	if err != nil {
-		t.Fatalf("serve -profile-dir: %v", err)
+		t.Fatalf("serve -tenant-dir: %v", err)
+	}
+	reg, err := lifecycle.OpenRegistry(filepath.Join(dir, "apph"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := reg.Entries(); err != nil || len(ents) != 1 || ents[0].Source != "operator" {
+		t.Fatalf("apph lineage after serve: %+v, %v; want only the operator's generation", ents, err)
+	}
+	if _, err := parseServe([]string{"-app", "apph", "-profile", path, "-tenant-dir", dir}); err == nil {
+		t.Error("serve accepted -profile together with -tenant-dir")
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"adprom/internal/detect"
 	"adprom/internal/hmm"
 	"adprom/internal/ingest"
-	"adprom/internal/lifecycle"
 	"adprom/internal/profile"
 	"adprom/internal/runtime"
 	"adprom/internal/shed"
@@ -36,8 +35,8 @@ import (
 type serveConfig struct {
 	// The built-in replay (no -ingest-addr): one app's traces streamed into
 	// a one-tenant fleet.
-	app, profile, profileDir string
-	streams, repeat, batch   int
+	app, profile           string
+	streams, repeat, batch int
 
 	// Runtime options applied to every tenant shard.
 	workers, queue        int
@@ -83,8 +82,7 @@ func parseServe(args []string) (*serveConfig, error) {
 	fs.IntVar(&sc.repeat, "repeat", 8, "replay passes per stream")
 	fs.IntVar(&sc.batch, "batch", 64, "calls per replayed observe event (0 = one event per call)")
 	fs.StringVar(&sc.scorer, "scorer", "exact", "scoring kernel: exact or topk:<k> (approximate, with reported error bound)")
-	fs.StringVar(&sc.profileDir, "profile-dir", "", "load the replayed app's newest .adprof here and hot-swap profiles published while serving")
-	fs.DurationVar(&sc.watchEvery, "watch-interval", 500*time.Millisecond, "poll interval for -profile-dir and -tenant-dir")
+	fs.DurationVar(&sc.watchEvery, "watch-interval", 500*time.Millisecond, "how often the -tenant-dir lineages are checked for published generations")
 	fs.StringVar(&sc.httpAddr, "http", "", "serve the introspection endpoint (/metrics /tenants /decisions /traces /healthz /readyz /debug/pprof/) on this address; the replay lingers until SIGINT/SIGTERM")
 	fs.IntVar(&sc.traceCap, "trace", 0, "retain up to this many decision traces per tenant (0 = tracing off); alerts always kept, healthy ops sampled")
 	fs.IntVar(&sc.traceSample, "trace-sample", 16, "with -trace, keep one in this many healthy (unflagged) traces")
@@ -93,7 +91,7 @@ func parseServe(args []string) (*serveConfig, error) {
 	fs.StringVar(&sc.tenants, "tenants", "", "comma-separated app names to serve as tenants (with -ingest-addr; e.g. apph,appb)")
 	fs.StringVar(&sc.ingestAddr, "ingest-addr", "", "accept collector events over TCP on this address instead of running the built-in replay")
 	fs.StringVar(&sc.ingestCodec, "ingest-codec", "auto", "ingest wire format: auto, ndjson, or binary (the replay sends binary frames unless ndjson)")
-	fs.StringVar(&sc.tenantDir, "tenant-dir", "", "fleet profile store root (one lineage per tenant); lazily loads unknown tenants and hot-swaps published generations")
+	fs.StringVar(&sc.tenantDir, "tenant-dir", "", "fleet profile store root (one lineage per tenant, published with `adprom profile publish`); serves each tenant's newest generation and hot-swaps resident tenants onto newer ones")
 	fs.IntVar(&sc.quota, "tenant-quota", 0, "max concurrent sessions per tenant (0 = unlimited)")
 	fs.IntVar(&sc.maxActive, "tenant-max-active", 64, "max resident tenant shards; past it the coldest tenant is evicted (negative disables)")
 	sc.sql.register(fs)
@@ -102,6 +100,9 @@ func parseServe(args []string) (*serveConfig, error) {
 	}
 	if sc.tenants != "" && sc.replay() {
 		return nil, errors.New("-tenants needs -ingest-addr (the TCP address collectors stream to)")
+	}
+	if sc.profile != "" && sc.tenantDir != "" {
+		return nil, errors.New("-profile and -tenant-dir both name the tenant's profile; publish the file with `adprom profile publish` instead")
 	}
 	sc.streams = max(sc.streams, 1)
 	var err error
@@ -240,8 +241,8 @@ func (sc *serveConfig) runtimeOptions() ([]runtime.Option, error) {
 func streamSession(i int) string { return fmt.Sprintf("stream-%03d", i) }
 
 // daemon is a running fleet: the tenant router behind a TCP ingest
-// listener, the optional introspection endpoint, and one hot-swap watcher
-// per watched profile directory.
+// listener, the optional introspection endpoint, and, with -tenant-dir, the
+// watcher that hot-swaps resident tenants onto published generations.
 type daemon struct {
 	sc       *serveConfig
 	router   *tenant.Router
@@ -257,10 +258,11 @@ type daemon struct {
 	watchWG   sync.WaitGroup
 }
 
-// startDaemon builds and starts the fleet. Each served tenant's starting
-// profile is the -profile file (replay only), else the newest generation in
-// its -tenant-dir lineage or -profile-dir, else a fresh training run, which
-// is published into the lineage so restarts and watchers see it.
+// startDaemon builds and starts the fleet. With -tenant-dir every tenant is
+// served from its lineage's newest generation, and a named tenant whose
+// lineage is empty is trained and published as generation 1 first. Without
+// it each named tenant serves the -profile file (replay only) or a fresh
+// training run.
 func startDaemon(sc *serveConfig) (*daemon, error) {
 	codec, err := ingest.ParseCodec(sc.ingestCodec)
 	if err != nil {
@@ -291,19 +293,9 @@ func startDaemon(sc *serveConfig) (*daemon, error) {
 	}
 
 	d := &daemon{sc: sc, codec: codec, tenants: names, serveErr: make(chan error, 1)}
-	watch := map[string]string{} // tenant → profile directory to hot-swap from
-	if reg != nil {
-		known, _ := reg.Tenants()
-		for _, name := range append(known, names...) {
-			if watch[name], err = reg.TenantDir(name); err != nil {
-				return nil, err
-			}
-		}
+	if reg == nil {
+		cfg.Static = make(map[string]*profile.Profile, len(names))
 	}
-	if sc.replay() && sc.profileDir != "" {
-		watch[sc.app] = sc.profileDir
-	}
-	cfg.Static = make(map[string]*profile.Profile, len(names))
 	cfg.PerTenant = map[string][]runtime.Option{}
 	for _, name := range names {
 		app, err := lookupApp(name)
@@ -327,7 +319,12 @@ func startDaemon(sc *serveConfig) (*daemon, error) {
 				return nil, err
 			}
 		}
-		if cfg.Static[name], err = sc.startProfile(app, reg, watch[name]); err != nil {
+		if reg != nil {
+			err = publishIfEmpty(app, reg)
+		} else {
+			cfg.Static[name], err = sc.startProfile(app)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("tenant %s: %w", name, err)
 		}
 	}
@@ -339,52 +336,48 @@ func startDaemon(sc *serveConfig) (*daemon, error) {
 		d.close()
 		return nil, err
 	}
-	var watchCtx context.Context
-	watchCtx, d.stopWatch = context.WithCancel(context.Background())
-	for name, dir := range watch {
+	if reg != nil {
+		var watchCtx context.Context
+		watchCtx, d.stopWatch = context.WithCancel(context.Background())
 		d.watchWG.Add(1)
-		go d.watchProfiles(watchCtx, name, dir)
-		fmt.Printf("tenant %s: watching %s every %v for published generations\n", name, dir, sc.watchEvery)
+		go func() {
+			defer d.watchWG.Done()
+			reg.Watch(watchCtx, sc.watchEvery, d.router, reportSwap)
+		}()
+		fmt.Printf("watching %s every %v for published generations\n", reg.Dir(), sc.watchEvery)
 	}
 	return d, nil
 }
 
-// startProfile resolves one named tenant's starting profile.
-func (sc *serveConfig) startProfile(app *dataset.App, reg *tenant.Registry, dir string) (*profile.Profile, error) {
-	switch {
-	case sc.replay() && sc.profile != "":
-		f, err := os.Open(sc.profile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return profile.Load(f)
-	case reg != nil:
-		if p, err := reg.LoadTenant(app.Name); err == nil {
-			fmt.Printf("tenant %s: serving newest registry generation\n", app.Name)
-			return p, nil
-		}
-	case dir != "":
-		path, p, err := lifecycle.LatestProfile(dir)
+// startProfile resolves a named tenant's profile on a fleet without a
+// profile store: the -profile file (replay only), else a fresh training run.
+func (sc *serveConfig) startProfile(app *dataset.App) (*profile.Profile, error) {
+	if sc.replay() && sc.profile != "" {
+		return loadProfile(sc.profile)
+	}
+	fmt.Printf("tenant %s: training profile...\n", app.Name)
+	return trainApp(app)
+}
+
+// publishIfEmpty trains a named tenant and publishes the profile as
+// generation 1 when the tenant's lineage has no generation yet.
+func publishIfEmpty(app *dataset.App, reg *tenant.Registry) error {
+	_, err := reg.LoadTenant(app.Name)
+	if !errors.Is(err, os.ErrNotExist) {
 		if err == nil {
-			fmt.Printf("tenant %s: serving generation from %s\n", app.Name, path)
-			return p, nil
+			fmt.Printf("tenant %s: serving newest registry generation\n", app.Name)
 		}
-		if !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
+		return err
 	}
 	fmt.Printf("tenant %s: training profile...\n", app.Name)
 	p, err := trainApp(app)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if reg != nil {
-		if _, err := reg.Publish(app.Name, p, "serve-startup"); err != nil {
-			return nil, fmt.Errorf("publishing: %w", err)
-		}
+	if _, err := reg.Publish(app.Name, p, "serve-startup"); err != nil {
+		return fmt.Errorf("publishing: %w", err)
 	}
-	return p, nil
+	return nil
 }
 
 // listen starts the ingest listener (loopback on an ephemeral port for the
@@ -418,22 +411,15 @@ func (d *daemon) listen() error {
 	return nil
 }
 
-// watchProfiles hot-swaps every profile published into dir into tenant's
-// shard until ctx ends.
-func (d *daemon) watchProfiles(ctx context.Context, tenant, dir string) {
-	defer d.watchWG.Done()
-	_ = lifecycle.WatchDir(ctx, dir, d.sc.watchEvery, func(path string, next *profile.Profile, err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tenant %s: skipping %s: %v\n", tenant, path, err)
-			return
-		}
-		gen, err := d.router.SwapProfile(tenant, next)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tenant %s: swap of %s refused: %v\n", tenant, path, err)
-			return
-		}
-		fmt.Printf("tenant %s: %s live as generation %d (threshold %.4f)\n", tenant, path, gen, next.Threshold)
-	})
+// reportSwap prints what the lineage watcher did with a published
+// generation.
+func reportSwap(sw tenant.Swap) {
+	if sw.Err != nil {
+		fmt.Fprintf(os.Stderr, "tenant %s: generation %d refused: %v\n", sw.Tenant, sw.Entry.Generation, sw.Err)
+		return
+	}
+	fmt.Printf("tenant %s: published generation %d live as runtime generation %d (threshold %.4f)\n",
+		sw.Tenant, sw.Entry.Generation, sw.Generation, sw.Threshold)
 }
 
 // run serves until the replay is done (lingering for -http until
@@ -504,7 +490,7 @@ func (d *daemon) run() error {
 	return nil
 }
 
-// close stops the watchers and the introspection endpoint, then the ingest
+// close stops the watcher and the introspection endpoint, then the ingest
 // listener, then drains and closes every tenant shard.
 func (d *daemon) close() error {
 	if d.stopWatch != nil {

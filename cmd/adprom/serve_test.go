@@ -295,3 +295,111 @@ func TestServeChaosIsolatesFaults(t *testing.T) {
 			sink.Calls(), sink.Panics(), st.SinkPanics)
 	}
 }
+
+// TestServeHotSwapsPublishedGenerations runs the fleet daemon over a profile
+// store with one resident slot. A generation published with `adprom profile
+// publish` goes live on the resident tenant, the tenant's eviction and
+// reload keep it, and a profile file copied into the lineage beside the
+// manifest never goes live: the next publish is the reloaded shard's one
+// swap.
+func TestServeHotSwapsPublishedGenerations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a profile")
+	}
+	const watchEvery = 20 * time.Millisecond
+	app, err := lookupApp("apph")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := trainApp(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, dir := t.TempDir(), t.TempDir()
+	thr1, thr2, thr3 := p.Threshold, p.Threshold-1, p.Threshold-2
+	save := func(name string, threshold float64) string {
+		t.Helper()
+		path := filepath.Join(files, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		p.Threshold = threshold
+		if err := p.Save(f); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	gen1, gen2, gen3 := save("gen1.adprof", thr1), save("gen2.adprof", thr2), save("gen3.adprof", thr3)
+	publish := func(tenant, path string) {
+		t.Helper()
+		if err := cmdProfile([]string{"publish", "-tenant-dir", dir, "-tenant", tenant, path}); err != nil {
+			t.Fatalf("publishing %s for %s: %v", path, tenant, err)
+		}
+	}
+	publish("apph", gen1)
+	publish("other", gen1)
+
+	sc, err := parseServe([]string{
+		"-tenants", "apph", "-ingest-addr", "127.0.0.1:0", "-tenant-dir", dir,
+		"-tenant-max-active", "1", "-watch-interval", watchEvery.String(), "-workers", "1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := startDaemon(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.close()
+	route := func(tenant string) *runtime.Runtime {
+		t.Helper()
+		sh, err := d.router.Shard(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sh.Runtime()
+	}
+
+	rt := route("apph")
+	if got := rt.Profile().Threshold; got != thr1 {
+		t.Fatalf("apph starts at threshold %v, want generation 1's %v", got, thr1)
+	}
+	waitThreshold := func(rt *runtime.Runtime, want float64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); rt.Profile().Threshold != want; time.Sleep(watchEvery) {
+			if time.Now().After(deadline) {
+				t.Fatalf("published threshold %v not live after 10s: apph runtime %s", want, rt.Stats())
+			}
+		}
+	}
+	publish("apph", gen2)
+	waitThreshold(rt, thr2)
+	if g := rt.Generation(); g != 2 {
+		t.Fatalf("apph at runtime generation %d after one publish, want 2", g)
+	}
+
+	route("other") // evicts apph
+	if rs := d.router.Stats(); rs.Evictions != 1 {
+		t.Fatalf("routing other with one slot: %+v, want apph evicted", rs)
+	}
+	rt = route("apph")
+	if got := rt.Profile().Threshold; got != thr2 {
+		t.Fatalf("reloaded apph serves threshold %v, want published generation 2's %v", got, thr2)
+	}
+
+	lineage := filepath.Join(dir, "apph")
+	stray, err := os.ReadFile(filepath.Join(lineage, "gen-000001.adprof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(lineage, "stray.adprof"), stray, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	publish("apph", gen3)
+	waitThreshold(rt, thr3)
+	if g := rt.Generation(); g != 2 {
+		t.Fatalf("a stray copy and one publish moved the reloaded apph to runtime generation %d, want 2", g)
+	}
+}

@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"context"
+	"io"
 	"log/slog"
 	"sync"
 	"time"
@@ -14,7 +15,7 @@ import (
 )
 
 // Config tunes a Manager. The zero value applies the defaults noted per
-// field; Registry and Logf are optional.
+// field; Registry and Logger are optional.
 type Config struct {
 	// Drift configures the judgement-stream drift detector.
 	Drift DriftConfig
@@ -33,13 +34,10 @@ type Config struct {
 	Registry *Registry
 	// Source tags registry entries (default "drift-retrain").
 	Source string
-	// Logf, when set, receives one line per lifecycle event (drift verdicts,
-	// retrain outcomes, swaps).
-	Logf func(format string, args ...any)
-	// Logger, when set, receives the same lifecycle events as structured
-	// slog records (drift verdict, retrain start/finish, swap) — the
-	// counterpart of the runtime's WithLogger option. Logf and Logger
-	// compose; either may be nil.
+	// Logger, when set, receives every lifecycle event as a structured slog
+	// record (drift verdict, retrain deferral and revival, retrain start and
+	// outcome, swap, persist failure), each keyed by the profile generation
+	// it concerns — the counterpart of the runtime's WithLogger option.
 	Logger *slog.Logger
 }
 
@@ -82,6 +80,9 @@ func NewManager(cfg Config) *Manager {
 	}
 	if cfg.Source == "" {
 		cfg.Source = "drift-retrain"
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Manager{
@@ -127,19 +128,15 @@ func (m *Manager) Observe(_ string, _ int, at time.Time, score float64, flagged 
 	if confirmed {
 		m.lc.AddDriftSignal()
 		st := m.det.State()
-		m.logf("lifecycle: drift confirmed by %s signal (baseline mean %.3f rate %.3f, window mean %.3f rate %.3f, PH %.3f)",
-			st.Cause, st.BaselineMean, st.BaselineRate, st.WindowMean, st.WindowRate, st.PH)
-		if l := m.cfg.Logger; l != nil {
-			// Every lifecycle event names the profile generation it concerns
-			// (here: the drifting one), so operators can correlate the whole
-			// drift→retrain→swap arc by one key.
-			l.Warn("drift confirmed",
-				"generation", m.boundGeneration(),
-				"cause", st.Cause,
-				"baseline_mean", st.BaselineMean, "baseline_rate", st.BaselineRate,
-				"window_mean", st.WindowMean, "window_rate", st.WindowRate,
-				"ph", st.PH)
-		}
+		// Every lifecycle event names the profile generation it concerns
+		// (here: the drifting one), so operators can correlate the whole
+		// drift→retrain→swap arc by one key.
+		m.cfg.Logger.Warn("drift confirmed",
+			"generation", m.boundGeneration(),
+			"cause", st.Cause,
+			"baseline_mean", st.BaselineMean, "baseline_rate", st.BaselineRate,
+			"window_mean", st.WindowMean, "window_rate", st.WindowRate,
+			"ph", st.PH)
 		m.kick()
 	}
 }
@@ -166,7 +163,7 @@ func (m *Manager) RecordTrace(tr collector.Trace) {
 	}
 	m.lc.AddTraceRecorded()
 	if revive {
-		m.logf("lifecycle: corpus reached %d traces; reviving deferred retrain", n)
+		m.cfg.Logger.Info("deferred retrain revived", "generation", m.boundGeneration(), "traces", n)
 		m.kick()
 	}
 }
@@ -248,13 +245,13 @@ func (m *Manager) retrainOnce() {
 	rt, traces := m.rt, m.corpus.Snapshot()
 	m.mu.Unlock()
 	if rt == nil {
-		m.logf("lifecycle: retrain requested before Bind; dropping")
+		m.cfg.Logger.Warn("retrain dropped before bind", "generation", uint64(0))
 		m.det.Reset()
 		return
 	}
 	if len(traces) < m.cfg.MinTraces {
-		m.logf("lifecycle: drift confirmed but corpus has %d/%d traces; deferring retrain",
-			len(traces), m.cfg.MinTraces)
+		m.cfg.Logger.Warn("retrain deferred on a thin corpus",
+			"generation", rt.Generation(), "traces", len(traces), "min_traces", m.cfg.MinTraces)
 		m.mu.Lock()
 		m.pending = true
 		m.mu.Unlock()
@@ -265,57 +262,40 @@ func (m *Manager) retrainOnce() {
 	m.lc.AddRetrainStarted()
 	base := rt.Profile()
 	start := time.Now()
-	if l := m.cfg.Logger; l != nil {
-		l.Info("retrain started",
-			"generation", rt.Generation(),
-			"traces", len(traces), "base_threshold", base.Threshold)
-	}
+	m.cfg.Logger.Info("retrain started",
+		"generation", rt.Generation(),
+		"traces", len(traces), "base_threshold", base.Threshold)
 	next, err := profile.Retrain(m.ctx, base, traces, m.cfg.Retrain)
 	m.lc.ObserveRetrain(time.Since(start).Nanoseconds())
 	if err != nil {
 		m.lc.AddRetrainFailed()
-		m.logf("lifecycle: retrain failed after %s: %v", time.Since(start).Round(time.Millisecond), err)
-		if l := m.cfg.Logger; l != nil {
-			l.Error("retrain failed",
-				"generation", rt.Generation(),
-				"elapsed", time.Since(start), "err", err)
-		}
+		m.cfg.Logger.Error("retrain failed",
+			"generation", rt.Generation(),
+			"elapsed", time.Since(start), "err", err)
 		m.det.Reset()
 		return
 	}
 	gen, err := rt.SwapProfile(next)
 	if err != nil {
 		m.lc.AddRetrainFailed()
-		m.logf("lifecycle: swap refused: %v", err)
-		if l := m.cfg.Logger; l != nil {
-			l.Error("swap refused", "generation", rt.Generation(), "err", err)
-		}
+		m.cfg.Logger.Error("swap refused", "generation", rt.Generation(), "err", err)
 		return
 	}
 	m.lc.AddRetrainSucceeded()
 	m.lc.AddSwap()
-	m.logf("lifecycle: generation %d live after %s retrain on %d traces (threshold %.4f → %.4f)",
-		gen, time.Since(start).Round(time.Millisecond), len(traces), base.Threshold, next.Threshold)
-	if l := m.cfg.Logger; l != nil {
-		l.Info("retrain finished",
-			"generation", gen,
-			"elapsed", time.Since(start),
-			"traces", len(traces),
-			"threshold", next.Threshold)
-	}
+	m.cfg.Logger.Info("retrain finished",
+		"generation", gen,
+		"elapsed", time.Since(start),
+		"traces", len(traces),
+		"base_threshold", base.Threshold,
+		"threshold", next.Threshold)
 	if m.cfg.Registry != nil {
 		if _, err := m.cfg.Registry.Add(next, gen, m.cfg.Source); err != nil {
-			m.logf("lifecycle: persisting generation %d: %v", gen, err)
+			m.cfg.Logger.Error("persist failed", "generation", gen, "err", err)
 		}
 	}
 	m.det.Reset()
 	m.mu.Lock()
 	m.last = time.Now()
 	m.mu.Unlock()
-}
-
-func (m *Manager) logf(format string, args ...any) {
-	if m.cfg.Logf != nil {
-		m.cfg.Logf(format, args...)
-	}
 }

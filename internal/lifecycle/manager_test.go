@@ -3,7 +3,10 @@ package lifecycle
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"log/slog"
+	"os"
+	"path/filepath"
 	stdruntime "runtime"
 	"sync"
 	"testing"
@@ -26,6 +29,14 @@ func (b *lockedBuffer) Write(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.Write(p)
+}
+
+// testLog writes each slog record to the test log.
+type testLog struct{ t *testing.T }
+
+func (w testLog) Write(p []byte) (int, error) {
+	w.t.Log(string(bytes.TrimSuffix(p, []byte("\n"))))
+	return len(p), nil
 }
 
 func (b *lockedBuffer) lines() []map[string]any {
@@ -108,8 +119,7 @@ func TestLifecycleDriftRetrainSwapE2E(t *testing.T) {
 		RingCapacity: len(drifted) + 4,
 		MinTraces:    minInt(len(drifted), 4),
 		Registry:     reg,
-		Logf:         t.Logf,
-		Logger:       slog.New(slog.NewJSONHandler(logBuf, nil)),
+		Logger:       slog.New(slog.NewJSONHandler(io.MultiWriter(logBuf, testLog{t}), nil)),
 	})
 	rt := runtime.New(base,
 		runtime.WithWorkers(2),
@@ -190,7 +200,7 @@ func TestLifecycleDriftRetrainSwapE2E(t *testing.T) {
 	// The published generation was persisted and survives reload intact.
 	regDeadline := time.Now().Add(10 * time.Second)
 	for {
-		if latest, ok := reg.Latest(); ok && latest.Generation >= 2 {
+		if latest, ok, _ := reg.Latest(); ok && latest.Generation >= 2 {
 			p, err := reg.LoadEntry(latest)
 			if err != nil {
 				t.Fatal(err)
@@ -249,7 +259,7 @@ func TestManagerDefersRetrainOnThinCorpus(t *testing.T) {
 		},
 		Retrain:   profile.RetrainOptions{Train: hmm.TrainOptions{MaxIters: 4}},
 		MinTraces: 2,
-		Logf:      t.Logf,
+		Logger:    slog.New(slog.NewTextHandler(testLog{t}, nil)),
 	})
 	rt := runtime.New(base,
 		runtime.WithWorkers(1),
@@ -306,6 +316,63 @@ func TestManagerDefersRetrainOnThinCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestManagerLogsPersistFailure: a retrained generation that goes live but
+// cannot be persisted leaves the lineage behind the runtime, so a manager
+// configured with only a structured logger must report it at Error, keyed by
+// the generation that failed to persist.
+func TestManagerLogsPersistFailure(t *testing.T) {
+	base, traces := trainAppH(t)
+	dir := filepath.Join(t.TempDir(), "lineage")
+	reg, err := OpenRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The registry's directory becomes a regular file after opening, so no
+	// generation can be written into it.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	logBuf := &lockedBuffer{}
+	mgr := NewManager(Config{
+		Retrain:   profile.RetrainOptions{Train: hmm.TrainOptions{MaxIters: 2}},
+		MinTraces: 1,
+		Registry:  reg,
+		Logger:    slog.New(slog.NewJSONHandler(logBuf, nil)),
+	})
+	rt := runtime.New(base, runtime.WithWorkers(1), runtime.WithAttach(mgr.Bind))
+	defer rt.Close()
+	mgr.Start()
+	defer mgr.Stop()
+	for _, tr := range traces {
+		mgr.RecordTrace(tr)
+	}
+	mgr.TriggerRetrain()
+
+	deadline := time.Now().Add(time.Minute)
+	for {
+		for _, rec := range logBuf.lines() {
+			if rec["msg"] != "persist failed" {
+				continue
+			}
+			if rec["level"] != "ERROR" {
+				t.Errorf("persist failure logged at %v, want ERROR", rec["level"])
+			}
+			if gen, _ := rec["generation"].(float64); gen != 2 || rec["err"] == nil {
+				t.Errorf("persist failure record %v: want generation 2 and the error", rec)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no persist failure logged: runtime generation %d, manager %+v, log %v",
+				rt.Generation(), mgr.Stats(), logBuf.lines())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -16,10 +16,6 @@ import (
 // manifestName is the registry's index file inside its directory.
 const manifestName = "manifest.json"
 
-// ProfileSuffix is the file extension registry profile files (and the files
-// WatchDir reacts to) carry.
-const ProfileSuffix = ".adprof"
-
 // Entry describes one published profile generation.
 type Entry struct {
 	// Generation is the runtime generation number the profile was (or is to
@@ -40,63 +36,62 @@ type Entry struct {
 }
 
 // Registry is a versioned on-disk store of profile generations: one
-// ProfileSuffix file per generation plus a manifest.json index. All writes
-// are atomic (temp file + rename), so a crash mid-publish never leaves a
-// half-written profile or manifest behind. Safe for concurrent use within
-// one process; it does not arbitrate between processes.
+// gen-NNNNNN.adprof file per generation plus a manifest.json index. The
+// manifest is the registry's only state: Entries and Latest read it from
+// disk on every call, so a generation another process published is seen at
+// once. All writes are atomic (temp file + rename), so a crash mid-publish
+// never leaves a half-written profile or manifest behind. Add is serialised
+// within one Registry value; it does not arbitrate between processes.
 type Registry struct {
 	dir string
-
-	mu      sync.Mutex
-	entries []Entry
+	mu  sync.Mutex // serialises Add's read, append and write of the manifest
 }
 
-// OpenRegistry opens (creating if needed) the registry rooted at dir and
-// loads its manifest.
+// OpenRegistry opens the registry rooted at dir and checks that its
+// manifest, if any, reads. It creates nothing: the directory appears with
+// the first Add, and a directory that does not exist yet reads as empty.
 func OpenRegistry(dir string) (*Registry, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("lifecycle: opening registry: %w", err)
-	}
 	r := &Registry{dir: dir}
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	switch {
-	case os.IsNotExist(err):
-		return r, nil
-	case err != nil:
-		return nil, fmt.Errorf("lifecycle: reading manifest: %w", err)
+	if _, err := r.Entries(); err != nil {
+		return nil, err
 	}
-	if err := json.Unmarshal(data, &r.entries); err != nil {
-		return nil, fmt.Errorf("lifecycle: parsing manifest: %w", err)
-	}
-	sort.Slice(r.entries, func(i, j int) bool {
-		return r.entries[i].Generation < r.entries[j].Generation
-	})
 	return r, nil
 }
 
 // Dir returns the registry's root directory.
 func (r *Registry) Dir() string { return r.dir }
 
-// Entries returns a copy of the manifest, generation-ascending.
-func (r *Registry) Entries() []Entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Entry(nil), r.entries...)
+// Entries reads the manifest, generation-ascending. A registry nothing has
+// been added to has no entries.
+func (r *Registry) Entries() ([]Entry, error) {
+	data, err := os.ReadFile(filepath.Join(r.dir, manifestName))
+	switch {
+	case os.IsNotExist(err):
+		return nil, nil
+	case err != nil:
+		return nil, fmt.Errorf("lifecycle: reading manifest: %w", err)
+	}
+	var entries []Entry
+	if err := json.Unmarshal(data, &entries); err != nil {
+		return nil, fmt.Errorf("lifecycle: parsing manifest: %w", err)
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Generation < entries[j].Generation })
+	return entries, nil
 }
 
-// Latest returns the highest-generation entry, if any.
-func (r *Registry) Latest() (Entry, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.entries) == 0 {
-		return Entry{}, false
+// Latest reads the manifest's highest-generation entry; ok is false when
+// nothing has been added.
+func (r *Registry) Latest() (e Entry, ok bool, err error) {
+	entries, err := r.Entries()
+	if err != nil || len(entries) == 0 {
+		return Entry{}, false, err
 	}
-	return r.entries[len(r.entries)-1], true
+	return entries[len(entries)-1], true, nil
 }
 
 // Add persists p as generation gen: the profile is encoded once, its header
 // checksum becomes the entry's fingerprint, and the file and manifest are
-// each written atomically.
+// each written atomically, creating the registry directory if needed.
 func (r *Registry) Add(p *profile.Profile, gen uint64, source string) (Entry, error) {
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
@@ -106,36 +101,33 @@ func (r *Registry) Add(p *profile.Profile, gen uint64, source string) (Entry, er
 	if err != nil {
 		return Entry{}, fmt.Errorf("lifecycle: fingerprinting generation %d: %w", gen, err)
 	}
-	sum := info.Checksum
-	name := fmt.Sprintf("gen-%06d%s", gen, ProfileSuffix)
-	if err := r.writeAtomic(name, func(f *os.File) error {
-		_, werr := f.Write(buf.Bytes())
-		return werr
-	}); err != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := os.MkdirAll(r.dir, 0o755); err != nil {
+		return Entry{}, fmt.Errorf("lifecycle: creating registry: %w", err)
+	}
+	entries, err := r.Entries()
+	if err != nil {
 		return Entry{}, err
 	}
 	e := Entry{
 		Generation: gen,
 		CreatedAt:  time.Now().UTC(),
 		Source:     source,
-		Checksum:   sum,
-		File:       name,
+		Checksum:   info.Checksum,
+		File:       fmt.Sprintf("gen-%06d.adprof", gen),
 		Program:    p.Program,
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.entries = append(r.entries, e)
-	sort.Slice(r.entries, func(i, j int) bool {
-		return r.entries[i].Generation < r.entries[j].Generation
-	})
-	data, err := json.MarshalIndent(r.entries, "", "  ")
+	if err := r.writeAtomic(e.File, buf.Bytes()); err != nil {
+		return Entry{}, err
+	}
+	entries = append(entries, e)
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Generation < entries[j].Generation })
+	data, err := json.MarshalIndent(entries, "", "  ")
 	if err != nil {
 		return Entry{}, fmt.Errorf("lifecycle: encoding manifest: %w", err)
 	}
-	if err := r.writeAtomic(manifestName, func(f *os.File) error {
-		_, werr := f.Write(data)
-		return werr
-	}); err != nil {
+	if err := r.writeAtomic(manifestName, data); err != nil {
 		return Entry{}, err
 	}
 	return e, nil
@@ -161,13 +153,13 @@ func (r *Registry) LoadEntry(e Entry) (*profile.Profile, error) {
 }
 
 // writeAtomic writes a file in the registry directory via temp + rename.
-func (r *Registry) writeAtomic(name string, fill func(*os.File) error) error {
+func (r *Registry) writeAtomic(name string, data []byte) error {
 	tmp, err := os.CreateTemp(r.dir, "."+name+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("lifecycle: creating temp for %s: %w", name, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := fill(tmp); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return fmt.Errorf("lifecycle: writing %s: %w", name, err)
 	}

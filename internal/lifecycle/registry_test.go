@@ -2,13 +2,11 @@ package lifecycle
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"adprom/internal/collector"
 	"adprom/internal/core"
@@ -51,8 +49,8 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := reg.Latest(); ok {
-		t.Fatal("fresh registry has a latest entry")
+	if _, ok, err := reg.Latest(); ok || err != nil {
+		t.Fatalf("fresh registry: latest entry %v, err %v", ok, err)
 	}
 	e1, err := reg.Add(p, 1, "initial")
 	if err != nil {
@@ -78,13 +76,16 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ents := reg2.Entries()
+	ents, err := reg2.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ents) != 2 || ents[0].Generation != 1 || ents[1].Generation != 2 {
 		t.Fatalf("reopened entries: %+v", ents)
 	}
-	latest, ok := reg2.Latest()
-	if !ok || latest.Generation != 2 {
-		t.Fatalf("latest: %+v, %v", latest, ok)
+	latest, ok, err := reg2.Latest()
+	if !ok || err != nil || latest.Generation != 2 {
+		t.Fatalf("latest: %+v, %v, %v", latest, ok, err)
 	}
 	for _, e := range ents {
 		loaded, err := reg2.LoadEntry(e)
@@ -131,80 +132,4 @@ func TestRegistryLoadEntryDetectsTampering(t *testing.T) {
 	if _, err := reg.LoadEntry(e); !errors.Is(err, profile.ErrCorrupt) {
 		t.Fatalf("LoadEntry on a swapped file: %v, want ErrCorrupt", err)
 	}
-}
-
-func TestWatchDirReportsNewProfiles(t *testing.T) {
-	p, _ := trainAppH(t)
-	dir := t.TempDir()
-
-	// A file present before the watch starts is "seen" and must not fire.
-	writeProfile := func(name string) string {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Save(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		return path
-	}
-	pre := writeProfile("pre-existing" + ProfileSuffix)
-
-	if path, lp, err := LatestProfile(dir); err != nil || path != pre || lp.Program != p.Program {
-		t.Fatalf("LatestProfile: %s, %v (want %s)", path, err, pre)
-	}
-
-	type hit struct {
-		path string
-		ok   bool
-	}
-	hits := make(chan hit, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		WatchDir(ctx, dir, 10*time.Millisecond, func(path string, lp *profile.Profile, err error) {
-			hits <- hit{path: path, ok: err == nil && lp != nil}
-		})
-	}()
-	// Give the watcher time to finish its initial already-seen scan; files
-	// written before that scan would be treated as pre-existing.
-	time.Sleep(200 * time.Millisecond)
-
-	fresh := writeProfile("gen-000002" + ProfileSuffix)
-	// Junk with the right suffix must be reported as an error, not a panic.
-	junk := filepath.Join(dir, "junk"+ProfileSuffix)
-	if err := os.WriteFile(junk, []byte("not a profile"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Dot-prefixed temp files are invisible to the watcher.
-	if err := os.WriteFile(filepath.Join(dir, ".tmp-123"+ProfileSuffix), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	got := map[string]bool{}
-	deadline := time.After(5 * time.Second)
-	for len(got) < 2 {
-		select {
-		case h := <-hits:
-			if h.path == pre {
-				t.Fatal("pre-existing file reported by the watcher")
-			}
-			got[h.path] = h.ok
-		case <-deadline:
-			t.Fatalf("watcher reported %d/2 files", len(got))
-		}
-	}
-	if !got[fresh] {
-		t.Errorf("fresh profile not loaded: %+v", got)
-	}
-	if ok, seen := got[junk]; !seen || ok {
-		t.Errorf("junk file: seen=%v ok=%v, want seen with error", seen, ok)
-	}
-	cancel()
-	<-done
 }

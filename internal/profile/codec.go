@@ -2,8 +2,8 @@ package profile
 
 // Versioned on-disk codec. Profiles are long-lived artefacts that outlive the
 // process that trained them — the lifecycle registry persists one file per
-// generation and `serve -profile-dir` loads whatever an operator drops in —
-// so the serialisation needs to fail loudly and precisely on corrupt or
+// generation, and `adprom profile publish` accepts whatever file an operator
+// hands it — so the serialisation needs to fail loudly and precisely on corrupt or
 // incompatible input instead of surfacing an opaque gob error (or worse,
 // decoding garbage into a half-valid model).
 //

@@ -1,29 +1,33 @@
 package tenant
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"adprom/internal/lifecycle"
 	"adprom/internal/profile"
 )
 
 // Registry is the on-disk profile store of a fleet: one lifecycle.Registry
-// per tenant, rooted at <dir>/<tenant>/. It satisfies Loader, so a Router
-// configured with it lazily loads each tenant's newest published generation
-// on first route, and a lifecycle manager (or an operator) publishing into a
-// tenant's subdirectory feeds that tenant's hot-swap watcher without
-// touching any other tenant's lineage.
+// lineage per tenant, rooted at <dir>/<tenant>/. Each lineage's manifest is
+// the only source of the generations a fleet serves. As the router's
+// Loader, the Registry loads a tenant's newest manifest entry when the
+// tenant is routed cold, and Watch swaps each resident tenant onto a newer
+// entry once one is published. Reading a lineage creates nothing, so tenant
+// ids that arrive over the network and name no lineage leave nothing
+// behind.
 type Registry struct {
 	dir string
 
-	mu   sync.Mutex
-	regs map[string]*lifecycle.Registry
+	publishMu sync.Mutex // serialises Publish's read of the newest generation and its Add
+
+	mu     sync.Mutex
+	served map[string]uint64 // the lineage generation last served to each tenant
 }
 
 // OpenRegistry opens (creating if needed) the fleet profile store rooted at
@@ -32,21 +36,11 @@ func OpenRegistry(dir string) (*Registry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tenant: opening registry: %w", err)
 	}
-	return &Registry{dir: dir, regs: make(map[string]*lifecycle.Registry)}, nil
+	return &Registry{dir: dir, served: make(map[string]uint64)}, nil
 }
 
 // Dir returns the registry's root directory.
 func (r *Registry) Dir() string { return r.dir }
-
-// TenantDir returns the directory holding one tenant's profile lineage —
-// the path to hand a lifecycle WatchDir or an operator publishing
-// generations.
-func (r *Registry) TenantDir(tenant string) (string, error) {
-	if err := checkTenantID(tenant); err != nil {
-		return "", err
-	}
-	return filepath.Join(r.dir, tenant), nil
-}
 
 // checkTenantID refuses ids that would escape the registry root when used
 // as a path element — tenant ids arrive over the network.
@@ -58,66 +52,128 @@ func checkTenantID(id string) error {
 	return nil
 }
 
-// registry returns (opening if needed) the per-tenant lifecycle registry.
-func (r *Registry) registry(tenant string) (*lifecycle.Registry, error) {
+// lineage opens the tenant's lifecycle registry without creating it.
+func (r *Registry) lineage(tenant string) (*lifecycle.Registry, error) {
 	if err := checkTenantID(tenant); err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if reg := r.regs[tenant]; reg != nil {
-		return reg, nil
-	}
-	reg, err := lifecycle.OpenRegistry(filepath.Join(r.dir, tenant))
-	if err != nil {
-		return nil, err
-	}
-	r.regs[tenant] = reg
-	return reg, nil
+	return lifecycle.OpenRegistry(filepath.Join(r.dir, tenant))
 }
 
-// LoadTenant loads the tenant's newest published generation, satisfying
-// Loader. A tenant with no published generation is an error (wrapped by the
-// router into ErrUnknownTenant).
+// LoadTenant loads the tenant's newest published generation through
+// LoadEntry, which verifies the file's checksum, and records it as the
+// generation served to the tenant; it satisfies Loader. A tenant with no
+// published generation fails with an error wrapping os.ErrNotExist (the
+// router wraps it into ErrUnknownTenant).
 func (r *Registry) LoadTenant(tenant string) (*profile.Profile, error) {
-	reg, err := r.registry(tenant)
+	reg, err := r.lineage(tenant)
 	if err != nil {
 		return nil, err
 	}
-	latest, ok := reg.Latest()
-	if !ok {
-		return nil, errors.New("no published generations")
+	e, ok, err := reg.Latest()
+	switch {
+	case err != nil:
+		return nil, err
+	case !ok:
+		return nil, fmt.Errorf("no published generation: %w", os.ErrNotExist)
 	}
-	return reg.LoadEntry(latest)
+	p, err := reg.LoadEntry(e)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	r.served[tenant] = e.Generation
+	r.mu.Unlock()
+	return p, nil
 }
 
 // Publish persists p as tenant's next generation (1 for a fresh lineage),
 // written atomically with a checksummed manifest entry.
 func (r *Registry) Publish(tenant string, p *profile.Profile, source string) (lifecycle.Entry, error) {
-	reg, err := r.registry(tenant)
+	reg, err := r.lineage(tenant)
 	if err != nil {
 		return lifecycle.Entry{}, err
 	}
-	gen := uint64(1)
-	if latest, ok := reg.Latest(); ok {
-		gen = latest.Generation + 1
+	r.publishMu.Lock()
+	defer r.publishMu.Unlock()
+	latest, _, err := reg.Latest()
+	if err != nil {
+		return lifecycle.Entry{}, err
 	}
-	return reg.Add(p, gen, source)
+	return reg.Add(p, latest.Generation+1, source)
 }
 
-// Tenants lists the tenant ids with a registry subdirectory, sorted. Useful
-// for preloading or dashboards; routing never needs it.
-func (r *Registry) Tenants() ([]string, error) {
-	entries, err := os.ReadDir(r.dir)
-	if err != nil {
-		return nil, fmt.Errorf("tenant: listing registry: %w", err)
+// Swap reports one published generation Watch tried to put live.
+type Swap struct {
+	Tenant string
+	// Entry is the generation's manifest entry.
+	Entry lifecycle.Entry
+	// Generation is the shard runtime's generation once Entry went live,
+	// and Threshold the live profile's detection threshold.
+	Generation uint64
+	Threshold  float64
+	// Err is why the generation was refused (its file fails the manifest
+	// checksum, say); nil when it went live.
+	Err error
+}
+
+// Watch polls every interval (2s when not positive) until ctx ends. It
+// swaps each tenant resident on router onto its lineage's newest manifest
+// entry once that is newer than the generation last served to the tenant,
+// loading the entry through LoadEntry, and reports every swap and every
+// refusal. A refused generation is not retried; a newer publish is. Watch
+// never loads or evicts a tenant: a cold tenant picks up its newest
+// generation when it is next loaded.
+func (r *Registry) Watch(ctx context.Context, interval time.Duration, router *Router, report func(Swap)) {
+	if interval <= 0 {
+		interval = 2 * time.Second
 	}
-	out := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() {
-			out = append(out, e.Name())
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+		}
+		for _, id := range router.Tenants() {
+			var sw Swap
+			var tried bool
+			router.whileResident(id, func(sh *Shard) { sw, tried = r.refresh(sh) })
+			if tried {
+				report(sw)
+			}
 		}
 	}
-	sort.Strings(out)
-	return out, nil
+}
+
+// refresh swaps sh onto its lineage's newest generation when that is newer
+// than the one last served to the tenant. It runs while the router can
+// neither load nor evict, so the record it keeps is the shard's own.
+func (r *Registry) refresh(sh *Shard) (Swap, bool) {
+	reg, err := r.lineage(sh.id)
+	if err != nil {
+		return Swap{}, false
+	}
+	e, ok, err := reg.Latest()
+	if err != nil || !ok {
+		return Swap{}, false // an unreadable manifest surfaces at the tenant's next load
+	}
+	r.mu.Lock()
+	newer := e.Generation > r.served[sh.id]
+	if newer {
+		r.served[sh.id] = e.Generation
+	}
+	r.mu.Unlock()
+	if !newer {
+		return Swap{}, false
+	}
+	sw := Swap{Tenant: sh.id, Entry: e}
+	p, err := reg.LoadEntry(e)
+	if err == nil {
+		sw.Threshold = p.Threshold
+		sw.Generation, err = sh.rt.SwapProfile(p)
+	}
+	sw.Err = err
+	return sw, true
 }

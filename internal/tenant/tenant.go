@@ -407,15 +407,17 @@ func (r *Router) residentSession(tenant, session string) (*runtime.Session, erro
 	return nil, nil
 }
 
-// SwapProfile hot-swaps tenant's serving profile with zero downtime,
-// returning the shard's new generation number. A non-resident tenant is
-// materialised first (the swap is evidence it is in use).
-func (r *Router) SwapProfile(tenant string, next *profile.Profile) (uint64, error) {
-	sh, err := r.Shard(tenant)
-	if err != nil {
-		return 0, err
+// whileResident runs fn on tenant id's shard, if resident, while no shard
+// can be loaded or evicted.
+func (r *Router) whileResident(id string, fn func(*Shard)) {
+	r.loadMu.Lock()
+	defer r.loadMu.Unlock()
+	r.mu.RLock()
+	sh := r.shards[id]
+	r.mu.RUnlock()
+	if sh != nil {
+		fn(sh)
 	}
-	return sh.rt.SwapProfile(next)
 }
 
 // resident snapshots the resident shards, sorted by tenant id.

@@ -498,26 +498,6 @@ func TestRouterStaleFlushLoadsNothing(t *testing.T) {
 	}
 }
 
-func TestRouterSwapProfile(t *testing.T) {
-	p, _ := trainAppH(t)
-	r, err := NewRouter(Config{Static: map[string]*profile.Profile{"alpha": p}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	gen, err := r.SwapProfile("alpha", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen < 2 {
-		t.Fatalf("generation after swap = %d, want >= 2", gen)
-	}
-	st, _ := r.TenantStats("alpha")
-	if st.Runtime.Swaps != 1 {
-		t.Errorf("Swaps = %d, want 1", st.Runtime.Swaps)
-	}
-}
-
 func TestRouterClose(t *testing.T) {
 	p, _ := trainAppH(t)
 	r, err := NewRouter(Config{Static: map[string]*profile.Profile{"alpha": p}})
