@@ -16,7 +16,7 @@ SMOKE_BENCHES = $(SCORER_BENCHES)|BenchmarkShedDecide|BenchmarkTenantRoute|Bench
 
 # internal/hmm's training tests, which `make race` runs beside every test of
 # internal/pca and internal/kmeans.
-TRAIN_TESTS = Reestimate|EStep|AvgLogProb|Train|Retrain|BaumWelch|Holdout|MAPPrior|Crew
+TRAIN_TESTS = Reestimate|EStep|AvgLogProb|Train|BaumWelch|Holdout|MAPPrior|Crew
 
 all: verify
 

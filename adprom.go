@@ -149,23 +149,9 @@ type (
 	LatencyHistogram = metrics.HistogramSnapshot
 )
 
-// Profile lifecycle: drift detection, background retraining, and zero-
-// downtime hot-swap (Runtime.SwapProfile).
+// Profile generations: a profile trained from the release is published into
+// a versioned store and put live with zero downtime (Runtime.SwapProfile).
 type (
-	// Lifecycle watches the live judgement stream for concept drift, retrains
-	// in the background from judged-Normal traces, and hot-swaps the new
-	// profile generation into its Runtime; see NewLifecycle.
-	Lifecycle = lifecycle.Manager
-	// LifecycleConfig tunes a Lifecycle.
-	LifecycleConfig = lifecycle.Config
-	// DriftConfig tunes the lifecycle's drift detector.
-	DriftConfig = lifecycle.DriftConfig
-	// DriftState is a snapshot of the drift detector.
-	DriftState = lifecycle.DriftState
-	// LifecycleStats is a snapshot of the lifecycle counters.
-	LifecycleStats = metrics.LifecycleSnapshot
-	// RetrainOptions tunes the lifecycle's background retraining pass.
-	RetrainOptions = profile.RetrainOptions
 	// ProfileRegistry is the versioned on-disk store of profile generations;
 	// see OpenProfileRegistry.
 	ProfileRegistry = lifecycle.Registry
@@ -535,57 +521,22 @@ type TraceSpan = trace.Span
 type TraceContext = trace.Context
 
 // NewIntrospectionHandler builds the live introspection endpoint for a
-// runtime: GET /metrics (Prometheus text format, including the lifecycle
-// manager's counters when lc is non-nil), /decisions (recent provenance as
-// JSON, ?limit=N), /traces and /traces/{id} (retained decision traces as
-// JSON when WithTracing is on), /healthz and /readyz (200/503 probes), and
-// the net/http/pprof suite under /debug/pprof/. Serve it on a private
-// address:
+// runtime: GET /metrics (Prometheus text format), /decisions (recent
+// provenance as JSON, ?limit=N), /traces and /traces/{id} (retained decision
+// traces as JSON when WithTracing is on), /healthz and /readyz (200/503
+// probes), and the net/http/pprof suite under /debug/pprof/. Serve it on a
+// private address:
 //
-//	go http.ListenAndServe("localhost:9313", adprom.NewIntrospectionHandler(rt, nil))
-func NewIntrospectionHandler(rt *Runtime, lc *Lifecycle) http.Handler {
-	cfg := rt.Introspection()
-	if lc != nil {
-		cfg.Metrics = func(w io.Writer) error {
-			if err := rt.WritePrometheus(w); err != nil {
-				return err
-			}
-			return obsv.WriteLifecycleProm(w, lc.Stats())
-		}
-	}
-	return obsv.NewHandler(cfg)
-}
-
-// NewLifecycle builds a profile-lifecycle manager; wire it into a runtime
-// with WithLifecycle, then Start it:
-//
-//	mgr := adprom.NewLifecycle(adprom.LifecycleConfig{})
-//	rt := adprom.NewRuntime(prof, adprom.WithLifecycle(mgr))
-//	mgr.Start()
-//	defer mgr.Stop()
-//
-// Feed judged-Normal traces to mgr.RecordTrace; when the drift watcher
-// confirms the served profile has gone stale, the manager retrains in the
-// background and hot-swaps the next generation in with zero downtime.
-func NewLifecycle(cfg LifecycleConfig) *Lifecycle { return lifecycle.NewManager(cfg) }
-
-// WithLifecycle binds a lifecycle manager to the runtime under construction:
-// the manager's drift watcher taps every completed window judgement, and a
-// confirmed drift verdict leads to a background retrain and a
-// Runtime.SwapProfile. One manager manages one runtime.
-func WithLifecycle(m *Lifecycle) RuntimeOption {
-	if m == nil {
-		return nil
-	}
-	return runtimeOptionWrap{runtime.Options(
-		runtime.WithJudgeObserver(m.Observe),
-		runtime.WithAttach(m.Bind),
-	)}
+//	go http.ListenAndServe("localhost:9313", adprom.NewIntrospectionHandler(rt))
+func NewIntrospectionHandler(rt *Runtime) http.Handler {
+	return obsv.NewHandler(rt.Introspection())
 }
 
 // OpenProfileRegistry opens the versioned profile store rooted at dir: one
 // file per published generation plus a manifest, all written atomically.
-// Opening creates nothing; the directory is created by the first Add.
+// Add takes a profile's saved bytes (Profile.Save) and stores them
+// unchanged. Opening creates nothing; the directory is created by the first
+// Add.
 func OpenProfileRegistry(dir string) (*ProfileRegistry, error) {
 	return lifecycle.OpenRegistry(dir)
 }

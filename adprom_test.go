@@ -262,10 +262,9 @@ func TestFacadeNilMonitorOption(t *testing.T) {
 	}
 }
 
-// TestFacadeLifecycleSurface drives the lifecycle additions through the
+// TestFacadeLifecycleSurface drives a profile's generations through the
 // public API: profile save/load with typed errors, manual SwapProfile with
-// generation accounting, the registry, and a runtime wired to a lifecycle
-// manager via WithLifecycle.
+// generation accounting, and the registry.
 func TestFacadeLifecycleSurface(t *testing.T) {
 	app := HospitalApp()
 	traces, err := app.CollectTraces(ModeADPROM)
@@ -293,22 +292,15 @@ func TestFacadeLifecycleSurface(t *testing.T) {
 		t.Fatalf("mangled profile: %v, want ErrCorruptProfile", err)
 	}
 
-	// A lifecycle-wired runtime: judgements reach the drift watcher, and a
-	// manual SwapProfile publishes generation 2 with zero downtime.
-	mgr := NewLifecycle(LifecycleConfig{})
-	rt := NewRuntime(prof, WithWorkers(1), WithLifecycle(mgr), WithLifecycle(nil))
+	// A manual SwapProfile publishes generation 2 with zero downtime.
+	rt := NewRuntime(prof, WithWorkers(1))
 	defer rt.Close()
-	mgr.Start()
-	defer mgr.Stop()
 
 	s := rt.Session("app")
 	for _, tr := range traces {
 		if _, err := s.ObserveTrace(tr); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := mgr.Stats().DriftSamples; got == 0 {
-		t.Error("no judgements reached the drift watcher through WithLifecycle")
 	}
 	gen, err := rt.SwapProfile(clone)
 	if err != nil || gen != 2 {
@@ -326,7 +318,7 @@ func TestFacadeLifecycleSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, err := reg.Add(clone, gen, "operator")
+	entry, err := reg.Add(saved, gen, "operator")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +427,7 @@ func TestFacadeObservabilitySurface(t *testing.T) {
 	}
 
 	// The introspection endpoint over the live runtime.
-	srv := httptest.NewServer(NewIntrospectionHandler(rt, nil))
+	srv := httptest.NewServer(NewIntrospectionHandler(rt))
 	defer srv.Close()
 	fetch := func(path string) (int, string) {
 		resp, err := http.Get(srv.URL + path)

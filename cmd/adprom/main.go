@@ -354,9 +354,10 @@ func cmdProfile(args []string) error {
 }
 
 // publishProfile makes a saved profile a tenant's next generation in a
-// fleet profile store. The file is loaded, which checks its CRC, and
-// written into the tenant's lineage with its manifest entry, each
-// atomically; a daemon serving the store puts it live.
+// fleet profile store. The file's bytes are checked (CRC and model shape)
+// and written into the tenant's lineage unchanged, with a manifest entry
+// recording the CRC `profile inspect` prints for the file, each atomically;
+// a daemon serving the store puts it live.
 func publishProfile(args []string) error {
 	fs := flag.NewFlagSet("profile publish", flag.ExitOnError)
 	dir := fs.String("tenant-dir", "", "fleet profile store root (serve's -tenant-dir)")
@@ -368,7 +369,7 @@ func publishProfile(args []string) error {
 		return errors.New("usage: adprom profile publish -tenant-dir <dir> -tenant <id> <file>")
 	}
 	path := fs.Arg(0)
-	p, err := loadProfile(path)
+	saved, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
@@ -376,9 +377,9 @@ func publishProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	e, err := reg.Publish(*id, p, "operator")
+	e, err := reg.Publish(*id, saved, "operator")
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	fmt.Printf("published %s as tenant %s generation %d (%s, crc32 %s)\n", path, *id, e.Generation, e.File, e.Checksum)
 	return nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -123,6 +124,46 @@ func TestCmdServeProfileDir(t *testing.T) {
 	}
 	if _, err := parseServe([]string{"-app", "apph", "-profile", path, "-tenant-dir", dir}); err == nil {
 		t.Error("serve accepted -profile together with -tenant-dir")
+	}
+}
+
+// TestProfilePublishKeepsFileBytes publishes one saved file to two
+// tenants: each lineage holds the file byte for byte, and each manifest
+// records the CRC-32 `profile inspect` prints for it, so an operator can
+// match a live generation to the file they checked.
+func TestProfilePublishKeepsFileBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a profile")
+	}
+	dir := t.TempDir()
+	path := trainTestProfile(t, t.TempDir())
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, _, err := profile.Inspect(bytes.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b"} {
+		if err := cmdProfile([]string{"publish", "-tenant-dir", dir, "-tenant", id, path}); err != nil {
+			t.Fatalf("publishing for %s: %v", id, err)
+		}
+		reg, err := lifecycle.OpenRegistry(filepath.Join(dir, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, ok, err := reg.Latest()
+		if err != nil || !ok || e.Checksum != info.Checksum {
+			t.Fatalf("tenant %s manifest entry %+v (%v, %v), want crc32 %s", id, e, ok, err, info.Checksum)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, id, e.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, src) {
+			t.Fatalf("tenant %s %s differs from the published file", id, e.File)
+		}
 	}
 }
 

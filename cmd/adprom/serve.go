@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -374,7 +375,11 @@ func publishIfEmpty(app *dataset.App, reg *tenant.Registry) error {
 	if err != nil {
 		return err
 	}
-	if _, err := reg.Publish(app.Name, p, "serve-startup"); err != nil {
+	var saved bytes.Buffer
+	if err := p.Save(&saved); err != nil {
+		return err
+	}
+	if _, err := reg.Publish(app.Name, saved.Bytes(), "serve-startup"); err != nil {
 		return fmt.Errorf("publishing: %w", err)
 	}
 	return nil

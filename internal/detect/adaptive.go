@@ -2,14 +2,10 @@ package detect
 
 // Adaptive thresholding (paper §IV-D, citing [29]): the security
 // administrator reduces the false-positive rate over time when the program's
-// behaviour legitimately drifts. Two mechanisms are provided:
-//
-//   - MarkFalsePositive: explicit administrator feedback on one alert. The
-//     threshold drops just below the alert's score, so recurrences of that
-//     behaviour stay quiet.
-//   - EnableAutoAdapt: the engine tracks the lowest scores it accepts and
-//     decays the threshold toward (lowest seen − margin) at a configured
-//     rate, emulating an administrator who periodically re-tunes.
+// behaviour legitimately drifts, by explicit feedback on one alert at a
+// time. The threshold never moves on unvetted traffic: under drift a
+// legitimate change and an attack look alike, so only an administrator's
+// verdict relaxes it.
 
 // MarkFalsePositive records an administrator verdict that alert was benign:
 // the threshold moves below the alert's score by margin (a non-positive
@@ -29,33 +25,5 @@ func (e *Engine) MarkFalsePositive(a Alert, margin float64) {
 			e.oocAllowed = map[[2]string]bool{}
 		}
 		e.oocAllowed[[2]string{a.Label, a.Caller}] = true
-	}
-}
-
-// EnableAutoAdapt turns on automatic threshold decay: after every scored
-// window, the threshold moves a fraction rate of the way toward the lowest
-// accepted score minus margin. rate is clamped to (0, 1].
-func (e *Engine) EnableAutoAdapt(rate, margin float64) {
-	if rate <= 0 {
-		rate = 0.05
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	if margin <= 0 {
-		margin = 0.05
-	}
-	e.adaptRate = rate
-	e.adaptMargin = margin
-}
-
-// adapt nudges the threshold after a window scored s and was accepted.
-func (e *Engine) adapt(s float64) {
-	if e.adaptRate == 0 {
-		return
-	}
-	target := s - e.adaptMargin
-	if target < e.threshold {
-		e.threshold += e.adaptRate * (target - e.threshold)
 	}
 }

@@ -70,29 +70,3 @@ func TestMarkFalsePositiveWhitelistsOOC(t *testing.T) {
 		t.Error("unrelated OOC suppressed")
 	}
 }
-
-func TestAutoAdaptRelaxesThreshold(t *testing.T) {
-	p, traces, _ := trainAppH(t)
-	e := NewEngine(p)
-	// Start with a threshold that sits just below normal scores, then let
-	// auto-adaptation pull it further down as near-threshold normals stream.
-	start := p.Threshold + 0.04 // tighten a little
-	e.SetThreshold(start)
-	e.EnableAutoAdapt(0.5, 1.0)
-	for _, tr := range traces {
-		e.ResetWindow()
-		for _, c := range tr {
-			e.Observe(c)
-		}
-		e.Flush() // short traces are judged (and adapted on) here
-	}
-	if e.Threshold() >= start {
-		t.Errorf("auto-adapt did not relax threshold: %v -> %v", start, e.Threshold())
-	}
-	// Clamping: absurd rates are normalised.
-	e2 := NewEngine(p)
-	e2.EnableAutoAdapt(99, -1)
-	if e2.adaptRate != 1 || e2.adaptMargin <= 0 {
-		t.Errorf("rate/margin not clamped: %v %v", e2.adaptRate, e2.adaptMargin)
-	}
-}

@@ -155,10 +155,8 @@ type Engine struct {
 	labelArena  []string
 	originArena []interp.Origin
 
-	// Adaptive-threshold state (see adaptive.go).
-	oocAllowed  map[[2]string]bool
-	adaptRate   float64
-	adaptMargin float64
+	// Administrator-whitelisted (label, caller) pairs (see adaptive.go).
+	oocAllowed map[[2]string]bool
 
 	// judgeHook receives every completed-window judgement (see JudgeFunc).
 	judgeHook JudgeFunc
@@ -238,8 +236,9 @@ func NewEngine(p *profile.Profile) *Engine {
 	return &Engine{p: p, threshold: p.Threshold, winLen: p.WindowLen}
 }
 
-// SetThreshold overrides the profile's threshold (experiment sweeps and the
-// adaptive-threshold mode use this).
+// SetThreshold overrides the profile's threshold for this engine, as the
+// facade's WithThreshold option and an administrator re-tuning a deployment
+// do.
 func (e *Engine) SetThreshold(t float64) { e.threshold = t }
 
 // SetWindowLen overrides the profile's window length for this engine. It
@@ -315,7 +314,6 @@ func (e *Engine) Reset() {
 	e.labelArena, e.originArena = nil, nil
 	e.threshold = e.p.Threshold
 	e.oocAllowed = nil
-	e.adaptRate, e.adaptMargin = 0, 0
 	e.judgeHook = nil
 	e.sensitive = 0
 	e.sensitiveLabels = nil
@@ -496,7 +494,6 @@ func (e *Engine) Alerts() []Alert { return e.alerts }
 func (e *Engine) judgeWindow(seq int, score, bound float64) (Alert, bool) {
 	fusedFired, fused := e.noteHMM(score)
 	if score >= e.threshold && !fusedFired {
-		e.adapt(score)
 		e.reportJudgement(ChannelHMM, seq, score, e.threshold, bound, fused, false, false)
 		return Alert{}, false
 	}

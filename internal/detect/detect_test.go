@@ -270,7 +270,7 @@ func TestSensitiveTouchCounting(t *testing.T) {
 		t.Fatalf("administrator label touches = %d, want 2", got)
 	}
 
-	// Adopt carries the counter across an engine swap (retraining hot-swap).
+	// Adopt carries the counter across an engine swap (profile hot-swap).
 	next := NewEngine(p)
 	next.Adopt(e)
 	if got := next.SensitiveTouches(); got != 2 {

@@ -133,28 +133,6 @@ func (m *Model) TrainContext(ctx context.Context, seqs [][]int, opts TrainOption
 	return res, nil
 }
 
-// Retrain is the warm-start entry point for online profile refresh: it
-// trains a COPY of the model on seqs and returns it, leaving the receiver —
-// which may be serving live detection through shared Scorer snapshots —
-// untouched. The copy starts from the current parameters, and unless the
-// caller overrides PriorWeight the current model also acts as the MAP prior,
-// so behaviour that recent traffic no longer exercises decays gracefully
-// toward the prior instead of collapsing to the smoothing floor after one
-// re-estimation pass. The receiver's provenance (its original CTM
-// initialisation and earlier training) is thereby chained through every
-// retraining round.
-func (m *Model) Retrain(ctx context.Context, seqs [][]int, opts TrainOptions) (*Model, *TrainResult, error) {
-	if opts.PriorWeight == 0 {
-		opts.PriorWeight = 2
-	}
-	next := m.Clone()
-	res, err := next.TrainContext(ctx, seqs, opts)
-	if err != nil {
-		return nil, res, err
-	}
-	return next, res, nil
-}
-
 // avgLogProb returns the mean log-likelihood over sequences, scored through
 // a snapshot Scorer: bit-identical to Model.LogProb, on the vector kernels.
 // The crew scores the windows into a slice that is then summed in order, so

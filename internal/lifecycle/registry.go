@@ -1,3 +1,10 @@
+// Package lifecycle keeps the generations of one program's detection
+// profile: a lineage. A profile is trained from the release (the program
+// and the executions of its test cases, paper §IV) and published into the
+// lineage as its next generation; a serving fleet puts it live from there
+// (tenant.Registry.Watch for a resident tenant, LoadTenant at the tenant's
+// next load). The lineage's manifest is the one record of which files are
+// generations and which bytes each must hold.
 package lifecycle
 
 import (
@@ -23,7 +30,7 @@ type Entry struct {
 	Generation uint64 `json:"generation"`
 	// CreatedAt is when the entry was registered (UTC).
 	CreatedAt time.Time `json:"created_at"`
-	// Source records provenance: "initial", "drift-retrain", "operator", ...
+	// Source records provenance: "serve-startup", "operator", ...
 	Source string `json:"source"`
 	// Checksum is the hex CRC-32 recorded in the saved file's header (gob
 	// encodings are not canonical, so it fingerprints the file, not the
@@ -89,17 +96,15 @@ func (r *Registry) Latest() (e Entry, ok bool, err error) {
 	return entries[len(entries)-1], true, nil
 }
 
-// Add persists p as generation gen: the profile is encoded once, its header
-// checksum becomes the entry's fingerprint, and the file and manifest are
-// each written atomically, creating the registry directory if needed.
-func (r *Registry) Add(p *profile.Profile, gen uint64, source string) (Entry, error) {
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		return Entry{}, fmt.Errorf("lifecycle: encoding generation %d: %w", gen, err)
-	}
-	info, _, err := profile.Inspect(bytes.NewReader(buf.Bytes()))
+// Add persists a saved profile's bytes as generation gen. The bytes are
+// checked as LoadEntry will check them (checksum and model shape) and
+// written unchanged, so the entry's checksum is the one `adprom profile
+// inspect` prints for the source file. The file and manifest are each
+// written atomically, creating the registry directory if needed.
+func (r *Registry) Add(saved []byte, gen uint64, source string) (Entry, error) {
+	info, _, err := profile.Inspect(bytes.NewReader(saved))
 	if err != nil {
-		return Entry{}, fmt.Errorf("lifecycle: fingerprinting generation %d: %w", gen, err)
+		return Entry{}, fmt.Errorf("lifecycle: checking generation %d: %w", gen, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -116,9 +121,9 @@ func (r *Registry) Add(p *profile.Profile, gen uint64, source string) (Entry, er
 		Source:     source,
 		Checksum:   info.Checksum,
 		File:       fmt.Sprintf("gen-%06d.adprof", gen),
-		Program:    p.Program,
+		Program:    info.Program,
 	}
-	if err := r.writeAtomic(e.File, buf.Bytes()); err != nil {
+	if err := r.writeAtomic(e.File, saved); err != nil {
 		return Entry{}, err
 	}
 	entries = append(entries, e)

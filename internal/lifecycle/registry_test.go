@@ -42,6 +42,16 @@ func trainAppH(t *testing.T) (*profile.Profile, []collector.Trace) {
 	return appHOnce.p, appHOnce.traces
 }
 
+// encode returns p's saved bytes, what Add takes.
+func encode(t *testing.T, p *profile.Profile) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestRegistryRoundTrip(t *testing.T) {
 	p, _ := trainAppH(t)
 	dir := t.TempDir()
@@ -52,11 +62,11 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if _, ok, err := reg.Latest(); ok || err != nil {
 		t.Fatalf("fresh registry: latest entry %v, err %v", ok, err)
 	}
-	e1, err := reg.Add(p, 1, "initial")
+	e1, err := reg.Add(encode(t, p), 1, "initial")
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := reg.Add(p, 2, "drift-retrain")
+	e2, err := reg.Add(encode(t, p), 2, "drift-retrain")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +115,7 @@ func TestRegistryLoadEntryDetectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := reg.Add(p, 1, "initial")
+	e, err := reg.Add(encode(t, p), 1, "initial")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ type Counters struct {
 	sinkDropped    atomic.Uint64
 	sinkPanics     atomic.Uint64
 
-	// Hot-swap counters (profile lifecycle).
+	// Hot-swap counters (Runtime.SwapProfile and the engines it retires).
 	swaps          atomic.Uint64
 	enginesRetired atomic.Uint64
 }

@@ -116,20 +116,3 @@ func escapeHelp(s string) string {
 	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 	return r.Replace(s)
 }
-
-// WriteLifecycleProm renders the profile-lifecycle counters (drift sampling,
-// retraining outcomes, swap bookkeeping, the retrain-duration histogram) as
-// adprom_lifecycle_* families.
-func WriteLifecycleProm(w io.Writer, s metrics.LifecycleSnapshot) error {
-	p := NewPromWriter(w)
-	p.Counter("adprom_lifecycle_drift_samples_total", "Judgements folded into the drift estimator.", float64(s.DriftSamples))
-	p.Counter("adprom_lifecycle_drift_signals_total", "Confirmed drift verdicts.", float64(s.DriftSignals))
-	p.Counter("adprom_lifecycle_retrains_started_total", "Background retraining runs started.", float64(s.RetrainsStarted))
-	p.Counter("adprom_lifecycle_retrains_succeeded_total", "Background retraining runs that published a generation.", float64(s.RetrainsSucceeded))
-	p.Counter("adprom_lifecycle_retrains_failed_total", "Background retraining runs that failed.", float64(s.RetrainsFailed))
-	p.Counter("adprom_lifecycle_swaps_total", "Profile generations hot-swapped by the lifecycle manager.", float64(s.Swaps))
-	p.Counter("adprom_lifecycle_traces_recorded_total", "Judged-Normal traces recorded into the retraining corpus.", float64(s.TracesRecorded))
-	p.Counter("adprom_lifecycle_traces_evicted_total", "Traces evicted from the bounded retraining corpus.", float64(s.TracesEvicted))
-	p.Histogram("adprom_lifecycle_retrain_duration_seconds", "Duration of completed background retraining runs.", s.Retrain)
-	return p.Err()
-}

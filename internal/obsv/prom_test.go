@@ -153,32 +153,3 @@ func TestPromWriterStickyError(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("sink failed") }
-
-func TestWriteLifecycleProm(t *testing.T) {
-	var lc metrics.Lifecycle
-	lc.AddDriftSample()
-	lc.AddDriftSignal()
-	lc.AddRetrainStarted()
-	lc.AddRetrainSucceeded()
-	lc.AddSwap()
-	lc.ObserveRetrain(5_000_000)
-
-	var sb strings.Builder
-	if err := WriteLifecycleProm(&sb, lc.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	series := checkPromText(t, sb.String())
-	for key, want := range map[string]float64{
-		"adprom_lifecycle_drift_samples_total":            1,
-		"adprom_lifecycle_drift_signals_total":            1,
-		"adprom_lifecycle_retrains_started_total":         1,
-		"adprom_lifecycle_retrains_succeeded_total":       1,
-		"adprom_lifecycle_retrains_failed_total":          0,
-		"adprom_lifecycle_swaps_total":                    1,
-		"adprom_lifecycle_retrain_duration_seconds_count": 1,
-	} {
-		if got := series[key]; got != want {
-			t.Errorf("%s = %g, want %g", key, got, want)
-		}
-	}
-}

@@ -133,7 +133,7 @@ func loadPayload(r io.Reader) (*Profile, error) {
 }
 
 // checkShape validates the structural invariants detection relies on, without
-// re-verifying row stochasticity (float-exact through gob, and retraining
+// re-verifying row stochasticity (float-exact through gob, and training
 // smooths anyway).
 func checkShape(p *Profile) error {
 	m := p.Model

@@ -1,7 +1,7 @@
 // Package retain is the one bounded-retention primitive of the runtime: a
 // fixed-capacity FIFO Ring, a shared 1-in-N sampling Gate, and a keep-alerts
-// Log built from two rings and one gate. The decision log, the trace store,
-// the retraining corpus and the drift window all keep their records here.
+// Log built from two rings and one gate. The decision log and the trace
+// store keep their records here.
 package retain
 
 import (

@@ -52,9 +52,10 @@
 // # Profile generations and hot-swap
 //
 // The serving profile is versioned: the runtime starts at generation 1 and
-// SwapProfile atomically publishes a retrained profile as generation N+1
-// with zero downtime. The swap protocol keeps detection correct without any
-// locking on the hot path:
+// SwapProfile atomically publishes the next profile — in a fleet, a
+// generation published into the tenant's lineage (tenant.Registry.Watch) —
+// as generation N+1 with zero downtime. The swap protocol keeps detection
+// correct without any locking on the hot path:
 //
 //   - Each session's engine is tagged with the generation it was built over.
 //     In-flight windows always finish scoring against that generation — an
@@ -155,11 +156,11 @@ type AlertFunc func(session string, a detect.Alert)
 // cannot veto a judgement; a panic inside it counts as an engine panic and
 // quarantines the session whose judgement it was observing. It runs on
 // worker goroutines, must be cheap, and must be safe for concurrent use —
-// the profile-lifecycle drift estimator is the intended consumer. at is the
-// op's single clock capture: the worker reads time.Now once per observed
-// call and threads the same timestamp through the latency histogram, the
-// provenance Decision, and every observer, so downstream samplers never
-// re-read the clock on the hot path.
+// benchmark instrumentation and test fault injection are its consumers. at
+// is the op's single clock capture: the worker reads time.Now once per
+// observed call and threads the same timestamp through the latency
+// histogram, the provenance Decision, and every observer, so downstream
+// samplers never re-read the clock on the hot path.
 type JudgeObserver func(session string, seq int, at time.Time, score float64, flagged bool)
 
 // WorkerHook runs on the worker goroutine before each op, *outside* the
@@ -176,7 +177,6 @@ type config struct {
 	observer      JudgeObserver
 	workerHook    WorkerHook
 	scorerMode    hmm.ScorerMode
-	attach        []func(*Runtime)
 	logger        *slog.Logger
 	decisionCap   int
 	decisionEvery int
@@ -189,19 +189,6 @@ type config struct {
 
 // Option configures a Runtime.
 type Option func(*config)
-
-// Options bundles several options into one, applying them in order (nils are
-// skipped) — the composition seam for facade options that expand to more
-// than one runtime option.
-func Options(opts ...Option) Option {
-	return func(c *config) {
-		for _, o := range opts {
-			if o != nil {
-				o(c)
-			}
-		}
-	}
-}
 
 // WithWorkers sets the number of detection workers (default GOMAXPROCS).
 func WithWorkers(n int) Option {
@@ -255,17 +242,6 @@ func WithSinkBuffer(n int) Option {
 // completed HMM-window judgements; see JudgeObserver.
 func WithJudgeObserver(fn JudgeObserver) Option {
 	return func(c *config) { c.observer = fn }
-}
-
-// WithAttach registers fn to run against the fully constructed Runtime just
-// before New returns — the seam components like the lifecycle manager use to
-// bind themselves to the runtime they are configured into.
-func WithAttach(fn func(*Runtime)) Option {
-	return func(c *config) {
-		if fn != nil {
-			c.attach = append(c.attach, fn)
-		}
-	}
 }
 
 // WithLogger installs a structured event logger: worker restarts, session
@@ -579,8 +555,9 @@ func (s *Session) ShedCalls() uint64 {
 }
 
 // New builds a runtime over a trained profile. The profile becomes generation
-// 1 and is treated as immutable from this point on: publish retrained models
-// through SwapProfile, never by mutating a served profile in place.
+// 1 and is treated as immutable from this point on: put a newly trained
+// profile live through SwapProfile, never by mutating a served profile in
+// place.
 func New(p *profile.Profile, opts ...Option) *Runtime {
 	cfg := config{
 		workers:       stdruntime.GOMAXPROCS(0),
@@ -628,9 +605,6 @@ func New(p *profile.Profile, opts ...Option) *Runtime {
 		rt.queues[i] = make(chan op, cfg.queueDepth)
 		rt.wg.Add(1)
 		go rt.supervise(i)
-	}
-	for _, fn := range cfg.attach {
-		fn(rt)
 	}
 	return rt
 }

@@ -12,9 +12,8 @@
 //   - recent alerts: a session that flagged within the last AlertMemory
 //     windows has risk 1 and is never shed;
 //   - score drift: a Page–Hinkley accumulator over the session's window
-//     scores (the same test shape internal/lifecycle runs fleet-wide),
-//     so a session whose scores are sliding toward the threshold gains risk
-//     before it ever alerts;
+//     scores, so a session whose scores are sliding toward the threshold
+//     gains risk before it ever alerts;
 //   - sensitive touches: calls that output targeted data or carry an
 //     administrator-marked sensitive label (e.g. derived from query
 //     signatures against protected tables, internal/qsig);

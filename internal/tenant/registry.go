@@ -87,9 +87,10 @@ func (r *Registry) LoadTenant(tenant string) (*profile.Profile, error) {
 	return p, nil
 }
 
-// Publish persists p as tenant's next generation (1 for a fresh lineage),
-// written atomically with a checksummed manifest entry.
-func (r *Registry) Publish(tenant string, p *profile.Profile, source string) (lifecycle.Entry, error) {
+// Publish persists a saved profile's bytes, unchanged, as tenant's next
+// generation (1 for a fresh lineage), written atomically with a checksummed
+// manifest entry; see lifecycle.Registry.Add.
+func (r *Registry) Publish(tenant string, saved []byte, source string) (lifecycle.Entry, error) {
 	reg, err := r.lineage(tenant)
 	if err != nil {
 		return lifecycle.Entry{}, err
@@ -100,7 +101,7 @@ func (r *Registry) Publish(tenant string, p *profile.Profile, source string) (li
 	if err != nil {
 		return lifecycle.Entry{}, err
 	}
-	return reg.Add(p, latest.Generation+1, source)
+	return reg.Add(saved, latest.Generation+1, source)
 }
 
 // Swap reports one published generation Watch tried to put live.

@@ -18,14 +18,14 @@ func TestRegistryPublishAndLoad(t *testing.T) {
 	if _, err := reg.LoadTenant("apph"); err == nil {
 		t.Fatal("empty lineage loaded without error")
 	}
-	e1, err := reg.Publish("apph", p, "test")
+	e1, err := reg.Publish("apph", encode(t, p), "test")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e1.Generation != 1 {
 		t.Fatalf("first generation = %d, want 1", e1.Generation)
 	}
-	e2, err := reg.Publish("apph", p, "test")
+	e2, err := reg.Publish("apph", encode(t, p), "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRegistryPublishAndLoad(t *testing.T) {
 		t.Fatalf("loaded profile mismatch: %s/%v", loaded.Program, loaded.Threshold)
 	}
 
-	if e, err := reg.Publish("other", p, "test"); err != nil || e.Generation != 1 {
+	if e, err := reg.Publish("other", encode(t, p), "test"); err != nil || e.Generation != 1 {
 		t.Fatalf("another tenant's first publish: generation %d, %v; want its own lineage at 1", e.Generation, err)
 	}
 }
@@ -54,7 +54,7 @@ func TestRegistryRejectsHostileTenantIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"", ".", "..", "../etc", "a/b", `a\b`, "x\x00y"} {
-		if _, err := reg.Publish(id, p, "test"); err == nil {
+		if _, err := reg.Publish(id, encode(t, p), "test"); err == nil {
 			t.Errorf("hostile id %q accepted by Publish", id)
 		}
 		if _, err := reg.LoadTenant(id); err == nil {
@@ -71,7 +71,7 @@ func TestRouterLoadsFromRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Publish("apph", p, "test"); err != nil {
+	if _, err := reg.Publish("apph", encode(t, p), "test"); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewRouter(Config{Loader: reg})

@@ -3,6 +3,7 @@ package tenant
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -50,15 +51,21 @@ func nextSwap(t *testing.T, swaps <-chan Swap) Swap {
 	}
 }
 
-// withThreshold returns a copy of p, through a save/load round trip, whose
-// detection threshold is thr.
-func withThreshold(t *testing.T, p *profile.Profile, thr float64) *profile.Profile {
+// encode returns p's saved bytes, what Publish takes.
+func encode(t *testing.T, p *profile.Profile) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q, err := profile.Load(&buf)
+	return buf.Bytes()
+}
+
+// withThreshold returns a copy of p, through a save/load round trip, whose
+// detection threshold is thr.
+func withThreshold(t *testing.T, p *profile.Profile, thr float64) *profile.Profile {
+	t.Helper()
+	q, err := profile.Load(bytes.NewReader(encode(t, p)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +75,7 @@ func withThreshold(t *testing.T, p *profile.Profile, thr float64) *profile.Profi
 
 func publish(t *testing.T, reg *Registry, tenant string, p *profile.Profile) lifecycle.Entry {
 	t.Helper()
-	e, err := reg.Publish(tenant, p, "test")
+	e, err := reg.Publish(tenant, encode(t, p), "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +236,90 @@ func TestWatchLeavesColdTenantsCold(t *testing.T) {
 	publish(t, reg, "a", p)
 	if sw := nextSwap(t, swaps); sw.Tenant != "a" || sw.Err != nil || sw.Entry.Generation != 3 || sw.Generation != 2 {
 		t.Fatalf("after reloading a at generation 2 and publishing 3, the watcher reported %+v", sw)
+	}
+}
+
+// TestInterruptedPublishLeavesGenerationOneLive: a publish killed between
+// writing a temp file and renaming it leaves a .gen-*.tmp-* or
+// .manifest.json.tmp-* file in the lineage. Neither is a generation: the
+// loader serves generation 1, the watcher swaps and reports nothing, and the
+// next publish becomes generation 2 and goes live.
+func TestInterruptedPublishLeavesGenerationOneLive(t *testing.T) {
+	p, traces := trainAppH(t)
+	reg, err := OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish(t, reg, "apph", p)
+	publish(t, reg, "beacon", p)
+
+	// The leftovers of a generation-2 publish: half its profile file, and a
+	// whole manifest naming it.
+	lineage := filepath.Join(reg.Dir(), "apph")
+	gen2 := encode(t, withThreshold(t, p, p.Threshold-1))
+	info, _, err := profile.Inspect(bytes.NewReader(gen2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin, err := lifecycle.OpenRegistry(lineage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := lin.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries = append(entries, lifecycle.Entry{
+		Generation: 2, Source: "test", Checksum: info.Checksum, File: "gen-000002.adprof", Program: p.Program,
+	})
+	manifest, err := json.Marshal(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		".gen-000002.adprof.tmp-2718281828": gen2[:len(gen2)/2],
+		".manifest.json.tmp-3141592653":     manifest,
+	} {
+		if err := os.WriteFile(filepath.Join(lineage, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	loaded, err := reg.LoadTenant("apph")
+	if err != nil || loaded.Threshold != p.Threshold {
+		t.Fatalf("loader beside the leftovers: %v; want generation 1's threshold %v", err, p.Threshold)
+	}
+	r, err := NewRouter(Config{Loader: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, id := range []string{"apph", "beacon"} {
+		if err := r.ObserveTraced(trace.Context{}, id, "s", traces[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh, err := r.Shard("apph")
+	if err != nil {
+		t.Fatal(err)
+	}
+	swaps, _ := watch(t, reg, r)
+	if others := settle(t, reg, swaps, "beacon", p); len(others) != 0 {
+		t.Fatalf("the leftovers were reported: %+v", others)
+	}
+	if g, thr := sh.Runtime().Generation(), sh.Runtime().Profile().Threshold; g != 1 || thr != p.Threshold {
+		t.Fatalf("apph at runtime generation %d, threshold %v beside the leftovers; want 1, %v", g, thr, p.Threshold)
+	}
+
+	thr2 := p.Threshold - 2
+	if e := publish(t, reg, "apph", withThreshold(t, p, thr2)); e.Generation != 2 {
+		t.Fatalf("the publish after the interrupted one is generation %d, want 2", e.Generation)
+	}
+	if sw := nextSwap(t, swaps); sw.Err != nil || sw.Tenant != "apph" || sw.Entry.Generation != 2 || sw.Threshold != thr2 {
+		t.Fatalf("publishing generation 2 reported %+v", sw)
+	}
+	if got := sh.Runtime().Profile().Threshold; got != thr2 {
+		t.Fatalf("apph serves threshold %v, want generation 2's %v", got, thr2)
 	}
 }
 
