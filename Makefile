@@ -44,8 +44,9 @@ vet:
 
 # The runtime package is the concurrency-critical surface; -race across the
 # whole module also covers the facade's Runtime tests. tenant and ingest
-# carry the fleet chaos suite and the network front door; retain and trace
-# hold the bounded logs every worker records decisions and traces into.
+# carry the fleet chaos suite, the profile lineage store and the network
+# front door; retain and trace hold the bounded logs every worker records
+# decisions and traces into.
 # The runtime's soak and slow-sink tests (TestSessionStateBounded,
 # TestSlowSinkLosesNothingThatFits) skip themselves here: the race
 # detector's overhead would swamp their heap, latency and timing bounds, so
@@ -54,7 +55,7 @@ vet:
 # the second line races the training tests only, since all of internal/hmm
 # under -race takes close to a minute.
 race:
-	$(GO) test -race ./internal/runtime/... ./internal/lifecycle/... ./internal/tenant/... ./internal/ingest/... ./internal/retain ./internal/trace .
+	$(GO) test -race ./internal/runtime/... ./internal/tenant/... ./internal/ingest/... ./internal/retain ./internal/trace .
 	$(GO) test -race -run '$(TRAIN_TESTS)' ./internal/hmm
 	$(GO) test -race ./internal/pca ./internal/kmeans
 

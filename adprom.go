@@ -50,7 +50,6 @@ import (
 	"adprom/internal/hmm"
 	"adprom/internal/interp"
 	"adprom/internal/ir"
-	"adprom/internal/lifecycle"
 	"adprom/internal/metrics"
 	"adprom/internal/minidb"
 	"adprom/internal/obsv"
@@ -59,6 +58,7 @@ import (
 	"adprom/internal/runtime"
 	"adprom/internal/shed"
 	"adprom/internal/sqlchan"
+	"adprom/internal/tenant"
 	"adprom/internal/trace"
 )
 
@@ -152,11 +152,12 @@ type (
 // Profile generations: a profile trained from the release is published into
 // a versioned store and put live with zero downtime (Runtime.SwapProfile).
 type (
-	// ProfileRegistry is the versioned on-disk store of profile generations;
-	// see OpenProfileRegistry.
-	ProfileRegistry = lifecycle.Registry
-	// RegistryEntry describes one persisted profile generation.
-	RegistryEntry = lifecycle.Entry
+	// ProfileRegistry is the versioned on-disk store of profile generations,
+	// one lineage per tenant; the store `adprom serve -tenant-dir` serves.
+	// See OpenProfileRegistry.
+	ProfileRegistry = tenant.Registry
+	// RegistryEntry describes one published profile generation.
+	RegistryEntry = tenant.Entry
 )
 
 // Profile serialisation errors (Profile.Save / LoadProfile); match with
@@ -532,13 +533,15 @@ func NewIntrospectionHandler(rt *Runtime) http.Handler {
 	return obsv.NewHandler(rt.Introspection())
 }
 
-// OpenProfileRegistry opens the versioned profile store rooted at dir: one
-// file per published generation plus a manifest, all written atomically.
-// Add takes a profile's saved bytes (Profile.Save) and stores them
-// unchanged. Opening creates nothing; the directory is created by the first
-// Add.
+// OpenProfileRegistry opens the versioned profile store rooted at dir,
+// creating dir if needed: one lineage per tenant, each one file per
+// published generation plus a manifest, all written atomically. Publish
+// takes a profile's saved bytes (Profile.Save), refuses a stream that fails
+// its checksum or carries trailing bytes, stores the bytes unchanged, and
+// numbers the tenant's generations itself; LoadEntry and LoadTenant verify
+// each file against its manifest checksum.
 func OpenProfileRegistry(dir string) (*ProfileRegistry, error) {
-	return lifecycle.OpenRegistry(dir)
+	return tenant.OpenRegistry(dir)
 }
 
 // LoadProfile reads a profile saved with Profile.Save, accepting both the

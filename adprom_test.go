@@ -318,16 +318,60 @@ func TestFacadeLifecycleSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, err := reg.Add(saved, gen, "operator")
+	entry, err := reg.Publish("app", saved, "operator")
 	if err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := reg.LoadEntry(entry)
+	reloaded, err := reg.LoadEntry("app", entry)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reloaded.Program != prof.Program || reloaded.Threshold != prof.Threshold {
 		t.Fatal("registry round trip diverged")
+	}
+}
+
+// TestFacadeRegistryNumbersGenerations publishes one saved profile twice
+// through the facade's store: the store numbers the generations itself, so
+// the second publish is generation 2 in its own file rather than a second
+// manifest entry over generation 1's file, and each generation loads
+// against its own manifest checksum.
+func TestFacadeRegistryNumbersGenerations(t *testing.T) {
+	app := HospitalApp()
+	traces, err := app.CollectTraces(ModeADPROM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := Train(app.Prog, traces, TrainOptions{Train: HMMOptions{MaxIters: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := prof.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := OpenProfileRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want := uint64(1); want <= 2; want++ {
+		e, err := reg.Publish("apph", buf.Bytes(), "operator")
+		if err != nil || e.Generation != want {
+			t.Fatalf("publish %d: generation %d, %v", want, e.Generation, err)
+		}
+	}
+	entries, err := reg.Entries("apph")
+	if err != nil || len(entries) != 2 {
+		t.Fatalf("manifest after two publishes: %+v, %v; want 2 entries", entries, err)
+	}
+	for i, e := range entries {
+		if e.Generation != uint64(i+1) || e.File == entries[1-i].File {
+			t.Fatalf("entry %d: %+v beside %+v; want generation %d in its own file", i, e, entries[1-i], i+1)
+		}
+		p, err := reg.LoadEntry("apph", e)
+		if err != nil || p.Threshold != prof.Threshold {
+			t.Fatalf("generation %d does not load against its checksum %s: %v", e.Generation, e.Checksum, err)
+		}
 	}
 }
 

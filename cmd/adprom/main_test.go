@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"adprom/internal/lifecycle"
 	"adprom/internal/profile"
+	"adprom/internal/tenant"
 )
 
 func TestLookupApp(t *testing.T) {
@@ -115,11 +115,11 @@ func TestCmdServeProfileDir(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve -tenant-dir: %v", err)
 	}
-	reg, err := lifecycle.OpenRegistry(filepath.Join(dir, "apph"))
+	reg, err := tenant.OpenRegistry(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ents, err := reg.Entries(); err != nil || len(ents) != 1 || ents[0].Source != "operator" {
+	if ents, err := reg.Entries("apph"); err != nil || len(ents) != 1 || ents[0].Source != "operator" {
 		t.Fatalf("apph lineage after serve: %+v, %v; want only the operator's generation", ents, err)
 	}
 	if _, err := parseServe([]string{"-app", "apph", "-profile", path, "-tenant-dir", dir}); err == nil {
@@ -145,18 +145,19 @@ func TestProfilePublishKeepsFileBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg, err := tenant.OpenRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range []string{"a", "b"} {
 		if err := cmdProfile([]string{"publish", "-tenant-dir", dir, "-tenant", id, path}); err != nil {
 			t.Fatalf("publishing for %s: %v", id, err)
 		}
-		reg, err := lifecycle.OpenRegistry(filepath.Join(dir, id))
-		if err != nil {
-			t.Fatal(err)
+		ents, err := reg.Entries(id)
+		if err != nil || len(ents) == 0 || ents[len(ents)-1].Checksum != info.Checksum {
+			t.Fatalf("tenant %s manifest %+v (%v), want its newest entry at crc32 %s", id, ents, err, info.Checksum)
 		}
-		e, ok, err := reg.Latest()
-		if err != nil || !ok || e.Checksum != info.Checksum {
-			t.Fatalf("tenant %s manifest entry %+v (%v, %v), want crc32 %s", id, e, ok, err, info.Checksum)
-		}
+		e := ents[len(ents)-1]
 		got, err := os.ReadFile(filepath.Join(dir, id, e.File))
 		if err != nil {
 			t.Fatal(err)
@@ -164,6 +165,36 @@ func TestProfilePublishKeepsFileBytes(t *testing.T) {
 		if !bytes.Equal(got, src) {
 			t.Fatalf("tenant %s %s differs from the published file", id, e.File)
 		}
+	}
+}
+
+// TestProfileTrailingBytesRefused: a saved profile with bytes appended is
+// corrupt to inspect and to publish alike, and publish names the file.
+func TestProfileTrailingBytesRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a profile")
+	}
+	path := trainTestProfile(t, t.TempDir())
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("trailing")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdProfile([]string{"inspect", path}); !errors.Is(err, profile.ErrCorrupt) {
+		t.Fatalf("inspect with 8 trailing bytes: %v, want ErrCorrupt", err)
+	}
+	dir := t.TempDir()
+	err = cmdProfile([]string{"publish", "-tenant-dir", dir, "-tenant", "apph", path})
+	if !errors.Is(err, profile.ErrCorrupt) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("publish with 8 trailing bytes: %v, want ErrCorrupt naming %s", err, path)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "apph")); !os.IsNotExist(err) {
+		t.Fatalf("a refused publish left a lineage behind: %v", err)
 	}
 }
 

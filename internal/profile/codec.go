@@ -1,7 +1,7 @@
 package profile
 
 // Versioned on-disk codec. Profiles are long-lived artefacts that outlive the
-// process that trained them — the lifecycle registry persists one file per
+// process that trained them — the tenant profile store persists one file per
 // generation, and `adprom profile publish` accepts whatever file an operator
 // hands it — so the serialisation needs to fail loudly and precisely on corrupt or
 // incompatible input instead of surfacing an opaque gob error (or worse,
@@ -15,12 +15,12 @@ package profile
 //	crc     uint32   big-endian IEEE CRC-32 of the payload
 //	payload []byte   gob-encoded Profile
 //
-// Load also accepts the v0 format (a bare gob stream, everything written
-// before the header existed): the stream is sniffed via the magic bytes, so
-// old profile files keep loading unchanged.
+// and nothing after the payload. Load and Inspect are one decoder over the
+// bytes read. It also accepts the v0 format (a bare gob stream, everything
+// written before the header existed): the stream is sniffed via the magic
+// bytes, so old profile files keep loading unchanged.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -35,8 +35,8 @@ const (
 	FormatVersion = 1
 
 	headerLen = 6 + 2 + 8 + 4
-	// maxPayload bounds the declared payload length so a corrupt header
-	// cannot make Load attempt a multi-gigabyte allocation.
+	// maxPayload bounds the payload a header may declare, and so how many
+	// bytes Load reads before it refuses a stream.
 	maxPayload = 1 << 30
 )
 
@@ -45,7 +45,8 @@ var magic = [6]byte{'A', 'D', 'P', 'R', 'O', 'F'}
 // Typed load failures; both wrap detail and are matchable with errors.Is.
 var (
 	// ErrCorrupt reports a profile stream that is truncated, bit-flipped
-	// (checksum mismatch), or decodes into an unusable profile.
+	// (checksum mismatch), followed by trailing bytes, or decodes into an
+	// unusable profile.
 	ErrCorrupt = errors.New("profile: corrupt profile data")
 	// ErrIncompatible reports a well-formed profile written by a newer format
 	// version than this binary understands.
@@ -77,52 +78,21 @@ func (p *Profile) Save(w io.Writer) error {
 // in nondeterministic order, so two encodings of the same profile produce
 // different payload bytes. A checksum therefore fingerprints one particular
 // saved stream, not the logical profile — read it from real bytes via
-// Inspect, as the lifecycle registry does.
+// Inspect, as the tenant profile store does.
 
 // Load decodes a profile written by Save: the versioned v1 format, or the
-// headerless v0 gob stream for back-compat. Corrupt input fails with an error
-// wrapping ErrCorrupt; a newer format version fails with ErrIncompatible.
+// headerless v0 gob stream for back-compat. It reads r to the end; see
+// Inspect for what it checks.
 func Load(r io.Reader) (*Profile, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(magic))
-	if err != nil || !bytes.Equal(head, magic[:]) {
-		// v0: a bare gob stream (or junk, which gob will reject).
-		return loadPayload(br)
-	}
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrCorrupt, err)
-	}
-	version := binary.BigEndian.Uint16(hdr[6:8])
-	if version == 0 || version > FormatVersion {
-		return nil, fmt.Errorf("%w: version %d (this build reads <= %d)",
-			ErrIncompatible, version, FormatVersion)
-	}
-	length := binary.BigEndian.Uint64(hdr[8:16])
-	if length > maxPayload {
-		return nil, fmt.Errorf("%w: declared payload of %d bytes exceeds limit", ErrCorrupt, length)
-	}
-	sum := binary.BigEndian.Uint32(hdr[16:20])
-	// ReadAll over a LimitReader grows incrementally, so a truncated stream
-	// fails cheaply instead of allocating the declared length up front.
-	payload, err := io.ReadAll(io.LimitReader(br, int64(length)))
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading payload: %v", ErrCorrupt, err)
-	}
-	if uint64(len(payload)) != length {
-		return nil, fmt.Errorf("%w: truncated payload: %d of %d bytes", ErrCorrupt, len(payload), length)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch: %08x, header says %08x", ErrCorrupt, got, sum)
-	}
-	return loadPayload(bytes.NewReader(payload))
+	_, p, err := Inspect(r)
+	return p, err
 }
 
 // loadPayload gob-decodes one profile and rejects decodes that produce an
 // unusable model (possible when a corrupt v0 stream happens to parse).
-func loadPayload(r io.Reader) (*Profile, error) {
+func loadPayload(payload []byte) (*Profile, error) {
 	var p Profile
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
 		return nil, fmt.Errorf("%w: decoding: %v", ErrCorrupt, err)
 	}
 	if err := checkShape(&p); err != nil {
@@ -166,9 +136,11 @@ func checkShape(p *Profile) error {
 type Info struct {
 	// FormatVersion is 0 for headerless legacy streams.
 	FormatVersion int
-	// PayloadBytes is the gob payload size.
+	// PayloadBytes is the gob payload size the header declares (the whole
+	// stream for v0).
 	PayloadBytes int
-	// Checksum is the hex CRC-32 of the payload (computed for v0 streams).
+	// Checksum is the hex CRC-32 the header declares and the payload was
+	// verified against (computed for v0 streams).
 	Checksum string
 	// Program, states, alphabet and detection parameters of the decoded
 	// profile.
@@ -181,36 +153,72 @@ type Info struct {
 	TrainedIters int
 }
 
-// Inspect reads a saved profile and reports its codec-level and model-level
-// summary, failing with the same typed errors as Load.
+// Inspect reads r to the end and decodes the bytes as one saved profile,
+// reporting its codec-level and model-level summary. A v1 stream must be
+// exactly its header plus the declared payload, and the payload must match
+// the header's CRC-32; anything else (truncation, trailing bytes, a bit
+// flip, or a decode into an unusable profile) fails with an error wrapping
+// ErrCorrupt, and a newer format version fails with ErrIncompatible.
 func Inspect(r io.Reader) (*Info, *Profile, error) {
 	raw, err := io.ReadAll(io.LimitReader(r, maxPayload+headerLen+1))
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: reading: %v", ErrCorrupt, err)
 	}
-	p, err := Load(bytes.NewReader(raw))
-	if err != nil {
-		return nil, nil, err
-	}
-	info := &Info{
-		Program:   p.Program,
-		States:    p.Model.N,
-		Symbols:   len(p.Symbols),
-		WindowLen: p.WindowLen,
-		Threshold: p.Threshold,
-		Reduced:   p.Reduced,
-	}
-	if p.TrainResult != nil {
-		info.TrainedIters = p.TrainResult.Iterations
-	}
-	if len(raw) >= headerLen && bytes.Equal(raw[:6], magic[:]) {
-		info.FormatVersion = int(binary.BigEndian.Uint16(raw[6:8]))
-		payload := raw[headerLen:]
-		info.PayloadBytes = len(payload)
-		info.Checksum = fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload))
+	info := &Info{}
+	payload := raw
+	if bytes.HasPrefix(raw, magic[:]) {
+		if payload, err = checkHeader(raw, info); err != nil {
+			return nil, nil, err
+		}
 	} else {
+		// v0: a bare gob stream (or junk, which gob will reject).
 		info.PayloadBytes = len(raw)
 		info.Checksum = fmt.Sprintf("%08x", crc32.ChecksumIEEE(raw))
 	}
+	p, err := loadPayload(payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	info.Program = p.Program
+	info.States = p.Model.N
+	info.Symbols = len(p.Symbols)
+	info.WindowLen = p.WindowLen
+	info.Threshold = p.Threshold
+	info.Reduced = p.Reduced
+	if p.TrainResult != nil {
+		info.TrainedIters = p.TrainResult.Iterations
+	}
 	return info, p, nil
+}
+
+// checkHeader validates a v1 stream's header against the bytes that follow
+// it, records the header in info, and returns the verified payload.
+func checkHeader(raw []byte, info *Info) ([]byte, error) {
+	if len(raw) < headerLen {
+		return nil, fmt.Errorf("%w: truncated header: %d of %d bytes", ErrCorrupt, len(raw), headerLen)
+	}
+	version := binary.BigEndian.Uint16(raw[6:8])
+	if version == 0 || version > FormatVersion {
+		return nil, fmt.Errorf("%w: version %d (this build reads <= %d)",
+			ErrIncompatible, version, FormatVersion)
+	}
+	length := binary.BigEndian.Uint64(raw[8:16])
+	if length > maxPayload {
+		return nil, fmt.Errorf("%w: declared payload of %d bytes exceeds limit", ErrCorrupt, length)
+	}
+	sum := binary.BigEndian.Uint32(raw[16:20])
+	payload := raw[headerLen:]
+	switch n := uint64(len(payload)); {
+	case n < length:
+		return nil, fmt.Errorf("%w: truncated payload: %d of %d bytes", ErrCorrupt, n, length)
+	case n > length:
+		return nil, fmt.Errorf("%w: %d trailing bytes after the %d-byte payload", ErrCorrupt, n-length, length)
+	}
+	if got := crc32.ChecksumIEEE(payload); got != sum {
+		return nil, fmt.Errorf("%w: checksum mismatch: %08x, header says %08x", ErrCorrupt, got, sum)
+	}
+	info.FormatVersion = int(version)
+	info.PayloadBytes = int(length)
+	info.Checksum = fmt.Sprintf("%08x", sum)
+	return payload, nil
 }

@@ -86,6 +86,25 @@ func TestLoadRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsTrailingBytes: a v1 stream is exactly its header plus the
+// declared payload, so bytes appended to a saved profile make it corrupt
+// for Load and Inspect alike, rather than a file that loads but whose
+// reported size and CRC-32 cover bytes no decode read.
+func TestLoadRejectsTrailingBytes(t *testing.T) {
+	p := testProfile(t)
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	padded := append(buf.Bytes(), "trailing"...)
+	if _, err := Load(bytes.NewReader(padded)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Load with 8 trailing bytes: %v, want ErrCorrupt", err)
+	}
+	if _, _, err := Inspect(bytes.NewReader(padded)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Inspect with 8 trailing bytes: %v, want ErrCorrupt", err)
+	}
+}
+
 func TestLoadRejectsBitFlip(t *testing.T) {
 	p := testProfile(t)
 	var buf bytes.Buffer

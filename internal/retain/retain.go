@@ -1,7 +1,7 @@
 // Package retain is the one bounded-retention primitive of the runtime: a
-// fixed-capacity FIFO Ring, a shared 1-in-N sampling Gate, and a keep-alerts
-// Log built from two rings and one gate. The decision log and the trace
-// store keep their records here.
+// keep-alerts Log built from two fixed-capacity FIFO rings and one shared
+// 1-in-N sampling gate. The decision log and the trace store keep their
+// records here.
 package retain
 
 import (
@@ -9,21 +9,21 @@ import (
 	"sync/atomic"
 )
 
-// Ring is a fixed-capacity FIFO: Push appends until the ring is full, then
-// overwrites the oldest element. Storage grows as the ring fills. A Ring is
+// ring is a fixed-capacity FIFO: push appends until the ring is full, then
+// overwrites the oldest element. Storage grows as the ring fills. A ring is
 // not safe for concurrent use.
-type Ring[T any] struct {
+type ring[T any] struct {
 	buf  []T
 	max  int
 	head int // index of the oldest element once the ring is full
 }
 
-// NewRing builds a ring holding at most capacity elements (minimum 1).
-func NewRing[T any](capacity int) *Ring[T] { return &Ring[T]{max: max(capacity, 1)} }
+// newRing builds a ring holding at most capacity elements (minimum 1).
+func newRing[T any](capacity int) ring[T] { return ring[T]{max: max(capacity, 1)} }
 
-// Push appends v, evicting the oldest element when the ring is full, and
+// push appends v, evicting the oldest element when the ring is full, and
 // returns the evicted element and whether there was one.
-func (r *Ring[T]) Push(v T) (old T, evicted bool) {
+func (r *ring[T]) push(v T) (old T, evicted bool) {
 	if len(r.buf) < r.max {
 		r.buf = append(r.buf, v)
 		return old, false
@@ -33,31 +33,28 @@ func (r *Ring[T]) Push(v T) (old T, evicted bool) {
 	return old, true
 }
 
-// Len reports the number of elements held.
-func (r *Ring[T]) Len() int { return len(r.buf) }
+// size reports the number of elements held.
+func (r *ring[T]) size() int { return len(r.buf) }
 
-// Snapshot copies the held elements, oldest first.
-func (r *Ring[T]) Snapshot() []T {
+// snapshot copies the held elements, oldest first.
+func (r *ring[T]) snapshot() []T {
 	out := append(make([]T, 0, len(r.buf)), r.buf[r.head:]...)
 	return append(out, r.buf[:r.head]...)
 }
 
-// at returns the i-th oldest element (0 is the oldest, Len()-1 the newest).
-func (r *Ring[T]) at(i int) *T { return &r.buf[(r.head+i)%len(r.buf)] }
+// at returns the i-th oldest element (0 is the oldest, size()-1 the newest).
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)%len(r.buf)] }
 
-// Gate is a shared 1-in-N sampler: every Nth Take passes. It costs one atomic
+// gate is a shared 1-in-N sampler: every Nth take passes. It costs one atomic
 // add, so of U concurrent calls exactly ⌊U/N⌋, ±1 for the starting phase,
 // pass and no caller waits.
-type Gate struct {
+type gate struct {
 	every uint64
 	n     atomic.Uint64
 }
 
-// NewGate builds a gate passing one call in every; every ≤ 1 passes all.
-func NewGate(every int) *Gate { return &Gate{every: uint64(max(every, 1))} }
-
-// Take reports whether this call is sampled.
-func (g *Gate) Take() bool { return g.every <= 1 || g.n.Add(1)%g.every == 0 }
+// take reports whether this call is sampled.
+func (g *gate) take() bool { return g.every <= 1 || g.n.Add(1)%g.every == 0 }
 
 // Log is a bounded keep-alerts log with two classes: the newest capacity
 // healthy records that passed a 1-in-N gate, and the newest capacity alerts,
@@ -68,14 +65,14 @@ func (g *Gate) Take() bool { return g.every <= 1 || g.n.Add(1)%g.every == 0 }
 // it admits, stores and returns nothing. Safe for concurrent use; Admit
 // takes no lock.
 type Log[T any] struct {
-	gate       Gate
+	gate       gate
 	kept       atomic.Uint64
 	sampledOut atomic.Uint64
 
 	mu      sync.Mutex
 	seq     uint64 // commit counter: the newest-first merge key
-	healthy Ring[entry[T]]
-	alerts  Ring[entry[T]]
+	healthy ring[entry[T]]
+	alerts  ring[entry[T]]
 }
 
 type entry[T any] struct {
@@ -89,7 +86,7 @@ func NewLog[T any](capacity, sampleEvery int) *Log[T] {
 	if capacity <= 0 {
 		return nil
 	}
-	l := &Log[T]{healthy: Ring[entry[T]]{max: capacity}, alerts: Ring[entry[T]]{max: capacity}}
+	l := &Log[T]{healthy: newRing[entry[T]](capacity), alerts: newRing[entry[T]](capacity)}
 	l.gate.every = uint64(max(sampleEvery, 1))
 	return l
 }
@@ -101,7 +98,7 @@ func (l *Log[T]) Admit(alert bool) bool {
 	if l == nil {
 		return false
 	}
-	if alert || l.gate.Take() {
+	if alert || l.gate.take() {
 		return true
 	}
 	l.sampledOut.Add(1)
@@ -118,9 +115,9 @@ func (l *Log[T]) Add(v T, alert bool) {
 	l.mu.Lock()
 	l.seq++
 	if alert {
-		l.alerts.Push(entry[T]{l.seq, v})
+		l.alerts.push(entry[T]{l.seq, v})
 	} else {
-		l.healthy.Push(entry[T]{l.seq, v})
+		l.healthy.push(entry[T]{l.seq, v})
 	}
 	l.mu.Unlock()
 }
@@ -148,7 +145,7 @@ func (l *Log[T]) Newest(limit int) []T {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if n := l.healthy.Len() + l.alerts.Len(); limit <= 0 || limit > n {
+	if n := l.healthy.size() + l.alerts.size(); limit <= 0 || limit > n {
 		limit = n
 	}
 	out := make([]T, 0, limit)
@@ -179,7 +176,7 @@ func (l *Log[T]) Find(match func(*T) bool) (v T, ok bool) {
 // scan visits the records newest first, merging the classes by commit
 // order, until visit returns false. The caller holds mu.
 func (l *Log[T]) scan(visit func(*T) bool) {
-	h, a := l.healthy.Len()-1, l.alerts.Len()-1
+	h, a := l.healthy.size()-1, l.alerts.size()-1
 	for h >= 0 || a >= 0 {
 		var e *entry[T]
 		if a < 0 || (h >= 0 && l.healthy.at(h).seq > l.alerts.at(a).seq) {

@@ -33,19 +33,19 @@ func seqs(rs []rec) []int {
 }
 
 func TestRingEvictsOldestFirst(t *testing.T) {
-	r := NewRing[string](3)
+	r := newRing[string](3)
 	for _, l := range []string{"a", "b", "c"} {
-		if _, evicted := r.Push(l); evicted {
+		if _, evicted := r.push(l); evicted {
 			t.Fatalf("eviction before the ring was full (adding %s)", l)
 		}
 	}
-	if old, evicted := r.Push("d"); !evicted || old != "a" {
+	if old, evicted := r.push("d"); !evicted || old != "a" {
 		t.Fatalf("full ring evicted (%q, %v), want (\"a\", true)", old, evicted)
 	}
-	got := r.Snapshot()
+	got := r.snapshot()
 	want := []string{"b", "c", "d"}
-	if !reflect.DeepEqual(got, want) || r.Len() != 3 {
-		t.Fatalf("snapshot %v (len %d), want %v oldest first", got, r.Len(), want)
+	if !reflect.DeepEqual(got, want) || r.size() != 3 {
+		t.Fatalf("snapshot %v (len %d), want %v oldest first", got, r.size(), want)
 	}
 }
 

@@ -14,7 +14,7 @@
 //     its own shed controller, never another tenant's.
 //   - Profiles load lazily: the first call routed to a tenant materialises
 //     its shard, fetching the profile from the static map or the configured
-//     Loader (usually a Registry over per-tenant lifecycle stores). At most
+//     Loader (usually a Registry of per-tenant profile lineages). At most
 //     MaxActive shards stay resident; loading one more evicts the
 //     least-recently-routed shard, draining its sessions through
 //     Runtime.Close before the slot is reused.
@@ -63,8 +63,8 @@ var (
 
 // Loader resolves a tenant id to its trained profile — the lazy-load seam.
 // LoadTenant runs on the routing slow path (first call for a non-resident
-// tenant) and must be safe for concurrent use; a Registry over per-tenant
-// lifecycle stores is the standard implementation.
+// tenant) and must be safe for concurrent use; a Registry of per-tenant
+// profile lineages is the standard implementation.
 type Loader interface {
 	LoadTenant(id string) (*profile.Profile, error)
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"adprom/internal/lifecycle"
 	"adprom/internal/profile"
 	"adprom/internal/trace"
 )
@@ -73,7 +72,7 @@ func withThreshold(t *testing.T, p *profile.Profile, thr float64) *profile.Profi
 	return q
 }
 
-func publish(t *testing.T, reg *Registry, tenant string, p *profile.Profile) lifecycle.Entry {
+func publish(t *testing.T, reg *Registry, tenant string, p *profile.Profile) Entry {
 	t.Helper()
 	e, err := reg.Publish(tenant, encode(t, p), "test")
 	if err != nil {
@@ -261,15 +260,11 @@ func TestInterruptedPublishLeavesGenerationOneLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin, err := lifecycle.OpenRegistry(lineage)
+	entries, err := reg.Entries("apph")
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := lin.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries = append(entries, lifecycle.Entry{
+	entries = append(entries, Entry{
 		Generation: 2, Source: "test", Checksum: info.Checksum, File: "gen-000002.adprof", Program: p.Program,
 	})
 	manifest, err := json.Marshal(entries)
