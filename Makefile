@@ -62,17 +62,19 @@ race:
 # A short coverage-guided smoke over the hostile-input surfaces — the profile
 # codec, the ingest frame decoder, the NDJSON decoder against its
 # encoding/json reference, the SQL-channel scorer (arbitrary query text
-# and cardinalities), the minidb SQL parser with its integer literals
-# against their fmt.Sscanf reference, and the compact trace encoding that
-# retained decision traces live in (decode must return exactly the encoded
-# trace for any strings, attribute kinds, float bits and span counts):
-# enough to catch regressions on every verify without the cost of a long
-# campaign.
+# and cardinalities), the query-signature normaliser (its appending form
+# must leave the buffer's prefix alone), the minidb SQL parser with its
+# integer literals against their fmt.Sscanf reference, and the compact
+# trace encoding that retained decision traces live in (decode must return
+# exactly the encoded trace for any strings, attribute kinds, float bits
+# and span counts): enough to catch regressions on every verify without the
+# cost of a long campaign.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNDJSON$$' -fuzztime 5s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzSQLChanObserve$$' -fuzztime 5s ./internal/sqlchan
+	$(GO) test -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 5s ./internal/qsig
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/minidb
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceCodec$$' -fuzztime 5s ./internal/trace
 

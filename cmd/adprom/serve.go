@@ -57,9 +57,11 @@ type serveConfig struct {
 	// log is the -log event logger; nil without -log.
 	log *slog.Logger
 
-	// alert receives every alert the daemon raises; parseServe sets it to
-	// the event log (or stdout).
-	alert func(session string, a detect.Alert)
+	// alert receives every alert the daemon raises, tagged with its tenant;
+	// parseServe sets it to the event log (or alertOut).
+	alert tenant.AlertFunc
+	// alertOut is where alert lines go without -log: stdout.
+	alertOut io.Writer
 
 	// faults are runtime options applied after the flags' — the tests'
 	// fault and latency injectors. No flag sets them, so the shipped binary
@@ -72,7 +74,7 @@ type serveConfig struct {
 func (sc *serveConfig) replay() bool { return sc.ingestAddr == "" }
 
 func parseServe(args []string) (*serveConfig, error) {
-	sc := &serveConfig{}
+	sc := &serveConfig{alertOut: os.Stdout}
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	fs.StringVar(&sc.app, "app", "appb", "application whose traces the built-in replay streams in (without -ingest-addr)")
 	fs.StringVar(&sc.profile, "profile", "", "trained profile (gob) for the replayed app; trains fresh when empty")
@@ -113,15 +115,17 @@ func parseServe(args []string) (*serveConfig, error) {
 	// Alerts are the daemon's product, so deliver each one to the event log
 	// (or stdout) rather than leaving them visible only through /decisions.
 	// Routing them through the async sink pipeline also completes the traced
-	// op timeline — ingest→route→score→fusion→sink — for every alert.
-	sc.alert = func(session string, a detect.Alert) {
+	// op timeline — ingest→route→score→fusion→sink — for every alert. Two
+	// tenants may stream the same session ID, so every alert names its
+	// tenant.
+	sc.alert = func(tenant, session string, a detect.Alert) {
 		if sc.log != nil {
-			sc.log.Warn("alert", "session", session, "seq", a.Seq, "flag", a.Flag.String(), "score", a.Score,
+			sc.log.Warn("alert", "tenant", tenant, "session", session, "seq", a.Seq, "flag", a.Flag.String(), "score", a.Score,
 				"threshold", a.Threshold, "channels", strings.Join(a.Channels, ","))
 			return
 		}
-		fmt.Printf("alert: session=%s seq=%d flag=%s score=%.4f threshold=%.4f channels=%s\n",
-			session, a.Seq, a.Flag, a.Score, a.Threshold, strings.Join(a.Channels, ","))
+		fmt.Fprintf(sc.alertOut, "alert: tenant=%s session=%s seq=%d flag=%s score=%.4f threshold=%.4f channels=%s\n",
+			tenant, session, a.Seq, a.Flag, a.Score, a.Threshold, strings.Join(a.Channels, ","))
 	}
 	return sc, nil
 }
@@ -222,7 +226,6 @@ func (sc *serveConfig) runtimeOptions() ([]runtime.Option, error) {
 		runtime.WithWorkers(sc.workers),
 		runtime.WithQueueDepth(sc.queue),
 		runtime.WithScorerMode(mode),
-		runtime.WithAlertFunc(sc.alert),
 	}
 	if sc.log != nil {
 		opts = append(opts, runtime.WithLogger(sc.log))
@@ -276,6 +279,7 @@ func startDaemon(sc *serveConfig) (*daemon, error) {
 	cfg := tenant.Config{
 		MaxActive:            sc.maxActive,
 		MaxSessionsPerTenant: sc.quota,
+		Alert:                sc.alert,
 		RuntimeOptions:       opts,
 		Logger:               sc.log,
 	}

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"io"
+	"log/slog"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -106,7 +110,7 @@ func TestServeReplayMatchesMonitor(t *testing.T) {
 			}
 			var mu sync.Mutex
 			got := map[string][]detect.Alert{}
-			sc.alert = func(session string, a detect.Alert) {
+			sc.alert = func(_, session string, a detect.Alert) {
 				mu.Lock()
 				got[session] = append(got[session], a)
 				mu.Unlock()
@@ -401,5 +405,99 @@ func TestServeHotSwapsPublishedGenerations(t *testing.T) {
 	waitThreshold(rt, thr3)
 	if g := rt.Generation(); g != 2 {
 		t.Fatalf("a stray copy and one publish moved the reloaded apph to runtime generation %d, want 2", g)
+	}
+}
+
+// syncBuffer is a bytes.Buffer the daemon's sink goroutines may write to
+// concurrently.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServeAlertLinesNameTenant streams one session ID, ci, to two tenants
+// over the daemon's TCP ingest, as the CI fleet smoke does: three calls
+// from main that neither program issues there, then a close. Both tenants
+// alert, and every alert line, and with -log every alert record, names the
+// tenant that raised it.
+func TestServeAlertLinesNameTenant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains two profiles")
+	}
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		prefix string // before "tenant=<id> session=ci" on each tenant's line
+	}{
+		{"stdout", nil, "alert: "},
+		{"log", []string{"-log"}, "msg=alert "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := parseServe(append([]string{
+				"-tenants", "apph,appb", "-ingest-addr", "127.0.0.1:0", "-workers", "1",
+			}, tc.args...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out syncBuffer
+			sc.alertOut = &out
+			if sc.log != nil {
+				sc.log = slog.New(slog.NewTextHandler(&out, nil))
+			}
+			d, err := startDaemon(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.close()
+			conn, err := net.Dial("tcp", d.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tenants := []string{"apph", "appb"}
+			for _, tn := range tenants {
+				fmt.Fprintf(conn, `{"tenant":%q,"session":"ci","calls":[{"name":"fopen","caller":"main"},{"name":"fread","caller":"main"},{"name":"fclose","caller":"main"}]}`+"\n", tn)
+				fmt.Fprintf(conn, `{"tenant":%q,"session":"ci","op":"close"}`+"\n", tn)
+			}
+			conn.Close()
+			deadline := time.Now().Add(10 * time.Second)
+			for _, tn := range tenants {
+				for {
+					st, ok := d.router.TenantStats(tn)
+					if ok && st.Runtime.Calls == 3 && st.Runtime.SessionsOpened == 1 && st.Runtime.ActiveSessions == 0 {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("tenant %s never judged and closed its session: %+v", tn, st)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+			if err := d.close(); err != nil { // drains the alert sinks
+				t.Fatal(err)
+			}
+			text := out.String()
+			for _, tn := range tenants {
+				if !strings.Contains(text, tc.prefix+"tenant="+tn+" session=ci ") {
+					t.Errorf("no %stenant=%s session=ci line in:\n%s", tc.prefix, tn, text)
+				}
+			}
+			for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+				if strings.Contains(line, tc.prefix) && !strings.Contains(line, tc.prefix+"tenant=") {
+					t.Errorf("alert line names no tenant: %s", line)
+				}
+			}
+		})
 	}
 }

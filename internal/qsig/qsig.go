@@ -10,6 +10,7 @@
 package qsig
 
 import (
+	"bytes"
 	"sort"
 	"strings"
 
@@ -19,7 +20,15 @@ import (
 // Normalize reduces a query to its signature: string literals become '?',
 // numeric literals become ?, whitespace collapses, and keywords lower-case.
 func Normalize(sql string) string {
-	var sb strings.Builder
+	return string(AppendNormalized(nil, sql))
+}
+
+// AppendNormalized appends the signature Normalize returns for sql to dst
+// and returns the extended buffer. Into a buffer with room it allocates
+// nothing, so a scorer can derive every query's signature in scratch memory
+// it owns and look the signature up by those bytes.
+func AppendNormalized(dst []byte, sql string) []byte {
+	start := len(dst)
 	i := 0
 	lastSpace := true
 	for i < len(sql) {
@@ -39,17 +48,17 @@ func Normalize(sql string) string {
 				}
 				i++
 			}
-			sb.WriteString("'?'")
+			dst = append(dst, "'?'"...)
 			lastSpace = false
 		case c >= '0' && c <= '9':
 			for i < len(sql) && sql[i] >= '0' && sql[i] <= '9' {
 				i++
 			}
-			sb.WriteByte('?')
+			dst = append(dst, '?')
 			lastSpace = false
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			if !lastSpace {
-				sb.WriteByte(' ')
+				dst = append(dst, ' ')
 				lastSpace = true
 			}
 			i++
@@ -57,12 +66,15 @@ func Normalize(sql string) string {
 			if c >= 'A' && c <= 'Z' {
 				c += 'a' - 'A'
 			}
-			sb.WriteByte(c)
+			dst = append(dst, c)
 			lastSpace = false
 			i++
 		}
 	}
-	return strings.TrimSpace(sb.String())
+	// Trim what the loop cannot see coming: a trailing separator and any
+	// other Unicode space (a vertical tab, a no-break space) at either end.
+	sig := bytes.TrimSpace(dst[start:])
+	return dst[:start+copy(dst[start:], sig)]
 }
 
 // Tables extracts the table names a query touches: the identifiers following

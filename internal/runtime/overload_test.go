@@ -378,3 +378,75 @@ func TestOverloadShedByRiskProtectsAlertBearers(t *testing.T) {
 	}
 	checkGoroutines(t, before)
 }
+
+// TestPartialAdmissionScoresItsPrefix replays the partial-admission scenario
+// and checks what the worker scored. Each batch is copied into a pooled
+// buffer, the producer scribbles over its own slice as soon as the call
+// returns, and the 3-call prefix admitted from the last batch shares its
+// buffer with the 5 shed calls. The judgement the close makes over the 13
+// admitted calls must carry the bits a lone engine gives those calls.
+func TestPartialAdmissionScoresItsPrefix(t *testing.T) {
+	p, traces := trainAppH(t)
+	tr := traces[0]
+	gate := make(chan struct{})
+	var mu sync.Mutex
+	var got []float64
+	rt := New(p,
+		WithWorkers(1), WithQueueDepth(8), WithShedConfig(shed.Config{Seed: 1}),
+		WithWorkerHook(faultinject.WorkerGate(gate)),
+		WithJudgeObserver(func(_ string, _ int, _ time.Time, score float64, _ bool) {
+			mu.Lock()
+			got = append(got, score)
+			mu.Unlock()
+		}))
+	s := rt.Session("partial")
+	foreign := collector.Call{Label: "curl_easy_perform", Name: "curl_easy_perform", Caller: "main"}
+	observe := func(n int) error {
+		batch := append([]collector.Call(nil), tr[:n]...)
+		err := s.ObserveBatch(batch)
+		for i := range batch {
+			batch[i] = foreign
+		}
+		return err
+	}
+	if err := observe(5); err != nil {
+		t.Fatalf("first batch within budget rejected: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.WorkerQueueDepths()[0] != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker never dequeued the first batch; depths %v", rt.WorkerQueueDepths())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := observe(5); err != nil {
+		t.Fatalf("second batch within budget rejected: %v", err)
+	}
+	var bse *BatchShedError
+	if err := observe(8); !errors.As(err, &bse) || bse.Shed != 5 {
+		t.Fatalf("overflowing batch: err = %v, want 5 of 8 shed", err)
+	}
+	close(gate)
+	if _, err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []float64
+	e := detect.NewEngine(p)
+	e.SetJudgeHook(func(j detect.Judgement) { want = append(want, j.Score) })
+	e.ObserveBatch(tr[:5])
+	e.ObserveBatch(tr[:5])
+	e.ObserveBatch(tr[:3])
+	e.Flush()
+	if len(want) == 0 {
+		t.Fatal("the admitted calls were never judged; the comparison would be vacuous")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("runtime judged the admitted calls %v, a lone engine %v", got, want)
+	}
+}

@@ -14,8 +14,16 @@
 //     with no per-call locking; different sessions proceed in parallel.
 //   - Each session scores windows with a detect.Engine over the shared
 //     read-only profile. Engines maintain the HMM forward variables
-//     incrementally (hmm.StreamScorer) and are recycled through a sync.Pool
-//     when sessions close, so steady-state session churn does not allocate.
+//     incrementally (hmm.StreamScorer) and are recycled, with their SQL
+//     scorers, through a sync.Pool when sessions close.
+//   - The serving path makes no garbage in steady state. A single call
+//     travels inline in its op; a multi-call batch is copied into a buffer
+//     from the runtime's pool, which the worker clears and returns once it
+//     has scored the op. Flush and close replies come back on pooled
+//     channels, and a channel returns to the pool only after its reply has
+//     been read. So a warm session's batches and flushes allocate nothing,
+//     SQL channel included, and opening, feeding and closing a session
+//     allocates only the Session and its engine's judge hook.
 //   - Ingest queues are bounded. Under pressure a runtime either applies
 //     backpressure (the default — Observe waits for queue space) or, with
 //     WithShedConfig, sheds by session risk: an admission controller keyed
@@ -140,6 +148,11 @@ const (
 	restartBackoffBase = time.Millisecond
 	restartBackoffCap  = 100 * time.Millisecond
 )
+
+// maxPooledBatch caps the calls a pooled batch buffer may hold: a buffer
+// grown past it by a long batch goes to the GC instead of back to the pool,
+// so a hostile 65,535-call frame cannot pin its memory there.
+const maxPooledBatch = 1024
 
 // AlertFunc receives every alert raised by any session, tagged with the
 // session id. Delivery is asynchronous: workers put alerts in a bounded
@@ -372,7 +385,13 @@ type Runtime struct {
 	alertq chan alertMsg
 	sinkWG sync.WaitGroup
 
-	pool      sync.Pool // *pooledEngine, each tagged with its generation
+	pool sync.Pool // *pooledEngine, each tagged with its generation
+	// batches holds the buffers multi-call observe ops carry their copy of
+	// a batch in (*[]collector.Call), and replies the flush and close reply
+	// channels (chan reply). The worker returns a batch buffer once it has
+	// scored the op; a reply channel goes back once its reply has been read.
+	batches   sync.Pool
+	replies   sync.Pool
 	ctr       metrics.Counters
 	decisions *retain.Log[obsv.Decision] // decision provenance; nil when disabled
 	traces    *trace.Store               // decision traces; nil when tracing is disabled
@@ -407,11 +426,13 @@ type reply struct {
 
 type op struct {
 	s *Session
-	// An observe op carries a single call inline (call, calls nil), so
-	// per-call ingest allocates nothing, or an owned copy of a multi-call
-	// batch (calls).
+	// An observe op carries a single call inline (call, calls nil), or a
+	// multi-call batch in calls, copied into batch, a buffer from the
+	// runtime's pool. A batch admitted only in part shortens calls, never
+	// batch, so the whole buffer goes back to the pool.
 	call    collector.Call
 	calls   []collector.Call
+	batch   *[]collector.Call
 	kind    opKind
 	done    chan reply // buffered(1); at most one send (guarded by replied)
 	replied bool
@@ -474,6 +495,9 @@ type Session struct {
 	gen    uint64
 	dead   bool
 	opTime time.Time
+	// pooled is the pool entry engine came from, put back whole when the
+	// session closes so that recycling allocates nothing.
+	pooled *pooledEngine
 
 	// lastGen mirrors gen for readers outside the worker: it is stored by the
 	// worker before each op is scored, so after a synchronous Flush returns,
@@ -592,6 +616,8 @@ func New(p *profile.Profile, opts ...Option) *Runtime {
 		g := rt.cur.Load()
 		return &pooledEngine{gen: g.gen, e: detect.NewEngine(g.p)}
 	}
+	rt.batches.New = func() any { return new([]collector.Call) }
+	rt.replies.New = func() any { return make(chan reply, 1) }
 	// Force the shared scorer for the configured mode into existence before
 	// any worker races to use it (Profile.ScorerFor caches per mode anyway;
 	// this keeps first-call latency out of the serving path).
@@ -766,8 +792,8 @@ func (s *Session) ObserveBatchContext(ctx context.Context, calls []collector.Cal
 // immediately, an admitted one is finished by the worker after scoring (and
 // after any async sink deliveries it holds references for). With ta nil the
 // session opens the op's own trace (when tracing is on) once it accepts the
-// calls. The calls become one op: a single call inline, a longer run as an
-// owned copy.
+// calls. The calls become one op: a single call inline, a longer run
+// copied into a pooled buffer.
 func (s *Session) ObserveBatchTraced(ctx context.Context, ta *trace.Active, calls []collector.Call) error {
 	if len(calls) == 0 {
 		ta.Finish()
@@ -784,10 +810,29 @@ func (s *Session) ObserveBatchTraced(ctx context.Context, ta *trace.Active, call
 	if len(calls) == 1 {
 		o.call = calls[0]
 	} else {
-		o.calls = make([]collector.Call, len(calls))
-		copy(o.calls, calls)
+		o.batch = s.rt.batches.Get().(*[]collector.Call)
+		*o.batch = append((*o.batch)[:0], calls...)
+		o.calls = *o.batch
 	}
 	return s.rt.enqueue(ctx, s.worker, o, false)
+}
+
+// releaseBatch returns an op's batch buffer to the pool, cleared so that it
+// pins no call's strings, or leaves a buffer grown past maxPooledBatch to
+// the GC. The cleared pointer makes a second call a no-op, so whichever
+// path ends the op returns the buffer exactly once.
+func (rt *Runtime) releaseBatch(o *op) {
+	b := o.batch
+	if b == nil {
+		return
+	}
+	o.batch, o.calls = nil, nil
+	if cap(*b) > maxPooledBatch {
+		return
+	}
+	clear(*b)
+	*b = (*b)[:0]
+	rt.batches.Put(b)
 }
 
 func (s *Session) ingestErr() error {
@@ -853,12 +898,13 @@ func (s *Session) FlushContext(ctx context.Context) ([]detect.Alert, error) {
 	if err := s.ingestErr(); err != nil {
 		return nil, err
 	}
-	done := make(chan reply, 1)
+	done := s.rt.replies.Get().(chan reply)
 	// The flush is traced in its own right: it judges the pending short
 	// window, which is where SQL-channel and fused verdicts on partial
 	// windows surface.
 	ta := s.rt.traces.Begin(trace.Context{}, s.id, "flush")
 	if err := s.rt.enqueue(ctx, s.worker, op{s: s, kind: opFlush, done: done, ta: ta}, true); err != nil {
+		s.rt.replies.Put(done) // no worker saw it
 		return nil, err
 	}
 	return s.await(ctx, done)
@@ -883,7 +929,7 @@ func (s *Session) CloseContext(ctx context.Context) ([]detect.Alert, error) {
 	s.closed = true
 	s.mu.Unlock()
 
-	done := make(chan reply, 1)
+	done := s.rt.replies.Get().(chan reply)
 	// The session is already marked closed, so enqueue directly (control ops
 	// are never shed).
 	ta := s.rt.traces.Begin(trace.Context{}, s.id, "close")
@@ -891,6 +937,8 @@ func (s *Session) CloseContext(ctx context.Context) ([]detect.Alert, error) {
 	var alerts []detect.Alert
 	if err == nil {
 		alerts, err = s.await(ctx, done)
+	} else {
+		s.rt.replies.Put(done) // no worker saw it
 	}
 	s.deregister()
 	return alerts, err
@@ -898,10 +946,13 @@ func (s *Session) CloseContext(ctx context.Context) ([]detect.Alert, error) {
 
 // await waits for a control op's reply, bounded by ctx and by runtime
 // shutdown (the workers answer every queued control op before exiting, but a
-// send that raced past shutdown could otherwise wait forever).
+// send that raced past shutdown could otherwise wait forever). The channel
+// goes back to the pool only once its one reply has been read: an abandoned
+// wait leaves it to the GC, since the worker may still send into it.
 func (s *Session) await(ctx context.Context, done chan reply) ([]detect.Alert, error) {
 	select {
 	case r := <-done:
+		s.rt.replies.Put(done)
 		return r.alerts, r.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -909,6 +960,7 @@ func (s *Session) await(ctx context.Context, done chan reply) ([]detect.Alert, e
 		// A worker may have replied concurrently with shutdown.
 		select {
 		case r := <-done:
+			s.rt.replies.Put(done)
 			return r.alerts, r.err
 		default:
 			return nil, ErrClosed
@@ -930,12 +982,16 @@ func (s *Session) deregister() {
 }
 
 // enqueue routes an op to a worker, recording the trace admission span for
-// traced ops. Trace ownership transfers to the worker only when the op
-// actually reaches a queue; fully rejected ops finish their trace here, so
-// producer and worker never double-finish.
+// traced ops. The op's trace and batch buffer pass to the worker only when
+// the op actually reaches a queue; a fully rejected op finishes its trace
+// and returns its buffer here, so producer and worker never both do.
 func (rt *Runtime) enqueue(ctx context.Context, worker int, o op, control bool) error {
 	if o.ta == nil {
-		return rt.enqueueOp(ctx, worker, o, control)
+		queued, err := rt.enqueueOp(ctx, worker, o, control)
+		if !queued {
+			rt.releaseBatch(&o)
+		}
+		return err
 	}
 	start := time.Now()
 	depth := rt.pending[worker].Load()
@@ -945,9 +1001,11 @@ func (rt *Runtime) enqueue(ctx context.Context, worker int, o op, control bool) 
 	// window keeps the trace uncommitted until the span lands.
 	o.ta.Ref()
 	defer o.ta.Release()
-	err := rt.enqueueOp(ctx, worker, o, control)
+	queued, err := rt.enqueueOp(ctx, worker, o, control)
+	if !queued {
+		rt.releaseBatch(&o)
+	}
 	verdict, shedCalls := "admitted", 0
-	enqueued := err == nil
 	if err != nil {
 		// Declared here, bse (which errors.As moves to the heap) costs an
 		// allocation only on a refused op.
@@ -956,9 +1014,8 @@ func (rt *Runtime) enqueue(ctx context.Context, worker int, o op, control bool) 
 		case errors.As(err, &bse):
 			shedCalls = bse.Shed
 			verdict = "shed"
-			if bse.Shed < bse.Batch {
+			if queued {
 				verdict = "partial"
-				enqueued = true // the admitted prefix is queued; the worker owns the trace
 			}
 		case errors.Is(err, ErrShed):
 			verdict, shedCalls = "shed", 1
@@ -976,7 +1033,7 @@ func (rt *Runtime) enqueue(ctx context.Context, worker int, o op, control bool) 
 		trace.String("policy", policy),
 		trace.String("verdict", verdict),
 		trace.Int("shed_calls", int64(shedCalls)))
-	if !enqueued {
+	if !queued {
 		o.ta.Finish()
 	}
 	return err
@@ -986,11 +1043,12 @@ func (rt *Runtime) enqueue(ctx context.Context, worker int, o op, control bool) 
 // when there is one; everything else, and control ops (flush/close) always,
 // uses backpressure — control ops are rare, small, and their reply channel
 // must be served. Blocking sends are bounded by ctx and by runtime shutdown.
-func (rt *Runtime) enqueueOp(ctx context.Context, worker int, o op, control bool) error {
+// queued reports whether the op reached a queue, in whole or in part.
+func (rt *Runtime) enqueueOp(ctx context.Context, worker int, o op, control bool) (queued bool, err error) {
 	rt.mu.RLock()
 	if rt.closed {
 		rt.mu.RUnlock()
-		return ErrClosed
+		return false, ErrClosed
 	}
 	q := rt.queues[worker]
 	rt.mu.RUnlock()
@@ -1001,13 +1059,13 @@ func (rt *Runtime) enqueueOp(ctx context.Context, worker int, o op, control bool
 	rt.trackPending(worker, n)
 	select {
 	case q <- o:
-		return nil
+		return true, nil
 	case <-rt.stopped:
 		rt.releasePending(worker, n)
-		return ErrClosed
+		return false, ErrClosed
 	case <-ctx.Done():
 		rt.releasePending(worker, n)
-		return ctx.Err()
+		return false, ctx.Err()
 	}
 }
 
@@ -1057,15 +1115,15 @@ func shedErr(o *op, shedCalls, batch int) error {
 // enqueueShed is the risk-aware admission path: one deterministic controller
 // decision per op, guaranteed (blocking) admission for high-risk sessions,
 // budgeted prefix admission for the rest — a full queue rejects only the
-// tail of a batch that partly fits.
-func (rt *Runtime) enqueueShed(ctx context.Context, q chan op, worker int, o op) error {
+// tail of a batch that partly fits. queued is as for enqueueOp.
+func (rt *Runtime) enqueueShed(ctx context.Context, q chan op, worker int, o op) (queued bool, err error) {
 	n := int(o.callCount())
 	sr := o.s.risk
 	occ := float64(rt.pending[worker].Load()) / float64(rt.cfg.queueDepth)
 	d := rt.shed.Decide(sr, worker, occ)
 	if !d.Admit {
 		rt.noteShed(o.s, d, n)
-		return shedErr(&o, n, n)
+		return false, shedErr(&o, n, n)
 	}
 	if d.Guaranteed {
 		// High-risk sessions are always scored: blocking backpressure,
@@ -1074,19 +1132,19 @@ func (rt *Runtime) enqueueShed(ctx context.Context, q chan op, worker int, o op)
 		select {
 		case q <- o:
 			rt.shed.Admitted(sr, d, n)
-			return nil
+			return true, nil
 		case <-rt.stopped:
 			rt.releasePending(worker, uint64(n))
-			return ErrClosed
+			return false, ErrClosed
 		case <-ctx.Done():
 			rt.releasePending(worker, uint64(n))
-			return ctx.Err()
+			return false, ctx.Err()
 		}
 	}
 	admit := rt.reserve(worker, n)
 	if admit == 0 {
 		rt.noteShed(o.s, d, n)
-		return shedErr(&o, n, n)
+		return false, shedErr(&o, n, n)
 	}
 	if admit < n {
 		o.calls = o.calls[:admit]
@@ -1096,15 +1154,15 @@ func (rt *Runtime) enqueueShed(ctx context.Context, q chan op, worker int, o op)
 		rt.shed.Admitted(sr, d, admit)
 		if admit < n {
 			rt.noteShed(o.s, d, n-admit)
-			return shedErr(&o, n-admit, n)
+			return true, shedErr(&o, n-admit, n)
 		}
-		return nil
+		return true, nil
 	default:
 		// The call budget had room but the op-slot channel is full (many
 		// small ops queued): shed the whole batch.
 		rt.releasePending(worker, uint64(admit))
 		rt.noteShed(o.s, d, n)
-		return shedErr(&o, n, n)
+		return false, shedErr(&o, n, n)
 	}
 }
 
@@ -1184,7 +1242,9 @@ func (rt *Runtime) runWorker(w int) (clean bool) {
 			if cur != nil {
 				rt.failSession(cur, fmt.Errorf("worker %d crashed: %v", w, r))
 				// A panic outside process (the worker hook) leaves the op's
-				// trace open; process's own recovery closes its own.
+				// trace open and its batch out; process's own recovery
+				// closes and returns its own.
+				rt.releaseBatch(cur)
 				cur.finishTrace()
 			}
 		}
@@ -1219,6 +1279,7 @@ func (rt *Runtime) drainQueue(w int) {
 				rt.ctr.AddDropped(n)
 			}
 			o.reply(reply{err: ErrClosed})
+			rt.releaseBatch(&o)
 			o.finishTrace()
 		default:
 			return
@@ -1239,7 +1300,7 @@ func (rt *Runtime) failSession(o *op, cause error) {
 				"cause", cause)
 		}
 	}
-	o.s.engine = nil
+	o.s.engine, o.s.pooled = nil, nil
 	o.reply(reply{err: o.s.Err()})
 }
 
@@ -1250,7 +1311,12 @@ func (rt *Runtime) process(o *op) {
 	// Registered first so it runs last: the panic-recovery defer below still
 	// sees o.ta for its quarantine log, and sink deliveries take their trace
 	// references inside the body, before the worker's reference is released.
-	defer o.finishTrace()
+	// The batch buffer goes back on every path, scored or not: the engine
+	// keeps no reference to the calls slice.
+	defer func() {
+		rt.releaseBatch(o)
+		o.finishTrace()
+	}()
 	defer func() {
 		if r := recover(); r != nil {
 			rt.ctr.AddPanic()
@@ -1327,11 +1393,11 @@ func (rt *Runtime) process(o *op) {
 		// Windows never straddle traces: the next stream starts clean.
 		s.engine.ResetWindow()
 		if o.kind == opClose {
-			eng, gen := s.engine, s.gen
-			s.engine = nil
+			pe := s.pooled
+			s.engine, s.pooled = nil, nil
 			s.dead = true
-			if rt.cur.Load().gen == gen {
-				rt.pool.Put(&pooledEngine{gen: gen, e: eng})
+			if rt.cur.Load().gen == pe.gen {
+				rt.pool.Put(pe)
 			} else {
 				rt.ctr.AddEngineRetired()
 			}
@@ -1424,10 +1490,17 @@ func (rt *Runtime) installEngine(s *Session) {
 		pe = &pooledEngine{gen: g.gen, e: detect.NewEngine(g.p)}
 	}
 	e := pe.e
+	// A recycled engine keeps its SQL scorer, which Reset resets and
+	// detaches: every engine in the pool was built by this runtime, over its
+	// one SQL profile.
+	sql := e.SQLChannel()
 	e.Reset()
 	e.SetScorerMode(rt.cfg.scorerMode)
 	if rt.cfg.sqlProfile != nil {
-		e.SetSQLChannel(sqlchan.NewScorer(rt.cfg.sqlProfile), rt.cfg.fusion)
+		if sql == nil {
+			sql = sqlchan.NewScorer(rt.cfg.sqlProfile)
+		}
+		e.SetSQLChannel(sql, rt.cfg.fusion)
 	}
 	if rt.shed != nil {
 		e.SetSensitiveLabels(rt.shed.Config().SensitiveLabels)
@@ -1471,8 +1544,7 @@ func (rt *Runtime) installEngine(s *Session) {
 			}
 		})
 	}
-	s.engine = e
-	s.gen = pe.gen
+	s.engine, s.gen, s.pooled = e, pe.gen, pe
 	s.sensSeen = e.SensitiveTouches()
 }
 

@@ -67,6 +67,10 @@ const (
 	// windows, so a hostile megabyte query cannot pin a megabyte string per
 	// ring slot.
 	maxSigLen = 160
+	// maxScratch bounds the scratch memory a scorer keeps for normalising
+	// queries: scratch grown past it by a hostile query goes to the GC, so
+	// a recycled scorer never pins a megabyte.
+	maxScratch = 4 << 10
 )
 
 // Options tune training.
@@ -107,6 +111,7 @@ type Profile struct {
 	Threshold float64
 
 	sigs  []string       // id → signature
+	short []string       // id → signature as a window entry (truncSig)
 	sigID map[string]int // signature → id; unseen → unk
 
 	// bigram[r][c] is log P(next signature class c | previous class r).
@@ -209,6 +214,11 @@ func Train(traces []collector.Trace, opts Options) (*Profile, error) {
 		}
 	}
 
+	p.short = make([]string, len(p.sigs))
+	for id, sig := range p.sigs {
+		p.short[id] = truncSig(sig)
+	}
+
 	v := len(p.sigs)
 	k := opts.SmoothK
 	bigramCount := make([][]float64, v+2) // + unk row + start row
@@ -288,10 +298,11 @@ func Train(traces []collector.Trace, opts Options) (*Profile, error) {
 }
 
 // scoreSig computes one query's log-likelihood given the previous signature
-// class: bigram + cardinality + column-novelty terms. It returns the next
-// bigram row and whether the query touched an undeclared sensitive column.
-func (p *Profile) scoreSig(prevRow int, sig string, rows int) (lp float64, nextRow int, sensitive bool) {
-	id, known := p.sigID[sig]
+// class: bigram + cardinality + column-novelty terms. id is the signature's
+// vocabulary id when known; sig is read only when it is not. It returns the
+// next bigram row and whether the query touched an undeclared sensitive
+// column.
+func (p *Profile) scoreSig(prevRow, id int, known bool, sig string, rows int) (lp float64, nextRow int, sensitive bool) {
 	col := id
 	if !known {
 		col = p.unk()
@@ -343,6 +354,10 @@ type Scorer struct {
 	sens    []bool
 	n       int
 	sum     float64
+	// scratch is where Observe normalises each query. The ring's entries
+	// never alias it: a known signature's entry is the profile's own
+	// string, and only a novel one is copied out.
+	scratch []byte
 }
 
 // NewScorer builds a scorer over p.
@@ -365,13 +380,32 @@ func (s *Scorer) Reset() {
 }
 
 // Observe folds one executed query into the window. done reports that a
-// full window completed on this query and v holds its judgement.
+// full window completed on this query and v holds its judgement. A query of
+// a trained signature allocates nothing: its signature is normalised into
+// the scorer's scratch memory and looked up by those bytes.
 func (s *Scorer) Observe(sql string, rows int) (v Verdict, done bool) {
-	return s.observeSig(qsig.Normalize(sql), rows)
+	s.scratch = qsig.AppendNormalized(s.scratch[:0], sql)
+	id, known := s.p.sigID[string(s.scratch)]
+	sig := ""
+	if !known {
+		sig = string(s.scratch)
+	}
+	if cap(s.scratch) > maxScratch {
+		s.scratch = nil
+	}
+	return s.fold(id, known, sig, rows)
 }
 
+// observeSig is Observe for an already normalised signature.
 func (s *Scorer) observeSig(sig string, rows int) (v Verdict, done bool) {
-	lp, next, sensitive := s.p.scoreSig(s.prevRow, sig, rows)
+	id, known := s.p.sigID[sig]
+	return s.fold(id, known, sig, rows)
+}
+
+// fold scores one query and pushes it into the window ring. sig is read
+// only for a novel signature.
+func (s *Scorer) fold(id int, known bool, sig string, rows int) (v Verdict, done bool) {
+	lp, next, sensitive := s.p.scoreSig(s.prevRow, id, known, sig, rows)
 	s.prevRow = next
 	w := len(s.lps)
 	idx := s.n % w
@@ -379,7 +413,11 @@ func (s *Scorer) observeSig(sig string, rows int) (v Verdict, done bool) {
 		s.sum -= s.lps[idx]
 	}
 	s.lps[idx] = lp
-	s.sigs[idx] = truncSig(sig)
+	if known {
+		s.sigs[idx] = s.p.short[id]
+	} else {
+		s.sigs[idx] = truncSig(sig)
+	}
 	s.sens[idx] = sensitive
 	s.sum += lp
 	s.n++

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"adprom/internal/collector"
+	"adprom/internal/detect"
 	"adprom/internal/obsv"
 	"adprom/internal/profile"
 	"adprom/internal/runtime"
@@ -74,6 +75,11 @@ type LoaderFunc func(id string) (*profile.Profile, error)
 
 func (f LoaderFunc) LoadTenant(id string) (*profile.Profile, error) { return f(id) }
 
+// AlertFunc receives every alert a fleet raises, tagged with the tenant
+// and the session that raised it; see runtime.AlertFunc for how alerts are
+// delivered.
+type AlertFunc func(tenant, session string, a detect.Alert)
+
 // Config configures a Router. Static and Loader compose: Static is
 // consulted first, then Loader; a tenant in neither is ErrUnknownTenant.
 type Config struct {
@@ -91,6 +97,11 @@ type Config struct {
 	// overshoot by at most the number of concurrent ingest connections,
 	// never unboundedly.
 	MaxSessionsPerTenant int
+	// Alert, when non-nil, is every shard's alert sink: each shard, loaded
+	// at startup or lazily, gets a runtime.WithAlertFunc that tags its
+	// alerts with the shard's tenant. It is applied before RuntimeOptions,
+	// so a WithAlertFunc there or in PerTenant replaces it.
+	Alert AlertFunc
 	// RuntimeOptions apply to every shard's runtime (workers, queue depth,
 	// risk-aware shedding, scorer mode, sink, decision log, ...).
 	RuntimeOptions []runtime.Option
@@ -201,6 +212,9 @@ func (r *Router) loadShard(id string) (*Shard, error) {
 		return nil, err
 	}
 	opts := make([]runtime.Option, 0, len(r.cfg.RuntimeOptions)+1)
+	if alert := r.cfg.Alert; alert != nil {
+		opts = append(opts, runtime.WithAlertFunc(func(session string, a detect.Alert) { alert(id, session, a) }))
+	}
 	opts = append(opts, r.cfg.RuntimeOptions...)
 	opts = append(opts, r.cfg.PerTenant[id]...)
 	sh = &Shard{id: id, rt: runtime.New(p, opts...)}
